@@ -22,34 +22,45 @@ from .scenarios import (ScenarioConfig, compare, default_scenario,
 from .verify import run_verification
 
 
-def _env_from_dict(d: dict) -> EnvConfig:
-    return EnvConfig(**d)
-
-
-def _schedule_from_dict(d: dict) -> WeaningSchedule:
-    return WeaningSchedule(**d)
-
-
 def load_scenario_file(path) -> ScenarioConfig:
-    with open(path) as f:
-        doc = yaml.safe_load(f)
-    train_config = TrainConfig(**doc.get("train", {}))
+    """Parse and validate a YAML scenario file. Malformed YAML, unknown or
+    missing fields in a block and values of the wrong type raise ValueError
+    naming the file (and the block, where known)."""
+    try:
+        with open(path) as f:
+            doc = yaml.safe_load(f)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: malformed YAML: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a scenario file must be a YAML mapping")
+
+    def block(name: str, cls, fields):
+        try:
+            return cls(**fields)
+        except TypeError as exc:
+            raise ValueError(f"{path}: bad {name} block: {exc}") from exc
+
     source = doc["source"]
     target = doc["target"]
-    config = ScenarioConfig(
-        setting=int(doc["setting"]),
-        mode=doc.get("mode", "rrl"),
-        source_env=_env_from_dict(source["env"]),
-        source_algorithm=source.get("algorithm", "dqn"),
-        source_seeds=tuple(source.get("seeds", (0, 1, 2))),
-        source_total_timesteps=int(source.get("total_timesteps", 100_000)),
-        target_env=_env_from_dict(target["env"]),
-        target_seeds=tuple(target.get("seeds", range(10))),
-        target_total_timesteps=int(target.get("total_timesteps", 100_000)),
-        schedule=_schedule_from_dict(doc["schedule"]),
-        train_config=train_config,
-    )
-    config.validate()
+    try:
+        config = ScenarioConfig(
+            setting=int(doc["setting"]),
+            mode=doc.get("mode", "rrl"),
+            source_env=block("source env", EnvConfig, source["env"]),
+            source_algorithm=source.get("algorithm", "dqn"),
+            source_seeds=tuple(source.get("seeds", (0, 1, 2))),
+            source_total_timesteps=int(source.get("total_timesteps",
+                                                  100_000)),
+            target_env=block("target env", EnvConfig, target["env"]),
+            target_seeds=tuple(target.get("seeds", range(10))),
+            target_total_timesteps=int(target.get("total_timesteps",
+                                                  100_000)),
+            schedule=block("schedule", WeaningSchedule, doc["schedule"]),
+            train_config=block("train", TrainConfig, doc.get("train", {})),
+        )
+        config.validate()
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: value of the wrong type: {exc}") from exc
     return config
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import EnvConfig, make_env
-from .errors import UnsupportedError
 from .nets import MlpModel, adam_update, backward, forward, init_adam, init_mlp
 from .priors import PriorArtifact, save_artifact
 
@@ -87,8 +86,6 @@ def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
     (timestep, episodic_return_mean) rows). Deterministic given seed."""
     config.validate()
     env = make_env(env_config)
-    if env.action_space.kind != "discrete":
-        raise UnsupportedError("DQN requires a discrete action space")
     action_count = env.action_space.count
     rng = np.random.default_rng(seed)
 

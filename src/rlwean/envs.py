@@ -4,9 +4,9 @@ forms.
 - chain: 5 linear states, actions {left, right}, +1 on reaching the right end.
 - windy-grid: 5x5 grid, 4 actions, optional stochastic +x wind after each
   move, +1 at the goal cell and -0.01 per step.
-- goal-world: 2-D point mass with 4-way discrete (default) or continuous
-  actions; "reach" gives +1 inside a 0.1 radius of the goal, "reach-fast"
-  adds a velocity-toward-goal shaping bonus and a -0.01 living cost.
+- goal-world: 2-D point mass with 4 discrete move actions; "reach" gives +1
+  inside a 0.1 radius of the goal, "reach-fast" adds a velocity-toward-goal
+  shaping bonus and a -0.01 living cost.
 
 Observations are normalized coordinates in [0, 1] so priors transfer across
 variants without rescaling.
@@ -36,23 +36,13 @@ GOAL_SHAPING_COEF = 0.1
 
 @dataclass
 class ActionSpace:
-    kind: str  # "discrete" | "continuous"
-    count: int = 0
-    dim: int = 0
-    low: np.ndarray | None = None
-    high: np.ndarray | None = None
+    """A discrete action set {0, ..., count - 1}."""
+
+    count: int
 
     def __post_init__(self):
-        if self.kind == "discrete":
-            if self.count < 2:
-                raise ValueError("discrete action count must be >= 2")
-        elif self.kind == "continuous":
-            if self.dim < 1:
-                raise ValueError("continuous action dim must be >= 1")
-            if np.any(np.asarray(self.low) >= np.asarray(self.high)):
-                raise ValueError("continuous bounds require low[i] < high[i]")
-        else:
-            raise ValueError(f"unknown action space kind {self.kind!r}")
+        if self.count < 2:
+            raise ValueError("discrete action count must be >= 2")
 
 
 @dataclass
@@ -143,7 +133,7 @@ class ChainEnv(_BaseEnv):
     """Deterministic 5-state chain; +1 on reaching the rightmost state."""
 
     obs_dim = 1
-    action_space = ActionSpace("discrete", count=2)
+    action_space = ActionSpace(count=2)
 
     def _reset_state(self):
         self._state = 0
@@ -163,7 +153,7 @@ class WindyGridEnv(_BaseEnv):
     """5x5 grid from (0,0) to goal (4,4); optional +x wind after each move."""
 
     obs_dim = 2
-    action_space = ActionSpace("discrete", count=4)
+    action_space = ActionSpace(count=4)
     # action -> (dx, dy)
     MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -195,15 +185,7 @@ class GoalWorldEnv(_BaseEnv):
     """2-D point mass; not tabularizable (continuous state)."""
 
     obs_dim = 4
-
-    def __init__(self, config: EnvConfig, continuous: bool = False):
-        super().__init__(config)
-        self.continuous = continuous
-        if continuous:
-            self.action_space = ActionSpace(
-                "continuous", dim=2, low=-np.ones(2), high=np.ones(2))
-        else:
-            self.action_space = ActionSpace("discrete", count=4)
+    action_space = ActionSpace(count=4)
 
     def _reset_state(self):
         noise = self._rng.uniform(-GOAL_START_NOISE, GOAL_START_NOISE, size=2)
@@ -216,15 +198,9 @@ class GoalWorldEnv(_BaseEnv):
         return np.concatenate([self._pos, v])
 
     def _step_state(self, action):
-        if self.continuous:
-            a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-            if a.shape != (2,):
-                raise ValueError("continuous action must have shape (2,)")
-            self._vel = GOAL_SPEED * a
-        else:
-            a = self._check_discrete(action)
-            direction = np.array(WindyGridEnv.MOVES[a], dtype=np.float64)
-            self._vel = GOAL_SPEED * direction
+        a = self._check_discrete(action)
+        direction = np.array(WindyGridEnv.MOVES[a], dtype=np.float64)
+        self._vel = GOAL_SPEED * direction
         to_goal = GOAL_POS - self._pos
         dist_before = float(np.linalg.norm(to_goal))
         self._pos = np.clip(self._pos + self._vel, 0.0, 1.0)
@@ -239,13 +215,13 @@ class GoalWorldEnv(_BaseEnv):
         return self._obs(), reward, at_goal
 
 
-def make_env(config: EnvConfig, continuous: bool = False):
+def make_env(config: EnvConfig):
     config.validate()
     if config.env_id == "chain":
         return ChainEnv(config)
     if config.env_id == "windy-grid":
         return WindyGridEnv(config)
-    return GoalWorldEnv(config, continuous=continuous)
+    return GoalWorldEnv(config)
 
 
 def env_observation(config: EnvConfig, state: int) -> np.ndarray:

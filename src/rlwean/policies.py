@@ -1,6 +1,5 @@
-"""Stochastic policies: categorical for discrete actions, diagonal Gaussian
-for continuous actions (with an optional uniform mean perturbation applied
-at update time, used by the robust continuous-action baseline)."""
+"""Categorical (softmax) policies over a discrete action set, and batched
+inverse-CDF sampling from their action probabilities."""
 
 from __future__ import annotations
 
@@ -9,8 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import MlpModel, forward
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -39,75 +36,19 @@ class CategoricalPolicy:
         return self.network.input_dim
 
 
-@dataclass
-class GaussianPolicy:
-    """Diagonal Gaussian policy with state-independent log standard deviation.
-
-    rpo_alpha > 0 enables the uniform mean perturbation at update-time
-    log-probability evaluation; sampling is never perturbed.
-    """
-
-    network: MlpModel
-    log_std: np.ndarray
-    rpo_alpha: float = 0.0
-
-    @property
-    def action_dim(self) -> int:
-        return self.network.output_dim
-
-    @property
-    def obs_dim(self) -> int:
-        return self.network.input_dim
-
-
 def action_probs(policy: CategoricalPolicy, observation: np.ndarray) -> np.ndarray:
     """Action probabilities for one observation or a batch."""
     return softmax(forward(policy.network, observation))
 
 
-def sample_action(policy, observation: np.ndarray, rng: np.random.Generator):
-    """Sample an action and return (action, log_prob of that action)."""
-    if isinstance(policy, CategoricalPolicy):
-        logp = log_softmax(forward(policy.network, observation))
-        probs = np.exp(logp)
-        u = rng.random()
-        action = int(np.searchsorted(np.cumsum(probs), u))
-        action = min(action, policy.action_count - 1)
-        return action, float(logp[action])
-    if isinstance(policy, GaussianPolicy):
-        mean = forward(policy.network, observation)
-        std = np.exp(policy.log_std)
-        action = mean + std * rng.standard_normal(policy.action_dim)
-        logp = _gaussian_log_prob(action, mean, policy.log_std)
-        return action, float(logp)
-    raise TypeError(f"unknown policy type {type(policy)!r}")
+def sample_actions(probs: np.ndarray, rngs: list) -> np.ndarray:
+    """One action per row of `probs` (N, A), row i drawn with rngs[i].
 
-
-def _gaussian_log_prob(action, mean, log_std):
-    z = (action - mean) / np.exp(log_std)
-    return float(np.sum(-0.5 * z * z - log_std - 0.5 * LOG_2PI))
-
-
-def log_prob_and_entropy(policy, observation: np.ndarray, action,
-                         rng: np.random.Generator | None = None):
-    """Exact log-probability of `action` and analytic entropy at `observation`.
-
-    For a Gaussian policy with rpo_alpha > 0 and an rng supplied, the mean is
-    perturbed by Uniform(-rpo_alpha, +rpo_alpha) before evaluation.
+    Each generator is advanced by exactly one random() call, in row order.
+    The inverse CDF counts the cumulative probabilities strictly below u
+    (the index searchsorted(cumsum, u) gives), clamped to A-1 for a u above
+    a last cumulative sum that rounded below 1.
     """
-    if isinstance(policy, CategoricalPolicy):
-        a = int(action)
-        if not 0 <= a < policy.action_count:
-            raise ValueError(f"action {a} outside [0, {policy.action_count})")
-        logp = log_softmax(forward(policy.network, observation))
-        probs = np.exp(logp)
-        entropy = float(-np.sum(probs * logp))
-        return float(logp[a]), entropy
-    if isinstance(policy, GaussianPolicy):
-        mean = forward(policy.network, observation)
-        if policy.rpo_alpha > 0.0 and rng is not None:
-            mean = mean + rng.uniform(-policy.rpo_alpha, policy.rpo_alpha,
-                                      size=policy.action_dim)
-        entropy = float(np.sum(policy.log_std + 0.5 * (LOG_2PI + 1.0)))
-        return _gaussian_log_prob(np.asarray(action), mean, policy.log_std), entropy
-    raise TypeError(f"unknown policy type {type(policy)!r}")
+    u = np.array([rng.random() for rng in rngs])
+    actions = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
+    return np.minimum(actions, probs.shape[1] - 1)

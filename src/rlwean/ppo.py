@@ -16,8 +16,7 @@ import numpy as np
 from .envs import EnvConfig, make_env
 from .nets import (MlpModel, adam_update, backward, clip_grad_norm, forward,
                    init_adam, init_mlp)
-from .policies import (CategoricalPolicy, GaussianPolicy, LOG_2PI,
-                       log_softmax)
+from .policies import CategoricalPolicy, log_softmax, sample_actions
 from .priors import (BaselineSpec, effective_weight, prior_value,
                      q_to_value_from_probs)
 
@@ -41,7 +40,6 @@ class TrainConfig:
     advantage_normalization: bool = True
     learning_rate: float = 2.5e-4
     gae_lambda: float | None = None  # ablation only; None = pure MC advantages
-    rpo_alpha: float = 0.5  # continuous-action runs only
 
     def validate(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
@@ -55,20 +53,6 @@ class TrainConfig:
 
 
 @dataclass
-class Trajectory:
-    observations: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    log_probs: np.ndarray
-    terminated: bool
-    final_observation: np.ndarray | None = None
-
-    @property
-    def length(self) -> int:
-        return len(self.rewards)
-
-
-@dataclass
 class RolloutBatch:
     """Flattened rollout data, concatenated in worker-index order."""
 
@@ -76,7 +60,7 @@ class RolloutBatch:
     actions: np.ndarray
     rewards: np.ndarray
     log_probs: np.ndarray
-    action_probs: np.ndarray | None  # (N, A) rollout-time probabilities
+    action_probs: np.ndarray  # (N, A) rollout-time probabilities
     segments: list  # (start, end, terminated) per episode segment
     bootstrap_values: np.ndarray  # per-segment V(s_end) for non-terminated
     collection_timestep: int
@@ -90,16 +74,11 @@ class RolloutBatch:
         return len(self.rewards)
 
 
-def compute_returns(trajectory_or_rewards, gamma: float,
-                    terminated: bool = True,
+def compute_returns(rewards, gamma: float, terminated: bool = True,
                     bootstrap_value: float = 0.0) -> np.ndarray:
     """Discounted returns-to-go G_t; truncated episodes bootstrap from
     bootstrap_value at the final observation."""
-    if isinstance(trajectory_or_rewards, Trajectory):
-        rewards = trajectory_or_rewards.rewards
-        terminated = trajectory_or_rewards.terminated
-    else:
-        rewards = np.asarray(trajectory_or_rewards, dtype=np.float64)
+    rewards = np.asarray(rewards, dtype=np.float64)
     out = np.empty(len(rewards))
     g = 0.0 if terminated else float(bootstrap_value)
     for t in range(len(rewards) - 1, -1, -1):
@@ -108,13 +87,8 @@ def compute_returns(trajectory_or_rewards, gamma: float,
     return out
 
 
-def _sample_categorical_row(probs_row: np.ndarray, rng: np.random.Generator) -> int:
-    a = int(np.searchsorted(np.cumsum(probs_row), rng.random()))
-    return min(a, len(probs_row) - 1)
-
-
-def collect_rollout(envs: list, policy, value_net: MlpModel, steps: int,
-                    rngs: list, gamma: float,
+def collect_rollout(envs: list, policy: CategoricalPolicy, value_net: MlpModel,
+                    steps: int, rngs: list, gamma: float,
                     collection_timestep: int = 0,
                     env_states: dict | None = None) -> RolloutBatch:
     """Collect exactly `steps` transitions across the env bank, auto-resetting
@@ -124,7 +98,6 @@ def collect_rollout(envs: list, policy, value_net: MlpModel, steps: int,
     if steps % num_envs != 0:
         raise ValueError("steps must be divisible by the number of envs")
     t_env = steps // num_envs
-    categorical = isinstance(policy, CategoricalPolicy)
     obs_dim = envs[0].obs_dim
 
     if env_states is None:
@@ -135,43 +108,27 @@ def collect_rollout(envs: list, policy, value_net: MlpModel, steps: int,
 
     obs_buf = np.zeros((num_envs, t_env, obs_dim))
     next_obs_buf = np.zeros((num_envs, t_env, obs_dim))
-    if categorical:
-        act_buf = np.zeros((num_envs, t_env), dtype=np.int64)
-        probs_buf = np.zeros((num_envs, t_env, policy.action_count))
-    else:
-        act_buf = np.zeros((num_envs, t_env, policy.action_dim))
-        probs_buf = None
+    act_buf = np.zeros((num_envs, t_env), dtype=np.int64)
+    probs_buf = np.zeros((num_envs, t_env, policy.action_count))
     logp_buf = np.zeros((num_envs, t_env))
     rew_buf = np.zeros((num_envs, t_env))
     term_buf = np.zeros((num_envs, t_env), dtype=bool)
     done_buf = np.zeros((num_envs, t_env), dtype=bool)
     episode_returns = []
-
-    if not categorical:
-        std = np.exp(policy.log_std)
+    rows = np.arange(num_envs)
 
     for t in range(t_env):
         obs_batch = np.stack(cur_obs)
-        if categorical:
-            logp_all = log_softmax(forward(policy.network, obs_batch))
-            probs = np.exp(logp_all)
-        else:
-            means = forward(policy.network, obs_batch)
+        logp_all = log_softmax(forward(policy.network, obs_batch))
+        probs = np.exp(logp_all)
+        actions = sample_actions(probs, rngs)
+        obs_buf[:, t] = obs_batch
+        act_buf[:, t] = actions
+        logp_buf[:, t] = logp_all[rows, actions]
+        probs_buf[:, t] = probs
         for i, env in enumerate(envs):
-            if categorical:
-                a = _sample_categorical_row(probs[i], rngs[i])
-                logp = float(logp_all[i, a])
-                probs_buf[i, t] = probs[i]
-            else:
-                a = means[i] + std * rngs[i].standard_normal(policy.action_dim)
-                z = (a - means[i]) / std
-                logp = float(np.sum(-0.5 * z * z - policy.log_std
-                                    - 0.5 * LOG_2PI))
-            result = env.step(a)
-            obs_buf[i, t] = cur_obs[i]
+            result = env.step(actions[i])
             next_obs_buf[i, t] = result.observation
-            act_buf[i, t] = a
-            logp_buf[i, t] = logp
             rew_buf[i, t] = result.reward
             term_buf[i, t] = result.terminated
             done_buf[i, t] = result.terminated or result.truncated
@@ -210,12 +167,10 @@ def collect_rollout(envs: list, policy, value_net: MlpModel, steps: int,
     env_states["ep_return"] = ep_return
     return RolloutBatch(
         observations=observations,
-        actions=act_buf.reshape(steps, -1) if not categorical
-        else act_buf.reshape(steps),
+        actions=act_buf.reshape(steps),
         rewards=rewards,
         log_probs=logp_buf.reshape(steps),
-        action_probs=None if probs_buf is None
-        else probs_buf.reshape(steps, -1),
+        action_probs=probs_buf.reshape(steps, -1),
         segments=segments,
         bootstrap_values=boot_values,
         collection_timestep=collection_timestep,
@@ -224,19 +179,22 @@ def collect_rollout(envs: list, policy, value_net: MlpModel, steps: int,
     )
 
 
-def _baseline_values(batch: RolloutBatch, spec: BaselineSpec) -> np.ndarray:
-    v_current = forward(spec.current_value_network, batch.observations)[:, 0]
-    w = effective_weight(spec, batch.collection_timestep)
+def combined_baseline(spec: BaselineSpec, observations: np.ndarray,
+                      action_probs: np.ndarray, t: int) -> np.ndarray:
+    """b(s) = (1 - w_t) V_current(s) + w_t V_prior(s) for a batch (N, obs_dim).
+
+    A Q-function prior becomes V_prior(s) = sum_a pi(a|s) Q(s, a) with the
+    given action probabilities (N, A); a value prior is used as is. With no
+    prior, or w_t = 0, this is V_current alone.
+    """
+    v_current = forward(spec.current_value_network, observations)[:, 0]
+    w = effective_weight(spec, t)
     if w == 0.0:
         return v_current
     if spec.prior.kind == "q_function":
-        if batch.action_probs is None:
-            raise ValueError("q_function prior requires stored action "
-                             "probabilities (discrete policy)")
-        v_prior = q_to_value_from_probs(spec.prior, batch.action_probs,
-                                        batch.observations)
+        v_prior = q_to_value_from_probs(spec.prior, action_probs, observations)
     else:
-        v_prior = prior_value(spec.prior, batch.observations)
+        v_prior = prior_value(spec.prior, observations)
     return (1.0 - w) * v_current + w * v_prior
 
 
@@ -245,7 +203,8 @@ def compute_advantages(batch: RolloutBatch, spec: BaselineSpec,
                        gae_lambda: float | None = None) -> RolloutBatch:
     """Fill baselines and advantages: A = G - b(s) (Monte Carlo form), or GAE
     over the combined baseline when gae_lambda is given (ablation only)."""
-    b = _baseline_values(batch, spec)
+    b = combined_baseline(spec, batch.observations, batch.action_probs,
+                          batch.collection_timestep)
     batch.baselines = b
     if gae_lambda is None:
         batch.advantages = batch.returns_to_go - b
@@ -264,27 +223,9 @@ def compute_advantages(batch: RolloutBatch, spec: BaselineSpec,
     return batch
 
 
-@dataclass
-class _VecAdam:
-    """Adam for a bare parameter vector (the Gaussian log_std)."""
-
-    learning_rate: float
-    m: np.ndarray
-    v: np.ndarray
-    step_count: int = 0
-
-    def update(self, param: np.ndarray, grad: np.ndarray) -> None:
-        self.step_count += 1
-        self.m = 0.9 * self.m + 0.1 * grad
-        self.v = 0.999 * self.v + 0.001 * grad * grad
-        c1 = 1.0 - 0.9 ** self.step_count
-        c2 = 1.0 - 0.999 ** self.step_count
-        param -= self.learning_rate * (self.m / c1) / (np.sqrt(self.v / c2) + 1e-8)
-
-
-def ppo_update(policy, value_net: MlpModel, batch: RolloutBatch,
-               config: TrainConfig, policy_opt, value_opt,
-               rng: np.random.Generator, log_std_opt: _VecAdam | None = None) -> dict:
+def ppo_update(policy: CategoricalPolicy, value_net: MlpModel,
+               batch: RolloutBatch, config: TrainConfig, policy_opt, value_opt,
+               rng: np.random.Generator) -> dict:
     """Clipped-surrogate policy update plus Monte Carlo value regression.
 
     Raises FloatingPointError (parameters of the offending minibatch
@@ -296,7 +237,6 @@ def ppo_update(policy, value_net: MlpModel, batch: RolloutBatch,
     adv = batch.advantages
     if config.advantage_normalization:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    categorical = isinstance(policy, CategoricalPolicy)
     eps = config.clip_coefficient
     stats = {"policy_loss": [], "value_loss": [], "entropy": [],
              "approx_kl": [], "clip_fraction": []}
@@ -310,25 +250,11 @@ def ppo_update(policy, value_net: MlpModel, batch: RolloutBatch,
             old_logp = batch.log_probs[idx]
             b_adv = adv[idx]
 
-            if categorical:
-                logits = forward(policy.network, obs)
-                logp_all = log_softmax(logits)
-                p = np.exp(logp_all)
-                acts = batch.actions[idx]
-                new_logp = logp_all[np.arange(b_size), acts]
-                entropy = -np.sum(p * logp_all, axis=1)
-            else:
-                means = forward(policy.network, obs)
-                if policy.rpo_alpha > 0.0:
-                    means = means + rng.uniform(-policy.rpo_alpha,
-                                                policy.rpo_alpha,
-                                                size=means.shape)
-                std = np.exp(policy.log_std)
-                z = (batch.actions[idx] - means) / std
-                new_logp = np.sum(-0.5 * z * z - policy.log_std
-                                  - 0.5 * LOG_2PI, axis=1)
-                entropy = np.full(b_size, float(np.sum(
-                    policy.log_std + 0.5 * (LOG_2PI + 1.0))))
+            logp_all = log_softmax(forward(policy.network, obs))
+            p = np.exp(logp_all)
+            acts = batch.actions[idx]
+            new_logp = logp_all[np.arange(b_size), acts]
+            entropy = -np.sum(p * logp_all, axis=1)
 
             log_ratio = new_logp - old_logp
             ratio = np.exp(log_ratio)
@@ -348,19 +274,13 @@ def ppo_update(policy, value_net: MlpModel, batch: RolloutBatch,
             # d(pg_loss)/d(new_logp); the clipped branch has zero gradient.
             unclipped = surr1 <= surr2
             dlogp = np.where(unclipped, -b_adv * ratio, 0.0) / b_size
-            if categorical:
-                onehot = np.zeros_like(p)
-                onehot[np.arange(b_size), acts] = 1.0
-                dlogits = dlogp[:, None] * (onehot - p)
-                # entropy bonus: dH/dlogits_j = -p_j (logp_j + H)
-                dlogits += config.entropy_coefficient * p \
-                    * (logp_all + entropy[:, None]) / b_size
-                grads = backward(policy.network, obs, dlogits)
-            else:
-                dmeans = dlogp[:, None] * (z / std)
-                grads = backward(policy.network, obs, dmeans)
-                dlog_std = np.sum(dlogp[:, None] * (z * z - 1.0), axis=0)
-                dlog_std -= config.entropy_coefficient
+            onehot = np.zeros_like(p)
+            onehot[np.arange(b_size), acts] = 1.0
+            dlogits = dlogp[:, None] * (onehot - p)
+            # entropy bonus: dH/dlogits_j = -p_j (logp_j + H)
+            dlogits += config.entropy_coefficient * p \
+                * (logp_all + entropy[:, None]) / b_size
+            grads = backward(policy.network, obs, dlogits)
             clip_grad_norm(grads, config.max_grad_norm)
 
             v_grads = backward(value_net, obs,
@@ -369,8 +289,6 @@ def ppo_update(policy, value_net: MlpModel, batch: RolloutBatch,
 
             adam_update(policy.network, policy_opt, grads)
             adam_update(value_net, value_opt, v_grads)
-            if not categorical and log_std_opt is not None:
-                log_std_opt.update(policy.log_std, dlog_std)
 
             stats["policy_loss"].append(pg_loss)
             stats["value_loss"].append(value_loss)
@@ -386,21 +304,16 @@ def ppo_update(policy, value_net: MlpModel, batch: RolloutBatch,
 class TrainResult:
     curve: list  # rows of (timestep, ep_ret_mean, ep_ret_std, w_t,
     #              value_loss, policy_loss, entropy)
-    policy: object = None
+    policy: CategoricalPolicy | None = None
     value_net: MlpModel | None = None
     diagnostics: list = field(default_factory=list)
 
 
-def init_policy(env, rng: np.random.Generator, rpo_alpha: float = 0.0):
-    """Policy network matching the env's action space (2x64 tanh hidden)."""
-    if env.action_space.kind == "discrete":
-        net = init_mlp([env.obs_dim] + HIDDEN_DIMS + [env.action_space.count],
-                       rng, output_scale=POLICY_OUTPUT_SCALE)
-        return CategoricalPolicy(net)
-    net = init_mlp([env.obs_dim] + HIDDEN_DIMS + [env.action_space.dim],
+def init_policy(env, rng: np.random.Generator) -> CategoricalPolicy:
+    """Policy network matching the env's action count (2x64 tanh hidden)."""
+    net = init_mlp([env.obs_dim] + HIDDEN_DIMS + [env.action_space.count],
                    rng, output_scale=POLICY_OUTPUT_SCALE)
-    return GaussianPolicy(net, log_std=np.zeros(env.action_space.dim),
-                          rpo_alpha=rpo_alpha)
+    return CategoricalPolicy(net)
 
 
 def init_value_net(obs_dim: int, rng: np.random.Generator) -> MlpModel:
@@ -408,8 +321,7 @@ def init_value_net(obs_dim: int, rng: np.random.Generator) -> MlpModel:
 
 
 def train(env_config: EnvConfig, config: TrainConfig,
-          baseline_spec_factory, seed: int,
-          continuous: bool = False) -> TrainResult:
+          baseline_spec_factory, seed: int) -> TrainResult:
     """Run the collect -> advantage -> update loop until total_timesteps.
 
     baseline_spec_factory(value_net) -> BaselineSpec lets the caller attach a
@@ -424,23 +336,16 @@ def train(env_config: EnvConfig, config: TrainConfig,
     worker_rngs = [np.random.default_rng(seed + i)
                    for i in range(config.num_envs)]
 
-    envs = [make_env(env_config, continuous=continuous)
-            for _ in range(config.num_envs)]
+    envs = [make_env(env_config) for _ in range(config.num_envs)]
     initial_obs = [env.reset(seed=ENV_SEED_OFFSET + seed + i)
                    for i, env in enumerate(envs)]
 
-    policy = init_policy(envs[0], init_rng,
-                         rpo_alpha=config.rpo_alpha if continuous else 0.0)
+    policy = init_policy(envs[0], init_rng)
     value_net = init_value_net(envs[0].obs_dim, init_rng)
     spec = baseline_spec_factory(value_net)
 
     policy_opt = init_adam(policy.network, config.learning_rate)
     value_opt = init_adam(value_net, config.learning_rate)
-    log_std_opt = None
-    if isinstance(policy, GaussianPolicy):
-        log_std_opt = _VecAdam(config.learning_rate,
-                               np.zeros_like(policy.log_std),
-                               np.zeros_like(policy.log_std))
 
     env_states = {"obs": initial_obs,
                   "ep_return": [0.0] * config.num_envs}
@@ -455,7 +360,7 @@ def train(env_config: EnvConfig, config: TrainConfig,
         compute_advantages(batch, spec, gamma=config.gamma,
                            gae_lambda=config.gae_lambda)
         diag = ppo_update(policy, value_net, batch, config, policy_opt,
-                          value_opt, update_rng, log_std_opt=log_std_opt)
+                          value_opt, update_rng)
         if batch.episode_returns:
             last_mean = float(np.mean(batch.episode_returns))
             last_std = float(np.std(batch.episode_returns))

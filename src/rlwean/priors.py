@@ -1,14 +1,14 @@
 """Value reuse from prior computation.
 
 A PriorArtifact is a frozen Q-network or value network from earlier training.
-The combined baseline blends the freshly learned value function with the
-value recovered from the prior:
+The combined baseline (`rlwean.ppo.combined_baseline`) blends the freshly
+learned value function with the value recovered from the prior:
 
     b(s) = (1 - w_t) * V_current(s) + w_t * V_prior(s)
 
-where V_prior is sum_a pi(a|s) Q(s, a) for Q-function priors (discrete
-actions only) or the frozen value network's output for value priors, and
-w_t is produced by a weaning schedule that decreases over training.
+where V_prior is sum_a pi(a|s) Q(s, a) for Q-function priors or the frozen
+value network's output for value priors, and w_t is produced by a weaning
+schedule that decreases over training.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from decimal import Decimal
 
 import numpy as np
 
-from .errors import CompatibilityError, UnsupportedError
+from .errors import CompatibilityError
 from .nets import MlpModel, forward
-from .policies import CategoricalPolicy, GaussianPolicy, action_probs
 
 FORMAT_VERSION = 1
 _KIND_TO_FILE = {"q_function": "q", "value_function": "v"}
@@ -134,15 +133,25 @@ def save_artifact(prior: PriorArtifact, path) -> None:
 
 
 def load_artifact(path) -> PriorArtifact:
-    """Load and eagerly validate an artifact file."""
+    """Load and eagerly validate an artifact file; any malformed document,
+    including fields of the wrong type, raises ValueError."""
     with open(path) as f:
         doc = json.load(f)
+    try:
+        return _artifact_from_doc(doc)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed artifact: {exc}") from exc
+
+
+def _artifact_from_doc(doc) -> PriorArtifact:
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
     if doc.get("activation") != "tanh":
         raise ValueError(f"unsupported activation {doc.get('activation')!r}")
     if doc.get("kind") not in _FILE_TO_KIND:
         raise ValueError(f"unknown artifact kind {doc.get('kind')!r}")
+    if not doc.get("layers"):
+        raise ValueError("artifact has no layers")
     weights, biases, dims = [], [], None
     for layer in doc["layers"]:
         rows, cols = layer["rows"], layer["cols"]
@@ -150,6 +159,8 @@ def load_artifact(path) -> PriorArtifact:
         b = np.array(layer["biases"], dtype=np.float64)
         if b.shape != (rows,):
             raise ValueError("bias length does not match layer rows")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError("artifact weights and biases must be finite")
         if dims is None:
             dims = [cols]
         elif dims[-1] != cols:
@@ -171,30 +182,23 @@ def load_artifact(path) -> PriorArtifact:
     )
 
 
-def q_to_value(prior: PriorArtifact, policy, observation: np.ndarray) -> float:
-    """V_prior(s) = sum_a pi(a|s) Q(s, a) with the frozen prior Q-network."""
-    if prior.kind != "q_function":
-        raise ValueError("q_to_value requires a q_function prior")
-    if isinstance(policy, GaussianPolicy):
-        raise UnsupportedError(
-            "Q-to-value conversion is defined for discrete actions only")
-    if policy.action_count != prior.action_count:
-        raise CompatibilityError(
-            f"policy action count {policy.action_count} != prior "
-            f"{prior.action_count}")
-    probs = action_probs(policy, observation)
-    return q_to_value_from_probs(prior, probs, observation)
-
-
 def q_to_value_from_probs(prior: PriorArtifact, probs: np.ndarray,
                           observation: np.ndarray):
-    """Same as q_to_value but with explicit action probabilities (batch ok)."""
+    """V_prior(s) = sum_a pi(a|s) Q(s, a) with the frozen prior Q-network and
+    the given action probabilities; one observation or a batch."""
+    if prior.kind != "q_function":
+        raise ValueError("q_to_value_from_probs requires a q_function prior")
+    probs = np.asarray(probs)
+    if probs.shape[-1] != prior.action_count:
+        raise CompatibilityError(
+            f"{probs.shape[-1]} action probabilities != prior action count "
+            f"{prior.action_count}")
     obs = np.asarray(observation, dtype=np.float64)
     if obs.shape[-1] != prior.obs_dim:
         raise CompatibilityError(
             f"observation dim {obs.shape[-1]} != prior obs_dim {prior.obs_dim}")
     q = forward(prior.network, obs)
-    out = np.sum(np.asarray(probs) * q, axis=-1)
+    out = np.sum(probs * q, axis=-1)
     return float(out) if obs.ndim == 1 else out
 
 
@@ -224,17 +228,3 @@ def effective_weight(spec: BaselineSpec, t: int) -> float:
     if spec.prior is None:
         return 0.0
     return weaning_weight(spec.schedule, t)
-
-
-def combined_baseline(spec: BaselineSpec, policy, observation: np.ndarray,
-                      t: int) -> float:
-    """b(s_t) = (1 - w_t) V_current(s_t) + w_t V_prior(s_t)."""
-    v_current = float(forward(spec.current_value_network, observation)[..., 0])
-    w = effective_weight(spec, t)
-    if w == 0.0:
-        return v_current
-    if spec.prior.kind == "q_function":
-        v_prior = q_to_value(spec.prior, policy, observation)
-    else:
-        v_prior = prior_value(spec.prior, observation)
-    return (1.0 - w) * v_current + w * v_prior

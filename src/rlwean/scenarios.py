@@ -214,9 +214,7 @@ def run_scenario(config: ScenarioConfig, out_dir,
                              f"got {prior.kind}")
         from .envs import make_env
         probe = make_env(config.target_env)
-        action_count = probe.action_space.count \
-            if probe.action_space.kind == "discrete" else None
-        check_compatibility(prior, probe.obs_dim, action_count)
+        check_compatibility(prior, probe.obs_dim, probe.action_space.count)
 
     train_config = replace(config.train_config,
                            total_timesteps=config.target_total_timesteps)

@@ -1,4 +1,7 @@
+import json
+
 import numpy as np
+import pytest
 import yaml
 
 from rlwean.cli import load_scenario_file, main
@@ -86,6 +89,38 @@ def test_missing_config_file_is_config_error(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+def with_unknown_env_key(doc):
+    doc["target"]["env"]["gravity"] = 9.8
+    return yaml.safe_dump(doc)
+
+
+def with_removed_train_option(doc):
+    doc["train"] = {**TRAIN_SMALL, "rpo_alpha": 0.7}
+    return yaml.safe_dump(doc)
+
+
+def with_wrongly_typed_value(doc):
+    doc["target"]["env"]["horizon"] = "64"
+    return yaml.safe_dump(doc)
+
+
+@pytest.mark.parametrize("text", [
+    with_unknown_env_key(scenario_doc()),
+    with_removed_train_option(scenario_doc()),
+    with_wrongly_typed_value(scenario_doc()),
+    "setting: [1, 2\nmode: rrl\n",
+    "- just\n- a list\n",
+], ids=["unknown-env-key", "removed-train-option", "wrongly-typed-value",
+        "malformed-yaml", "not-a-mapping"])
+def test_bad_scenario_file_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and str(path) in err
+
+
 def test_verify_quick_exits_zero(capsys):
     assert main(["verify", "--level", "quick"]) == 0
     printed = capsys.readouterr().out
@@ -114,6 +149,15 @@ def test_export_and_inspect_prior(tmp_path, capsys):
 
 def test_inspect_missing_prior_is_config_error(tmp_path):
     assert main(["inspect-prior", str(tmp_path / "missing.json")]) == 2
+
+
+def test_inspect_prior_without_layers_is_config_error(tmp_path, capsys):
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps({"format_version": 1, "kind": "q",
+                                "activation": "tanh", "obs_dim": 2,
+                                "action_count": 4, "layers": []}))
+    assert main(["inspect-prior", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_then_compare_end_to_end(tmp_path, capsys):

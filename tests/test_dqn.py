@@ -4,7 +4,6 @@ import pytest
 from rlwean.dqn import (DqnConfig, ReplayBuffer, dqn_train, epsilon_at,
                         export_prior, greedy_return)
 from rlwean.envs import EnvConfig, as_tabular, env_observation
-from rlwean.errors import UnsupportedError
 from rlwean.nets import forward
 from rlwean.oracle import value_iteration
 from rlwean.priors import load_artifact
@@ -46,18 +45,6 @@ def test_replay_buffer_sample_without_replacement():
     assert sorted(actions.tolist()) == list(range(10))
     _, actions, _, _, _ = buf.sample(4, rng)
     assert len(set(actions.tolist())) == 4
-
-
-def test_dqn_rejects_continuous_actions(monkeypatch):
-    import rlwean.dqn as dqn_mod
-    from rlwean.envs import make_env
-
-    cfg = EnvConfig("goal-world", horizon=16)
-    env = make_env(cfg, continuous=True)
-    assert env.action_space.kind == "continuous"
-    monkeypatch.setattr(dqn_mod, "make_env", lambda c: env)
-    with pytest.raises(UnsupportedError):
-        dqn_train(cfg, DqnConfig(total_timesteps=10), seed=0)
 
 
 def test_dqn_deterministic_and_learns_chain():

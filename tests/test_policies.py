@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from rlwean.nets import MlpModel, backward, init_mlp
-from rlwean.policies import (CategoricalPolicy, GaussianPolicy, action_probs,
-                             log_prob_and_entropy, log_softmax, sample_action,
-                             softmax)
+from rlwean.nets import MlpModel, backward, forward, init_mlp
+from rlwean.policies import (CategoricalPolicy, action_probs, log_softmax,
+                             sample_actions, softmax)
 
 
 def fixed_logit_policy(logits):
@@ -20,28 +19,27 @@ def test_uniform_logits_give_uniform_probs():
     obs = np.zeros(1)
     probs = action_probs(policy, obs)
     np.testing.assert_allclose(probs, 0.25, atol=1e-15)
-    logp, entropy = log_prob_and_entropy(policy, obs, 2)
-    assert logp == pytest.approx(np.log(0.25))
-    assert entropy == pytest.approx(np.log(4.0))
+    logp = log_softmax(forward(policy.network, obs))
+    assert logp[2] == pytest.approx(np.log(0.25))
+    assert -np.sum(np.exp(logp) * logp) == pytest.approx(np.log(4.0))
 
 
 def test_extreme_logits_pick_one_action():
     policy = fixed_logit_policy([1000.0, 0.0])
-    rng = np.random.default_rng(0)
-    actions = {sample_action(policy, np.zeros(1), rng)[0] for _ in range(10_000)}
-    assert actions == {0}
+    n = 10_000
+    probs = action_probs(policy, np.zeros((n, 1)))
+    actions = sample_actions(probs, [np.random.default_rng(0)] * n)
+    assert set(actions.tolist()) == {0}
 
 
 def test_sample_frequencies_match_softmax():
     logits = np.array([0.5, -0.3, 1.2])
     policy = fixed_logit_policy(logits)
     probs = softmax(logits)
-    rng = np.random.default_rng(1)
     n = 100_000
-    counts = np.zeros(3)
-    for _ in range(n):
-        a, _ = sample_action(policy, np.zeros(1), rng)
-        counts[a] += 1
+    rows = action_probs(policy, np.zeros((n, 1)))
+    actions = sample_actions(rows, [np.random.default_rng(1)] * n)
+    counts = np.bincount(actions, minlength=3)
     for i in range(3):
         se = np.sqrt(probs[i] * (1 - probs[i]) / n)
         assert abs(counts[i] / n - probs[i]) < 3 * se
@@ -59,13 +57,57 @@ def test_probabilities_sum_to_one():
 
 
 def test_sampled_log_prob_consistent_with_evaluation():
+    # a batch sample's log-prob, gathered from the batch log_softmax as
+    # collect_rollout stores it, equals a one-observation re-evaluation
     rng = np.random.default_rng(3)
     net = init_mlp([2, 8, 4], rng)
-    policy = CategoricalPolicy(net)
-    obs = rng.standard_normal(2)
-    a, logp = sample_action(policy, obs, rng)
-    logp2, _ = log_prob_and_entropy(policy, obs, a)
-    assert logp == pytest.approx(logp2, abs=1e-12)
+    obs = rng.standard_normal((16, 2))
+    logp_all = log_softmax(forward(net, obs))
+    actions = sample_actions(np.exp(logp_all), [rng] * len(obs))
+    assert ((0 <= actions) & (actions < 4)).all()
+    for i, a in enumerate(actions):
+        assert logp_all[i, a] == pytest.approx(
+            log_softmax(forward(net, obs[i]))[a], abs=1e-12)
+
+
+class FixedDraw:
+    """Stands in for a generator whose next random() is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def reference_action(probs_row, u):
+    return min(int(np.searchsorted(np.cumsum(probs_row), u)),
+               len(probs_row) - 1)
+
+
+def test_sample_actions_matches_searchsorted_reference():
+    rng = np.random.default_rng(6)
+    probs = rng.dirichlet(np.ones(5), size=200)
+    probs[::3, 1] = 0.0  # exact zeros, renormalized
+    probs[::7, 4] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    gens = [np.random.default_rng(100 + i) for i in range(len(probs))]
+    twins = [np.random.default_rng(100 + i) for i in range(len(probs))]
+    actions = sample_actions(probs, gens)
+    expected = [reference_action(row, twin.random())
+                for row, twin in zip(probs, twins)]
+    np.testing.assert_array_equal(actions, expected)
+    # exactly one random() per row: each generator is level with its twin
+    for gen, twin in zip(gens, twins):
+        assert gen.random() == twin.random()
+
+    # u on a cumulative-sum boundary, and u above a last cumsum below 1
+    rows = np.array([[0.25, 0.25, 0.5], [0.0, 0.5, 0.5], [0.3, 0.3, 0.3]])
+    draws = [0.25, 0.3, 0.95]
+    actions = sample_actions(rows, [FixedDraw(u) for u in draws])
+    np.testing.assert_array_equal(
+        actions, [reference_action(r, u) for r, u in zip(rows, draws)])
+    np.testing.assert_array_equal(actions, [0, 1, 2])
 
 
 def test_categorical_log_prob_gradient_matches_fd():
@@ -85,45 +127,10 @@ def test_categorical_log_prob_gradient_matches_fd():
         for j in range(0, flat_p.size, 3):  # spot-check a third of the params
             orig = flat_p[j]
             flat_p[j] = orig + h
-            up = log_prob_and_entropy(policy, obs, action)[0]
+            up = log_softmax(forward(net, obs))[action]
             flat_p[j] = orig - h
-            down = log_prob_and_entropy(policy, obs, action)[0]
+            down = log_softmax(forward(net, obs))[action]
             flat_p[j] = orig
             fd = (up - down) / (2 * h)
             assert abs(fd - flat_g[j]) <= 1e-4 * max(abs(fd), 1e-6)
 
-
-def test_gaussian_log_prob_and_entropy():
-    net = MlpModel([1, 1], [np.zeros((1, 1))], [np.zeros(1)])
-    policy = GaussianPolicy(net, log_std=np.zeros(1))
-    logp, entropy = log_prob_and_entropy(policy, np.zeros(1), np.zeros(1))
-    assert logp == pytest.approx(-0.5 * np.log(2 * np.pi))
-    # standard normal differential entropy: 0.5 ln(2 pi e) ~ 1.4189385
-    assert entropy == pytest.approx(0.5 * np.log(2 * np.pi * np.e))
-
-
-def test_gaussian_sample_statistics():
-    net = MlpModel([1, 2], [np.zeros((2, 1))], [np.array([1.0, -2.0])])
-    policy = GaussianPolicy(net, log_std=np.log(np.array([0.5, 2.0])))
-    rng = np.random.default_rng(5)
-    samples = np.array([sample_action(policy, np.zeros(1), rng)[0]
-                        for _ in range(50_000)])
-    np.testing.assert_allclose(samples.mean(axis=0), [1.0, -2.0], atol=0.05)
-    np.testing.assert_allclose(samples.std(axis=0), [0.5, 2.0], rtol=0.03)
-
-
-def test_rpo_perturbation_only_with_rng():
-    net = MlpModel([1, 1], [np.zeros((1, 1))], [np.zeros(1)])
-    policy = GaussianPolicy(net, log_std=np.zeros(1), rpo_alpha=0.5)
-    base, _ = log_prob_and_entropy(policy, np.zeros(1), np.array([0.3]))
-    again, _ = log_prob_and_entropy(policy, np.zeros(1), np.array([0.3]))
-    assert base == again  # no rng: deterministic
-    perturbed, _ = log_prob_and_entropy(policy, np.zeros(1), np.array([0.3]),
-                                        rng=np.random.default_rng(0))
-    assert perturbed != base
-
-
-def test_invalid_action_rejected():
-    policy = fixed_logit_policy([0.0, 0.0])
-    with pytest.raises(ValueError):
-        log_prob_and_entropy(policy, np.zeros(1), 5)

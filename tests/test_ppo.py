@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -204,7 +206,7 @@ class BanditEnv:
     """2-armed bandit: arm 0 pays 1, arm 1 pays 0; one-step episodes."""
 
     obs_dim = 1
-    action_space = ActionSpace("discrete", count=2)
+    action_space = ActionSpace(count=2)
 
     def reset(self, seed=None):
         return np.zeros(1)
@@ -269,3 +271,64 @@ def test_train_chain_learns():
                    lambda vn: BaselineSpec(WeaningSchedule("fixed", 0.0), vn,
                                            None), seed=0)
     assert result.curve[-1][1] > 0.95  # near the optimal return of 1.0
+
+
+GOLDEN_TRAIN = dict(total_timesteps=2048, num_envs=4, steps_per_rollout=512,
+                    minibatch_size=128, update_epochs=2)
+
+
+def golden_cases():
+    """(env, schedule, prior) per case; priors are fixed-seed random nets."""
+    q_prior = PriorArtifact("q_function",
+                            init_mlp([2, 64, 64, 4], np.random.default_rng(100)),
+                            obs_dim=2, action_count=4)
+    v_prior = PriorArtifact("value_function",
+                            init_mlp([4, 64, 64, 1], np.random.default_rng(101)),
+                            obs_dim=4)
+    return {
+        "grid-q-fixed": (EnvConfig("windy-grid", horizon=64),
+                         WeaningSchedule("fixed", 0.9), q_prior),
+        "goal-v-decay": (EnvConfig("goal-world", reward_variant="reach-fast",
+                                   horizon=100),
+                         WeaningSchedule("step_decay", 0.5, 0.1, 512), v_prior),
+        "grid-wind-none": (EnvConfig("windy-grid", wind_enabled=True,
+                                     wind_strength=0.3, horizon=64),
+                           WeaningSchedule("fixed", 0.0), None),
+    }
+
+
+def train_digest(env_config, schedule, prior, seed) -> str:
+    """SHA-256 of the curve and the final policy and value weights."""
+    result = train(env_config, TrainConfig(**GOLDEN_TRAIN),
+                   lambda vn: BaselineSpec(schedule, vn, prior), seed)
+    h = hashlib.sha256(repr(result.curve).encode())
+    for net in (result.policy.network, result.value_net):
+        for array in net.weights + net.biases:
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
+# Per-seed curves and weights must stay byte-identical under refactors and
+# pure speed-ups: any change to random-number use or arithmetic order shows
+# here. Re-record only for a change meant to alter training.
+GOLDEN_DIGESTS = {
+    ("grid-q-fixed", 0):
+        "aac0245a56c64fa02f29342fa7a774292b32d36b75e46557bd2b79bcd2773d75",
+    ("grid-q-fixed", 1):
+        "493b116c4f0203f09db990da677ca566b804acc308fdc8277a0b68770913469d",
+    ("goal-v-decay", 0):
+        "31d2b22b8d7b3fab101edcf7061a34201cf6e67cb7e20ae5ef432c333c318ec5",
+    ("goal-v-decay", 1):
+        "d33e9b2e6445a5a999ecd7f1f2d8efc28c8eddef5e81c81eca1f7915a9f5e27f",
+    ("grid-wind-none", 0):
+        "37fc58c4228b7163a420f39dad75a0718bc917e20ace44950c0f4ab21da53b59",
+    ("grid-wind-none", 1):
+        "e08d9ea0a6c6f889422b18b0d5e5415974925892de5d77cb217cd60e7c32c5b4",
+}
+
+
+def test_train_matches_golden_digests():
+    cases = golden_cases()
+    got = {(name, seed): train_digest(*cases[name], seed)
+           for name in cases for seed in (0, 1)}
+    assert got == GOLDEN_DIGESTS

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from rlwean.envs import EnvConfig, as_tabular
-from rlwean.errors import CompatibilityError, UnsupportedError
+from rlwean.errors import CompatibilityError
 from rlwean.nets import MlpModel, forward, init_mlp
 from rlwean.oracle import TabularPolicy, exact_q, exact_value, random_tabular_policy
-from rlwean.policies import CategoricalPolicy, GaussianPolicy
+from rlwean.policies import CategoricalPolicy, action_probs
+from rlwean.ppo import combined_baseline
 from rlwean.priors import (BaselineSpec, PriorArtifact, WeaningSchedule,
-                           check_compatibility, combined_baseline,
-                           load_artifact, prior_value, q_to_value,
+                           check_compatibility, load_artifact, prior_value,
                            q_to_value_from_probs, save_artifact,
                            weaning_weight)
 
@@ -54,7 +54,9 @@ def test_q_to_value_hand_example():
     policy = CategoricalPolicy(const_net([0.0, 0.0]))
     prior = PriorArtifact("q_function", const_net([1.0, 3.0]),
                           obs_dim=1, action_count=2)
-    assert q_to_value(prior, policy, np.zeros(1)) == pytest.approx(2.0)
+    obs = np.zeros(1)
+    assert q_to_value_from_probs(prior, action_probs(policy, obs),
+                                 obs) == pytest.approx(2.0)
 
 
 def test_q_to_value_deterministic_policy():
@@ -79,14 +81,6 @@ def test_q_to_value_identity_on_tabular_chain():
                                    v, atol=1e-10)
 
 
-def test_q_to_value_rejects_continuous_policy():
-    prior = PriorArtifact("q_function", const_net([1.0, 3.0]),
-                          obs_dim=1, action_count=2)
-    gaussian = GaussianPolicy(const_net([0.0]), log_std=np.zeros(1))
-    with pytest.raises(UnsupportedError):
-        q_to_value(prior, gaussian, np.zeros(1))
-
-
 def test_kind_guards():
     q_prior = PriorArtifact("q_function", const_net([1.0, 3.0]),
                             obs_dim=1, action_count=2)
@@ -94,7 +88,7 @@ def test_kind_guards():
     with pytest.raises(ValueError):
         prior_value(q_prior, np.zeros(1))
     with pytest.raises(ValueError):
-        q_to_value(v_prior, CategoricalPolicy(const_net([0.0, 0.0])), np.zeros(1))
+        q_to_value_from_probs(v_prior, np.array([0.5, 0.5]), np.zeros(1))
     with pytest.raises(ValueError):
         PriorArtifact("advantage", const_net([0.0]), obs_dim=1)
 
@@ -108,6 +102,10 @@ def test_compatibility_checks():
         check_compatibility(prior, obs_dim=1, action_count=3)
     check_compatibility(prior, obs_dim=1, action_count=2)  # no raise
     with pytest.raises(CompatibilityError):
+        q_to_value_from_probs(prior, np.full(3, 1 / 3), np.zeros(1))
+    with pytest.raises(CompatibilityError):
+        q_to_value_from_probs(prior, np.full((2, 3), 1 / 3), np.zeros((2, 1)))
+    with pytest.raises(CompatibilityError):
         PriorArtifact("q_function", const_net([1.0, 3.0]), obs_dim=1,
                       action_count=4)
     with pytest.raises(CompatibilityError):
@@ -117,19 +115,20 @@ def test_compatibility_checks():
 def test_combined_baseline_endpoints_and_interpolation():
     value_net = const_net([2.0])
     prior = PriorArtifact("value_function", const_net([10.0]), obs_dim=1)
-    policy = CategoricalPolicy(const_net([0.0, 0.0]))
-    obs = np.zeros(1)
+    obs = np.zeros((3, 1))
+    probs = np.full((3, 2), 0.5)
 
     spec0 = BaselineSpec(WeaningSchedule("fixed", 0.0), value_net, prior)
-    assert combined_baseline(spec0, policy, obs, 0) == 2.0
+    np.testing.assert_array_equal(combined_baseline(spec0, obs, probs, 0), 2.0)
     spec1 = BaselineSpec(WeaningSchedule("fixed", 1.0), value_net, prior)
-    assert combined_baseline(spec1, policy, obs, 0) == 10.0
+    np.testing.assert_array_equal(combined_baseline(spec1, obs, probs, 0), 10.0)
     spec9 = BaselineSpec(WeaningSchedule("fixed", 0.9), value_net, prior)
-    assert combined_baseline(spec9, policy, obs, 0) == pytest.approx(
-        0.1 * 2.0 + 0.9 * 10.0)
+    np.testing.assert_allclose(combined_baseline(spec9, obs, probs, 0),
+                               0.1 * 2.0 + 0.9 * 10.0)
     # without a prior the weight is forced to zero
     spec_none = BaselineSpec(WeaningSchedule("fixed", 0.9), value_net, None)
-    assert combined_baseline(spec_none, policy, obs, 0) == 2.0
+    np.testing.assert_array_equal(combined_baseline(spec_none, obs, probs, 0),
+                                  2.0)
 
 
 def test_combined_baseline_convexity():
@@ -138,13 +137,14 @@ def test_combined_baseline_convexity():
     prior = PriorArtifact("value_function", init_mlp([3, 8, 1], rng), obs_dim=3)
     policy = CategoricalPolicy(init_mlp([3, 8, 2], rng))
     for _ in range(20):
-        obs = rng.standard_normal(3)
+        obs = rng.standard_normal((5, 3))
         w = float(rng.random())
         spec = BaselineSpec(WeaningSchedule("fixed", w), value_net, prior)
-        b = combined_baseline(spec, policy, obs, 0)
-        vc = float(forward(value_net, obs)[0])
+        b = combined_baseline(spec, obs, action_probs(policy, obs), 0)
+        vc = forward(value_net, obs)[:, 0]
         vp = prior_value(prior, obs)
-        assert min(vc, vp) - 1e-12 <= b <= max(vc, vp) + 1e-12
+        assert (np.minimum(vc, vp) - 1e-12 <= b).all()
+        assert (b <= np.maximum(vc, vp) + 1e-12).all()
 
 
 @pytest.mark.parametrize("kind,dims", [("q_function", [4, 64, 64, 3]),
@@ -189,8 +189,13 @@ def test_artifact_rejects_bad_documents(tmp_path):
     path = tmp_path / "p.json"
     save_artifact(prior, path)
     doc = json.loads(path.read_text())
+    layer = doc["layers"][0]
+    nan_weight = {**layer, "weights": [float("nan")] + layer["weights"][1:]}
+    inf_bias = {**layer, "biases": [float("inf")] + layer["biases"][1:]}
     for corrupt in ({"format_version": 2}, {"activation": "relu"},
-                    {"kind": "advantage"}):
+                    {"kind": "advantage"}, {"layers": []},
+                    {"layers": [nan_weight]}, {"layers": [inf_bias]},
+                    {"layers": 5}, {"obs_dim": None}, {"metadata": []}):
         bad = {**doc, **corrupt}
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
