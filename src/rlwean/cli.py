@@ -23,9 +23,9 @@ from .verify import run_verification
 
 
 def load_scenario_file(path) -> ScenarioConfig:
-    """Parse and validate a YAML scenario file. Malformed YAML, unknown or
-    missing fields in a block and values of the wrong type raise ValueError
-    naming the file (and the block, where known)."""
+    """Parse and validate a YAML scenario file. Malformed YAML, a missing
+    key, unknown or missing fields in a block and values of the wrong type
+    raise ValueError naming the file (and the key or block, where known)."""
     try:
         with open(path) as f:
             doc = yaml.safe_load(f)
@@ -40,9 +40,8 @@ def load_scenario_file(path) -> ScenarioConfig:
         except TypeError as exc:
             raise ValueError(f"{path}: bad {name} block: {exc}") from exc
 
-    source = doc["source"]
-    target = doc["target"]
     try:
+        source, target = doc["source"], doc["target"]
         config = ScenarioConfig(
             setting=int(doc["setting"]),
             mode=doc.get("mode", "rrl"),
@@ -59,6 +58,8 @@ def load_scenario_file(path) -> ScenarioConfig:
             train_config=block("train", TrainConfig, doc.get("train", {})),
         )
         config.validate()
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: value of the wrong type: {exc}") from exc
     return config

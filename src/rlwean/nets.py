@@ -157,7 +157,6 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    kind: str = "adam"
     first_moment: GradientBuffer | None = field(default=None)
     second_moment: GradientBuffer | None = field(default=None)
 

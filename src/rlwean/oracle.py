@@ -15,7 +15,7 @@ import numpy as np
 
 from .envs import TabularModel
 from .errors import UnsupportedError
-from .policies import softmax
+from .policies import inverse_cdf, softmax
 
 ENUM_MAX_STATE_ACTIONS = 32
 ENUM_MAX_HORIZON = 8
@@ -190,16 +190,12 @@ def sample_trajectories(model: TabularModel, probs: np.ndarray, n: int,
     s = rng.choice(model.state_count, size=n, p=model.initial_distribution)
     live = ~model.terminal[s]
     for t in range(horizon):
-        u = rng.random(n)
-        a = (u[:, None] > cum_pi[s]).sum(axis=1)
-        np.minimum(a, model.action_count - 1, out=a)
+        a = inverse_cdf(rng.random(n), cum_pi[s])
         states[:, t] = s
         actions[:, t] = a
         alive[:, t] = live
         rewards[:, t] = np.where(live, model.reward[s, a], 0.0)
-        u2 = rng.random(n)
-        s2 = (u2[:, None] > cum_p[s, a]).sum(axis=1)
-        np.minimum(s2, model.state_count - 1, out=s2)
+        s2 = inverse_cdf(rng.random(n), cum_p[s, a])
         s = np.where(live, s2, s)
         live = live & ~model.terminal[s]
     return states, actions, rewards, alive

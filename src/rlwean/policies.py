@@ -1,9 +1,8 @@
-"""Categorical (softmax) policies over a discrete action set, and batched
-inverse-CDF sampling from their action probabilities."""
+"""Categorical (softmax) policies over a discrete action set. A policy is its
+logits network, an `MlpModel`; this module turns logits into probabilities
+and draws from them by batched inverse-CDF sampling."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,34 +20,28 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-@dataclass
-class CategoricalPolicy:
-    """Softmax policy over a discrete action set."""
-
-    network: MlpModel
-
-    @property
-    def action_count(self) -> int:
-        return self.network.output_dim
-
-    @property
-    def obs_dim(self) -> int:
-        return self.network.input_dim
-
-
-def action_probs(policy: CategoricalPolicy, observation: np.ndarray) -> np.ndarray:
+def action_probs(net: MlpModel, observation: np.ndarray) -> np.ndarray:
     """Action probabilities for one observation or a batch."""
-    return softmax(forward(policy.network, observation))
+    return softmax(forward(net, observation))
+
+
+def inverse_cdf(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """The outcome each uniform u (N,) draws from cumulative probabilities
+    cum (N, K).
+
+    Counts the cumulative sums strictly below u (the index
+    searchsorted(cum, u) gives), plus the zero leading sums, so a u of
+    exactly 0.0 never draws a zero-probability outcome. Clamped to K-1 for
+    a u above a last cumulative sum that rounded below 1.
+    """
+    index = ((u[:, None] > cum) | (cum <= 0.0)).sum(axis=1)
+    return np.minimum(index, cum.shape[1] - 1)
 
 
 def sample_actions(probs: np.ndarray, rngs: list) -> np.ndarray:
     """One action per row of `probs` (N, A), row i drawn with rngs[i].
 
     Each generator is advanced by exactly one random() call, in row order.
-    The inverse CDF counts the cumulative probabilities strictly below u
-    (the index searchsorted(cumsum, u) gives), clamped to A-1 for a u above
-    a last cumulative sum that rounded below 1.
     """
     u = np.array([rng.random() for rng in rngs])
-    actions = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
-    return np.minimum(actions, probs.shape[1] - 1)
+    return inverse_cdf(u, np.cumsum(probs, axis=1))

@@ -1,10 +1,12 @@
 """On-policy policy-gradient trainer with a clipped surrogate objective.
 
 Rollouts are collected from a bank of parallel environment instances, each
-with its own RNG stream (base_seed + worker_index), concatenated in
-worker-index order. Advantages are plain Monte Carlo returns minus the
-combined baseline; the current value network always regresses to Monte
-Carlo returns so it keeps learning while the prior is weaned off.
+with its own RNG stream (base_seed + worker_index), into (num_envs, T)
+arrays; returns-to-go come from one backward sweep over them, and the
+arrays are flattened in worker-index order. The policy is its logits
+network. Advantages are plain Monte Carlo returns minus the combined
+baseline; the current value network always regresses to Monte Carlo
+returns so it keeps learning while the prior is weaned off.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .envs import EnvConfig, make_env
 from .nets import (MlpModel, adam_update, backward, clip_grad_norm, forward,
                    init_adam, init_mlp)
-from .policies import CategoricalPolicy, log_softmax, sample_actions
+from .policies import log_softmax, sample_actions
 from .priors import (BaselineSpec, effective_weight, prior_value,
                      q_to_value_from_probs)
 
@@ -39,7 +41,6 @@ class TrainConfig:
     max_grad_norm: float = 0.5
     advantage_normalization: bool = True
     learning_rate: float = 2.5e-4
-    gae_lambda: float | None = None  # ablation only; None = pure MC advantages
 
     def validate(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
@@ -58,42 +59,44 @@ class RolloutBatch:
 
     observations: np.ndarray  # (N, obs_dim)
     actions: np.ndarray
-    rewards: np.ndarray
     log_probs: np.ndarray
     action_probs: np.ndarray  # (N, A) rollout-time probabilities
-    segments: list  # (start, end, terminated) per episode segment
-    bootstrap_values: np.ndarray  # per-segment V(s_end) for non-terminated
+    returns_to_go: np.ndarray
     collection_timestep: int
     episode_returns: list
-    returns_to_go: np.ndarray | None = None
     baselines: np.ndarray | None = None
     advantages: np.ndarray | None = None
 
     @property
     def total_steps(self) -> int:
-        return len(self.rewards)
+        return len(self.actions)
 
 
-def compute_returns(rewards, gamma: float, terminated: bool = True,
-                    bootstrap_value: float = 0.0) -> np.ndarray:
-    """Discounted returns-to-go G_t; truncated episodes bootstrap from
-    bootstrap_value at the final observation."""
+def compute_returns(rewards, next_values, ends, gamma: float) -> np.ndarray:
+    """Discounted returns-to-go G_t over (E, T) arrays, in one backward
+    sweep over T.
+
+    Where ends[:, t] is set, an episode segment ends after step t and the
+    return restarts from next_values[:, t]: 0 after a terminal step,
+    V(s_{t+1}) after a truncated or cut-off one. An unset last column
+    counts as a terminal end.
+    """
     rewards = np.asarray(rewards, dtype=np.float64)
-    out = np.empty(len(rewards))
-    g = 0.0 if terminated else float(bootstrap_value)
-    for t in range(len(rewards) - 1, -1, -1):
-        g = rewards[t] + gamma * g
-        out[t] = g
+    out = np.empty_like(rewards)
+    g = np.zeros(len(rewards))
+    for t in range(rewards.shape[1] - 1, -1, -1):
+        g = rewards[:, t] + gamma * np.where(ends[:, t], next_values[:, t], g)
+        out[:, t] = g
     return out
 
 
-def collect_rollout(envs: list, policy: CategoricalPolicy, value_net: MlpModel,
+def collect_rollout(envs: list, policy: MlpModel, value_net: MlpModel,
                     steps: int, rngs: list, gamma: float,
                     collection_timestep: int = 0,
                     env_states: dict | None = None) -> RolloutBatch:
     """Collect exactly `steps` transitions across the env bank, auto-resetting
-    finished episodes, and fill returns_to_go (truncation bootstraps with the
-    current value network)."""
+    finished episodes, and fill returns_to_go (truncation, and the cut-off at
+    the end of the rollout, bootstrap with the current value network)."""
     num_envs = len(envs)
     if steps % num_envs != 0:
         raise ValueError("steps must be divisible by the number of envs")
@@ -109,7 +112,7 @@ def collect_rollout(envs: list, policy: CategoricalPolicy, value_net: MlpModel,
     obs_buf = np.zeros((num_envs, t_env, obs_dim))
     next_obs_buf = np.zeros((num_envs, t_env, obs_dim))
     act_buf = np.zeros((num_envs, t_env), dtype=np.int64)
-    probs_buf = np.zeros((num_envs, t_env, policy.action_count))
+    probs_buf = np.zeros((num_envs, t_env, policy.output_dim))
     logp_buf = np.zeros((num_envs, t_env))
     rew_buf = np.zeros((num_envs, t_env))
     term_buf = np.zeros((num_envs, t_env), dtype=bool)
@@ -119,7 +122,7 @@ def collect_rollout(envs: list, policy: CategoricalPolicy, value_net: MlpModel,
 
     for t in range(t_env):
         obs_batch = np.stack(cur_obs)
-        logp_all = log_softmax(forward(policy.network, obs_batch))
+        logp_all = log_softmax(forward(policy, obs_batch))
         probs = np.exp(logp_all)
         actions = sample_actions(probs, rngs)
         obs_buf[:, t] = obs_batch
@@ -140,42 +143,24 @@ def collect_rollout(envs: list, policy: CategoricalPolicy, value_net: MlpModel,
             else:
                 cur_obs[i] = result.observation
 
-    # Segment episodes per env, concatenated in worker-index order.
-    segments, boot_obs = [], []
-    offset = 0
-    for i in range(num_envs):
-        start = 0
-        for t in range(t_env):
-            boundary = done_buf[i, t] or t == t_env - 1
-            if boundary:
-                segments.append((offset + start, offset + t + 1,
-                                 bool(term_buf[i, t])))
-                boot_obs.append(next_obs_buf[i, t])
-                start = t + 1
-        offset += t_env
-
-    boot_values = forward(value_net, np.stack(boot_obs))[:, 0]
-    observations = obs_buf.reshape(steps, obs_dim)
-    rewards = rew_buf.reshape(steps)
-    returns = np.empty(steps)
-    for (start, end, terminated), bv in zip(segments, boot_values):
-        returns[start:end] = compute_returns(rewards[start:end], gamma,
-                                             terminated=terminated,
-                                             bootstrap_value=bv)
+    # The rollout's last step cuts every env's open segment off.
+    ends = done_buf.copy()
+    ends[:, -1] = True
+    next_values = np.zeros((num_envs, t_env))
+    next_values[ends] = forward(value_net, next_obs_buf[ends])[:, 0]
+    next_values[term_buf] = 0.0
+    returns = compute_returns(rew_buf, next_values, ends, gamma)
 
     env_states["obs"] = cur_obs
     env_states["ep_return"] = ep_return
     return RolloutBatch(
-        observations=observations,
+        observations=obs_buf.reshape(steps, obs_dim),
         actions=act_buf.reshape(steps),
-        rewards=rewards,
         log_probs=logp_buf.reshape(steps),
         action_probs=probs_buf.reshape(steps, -1),
-        segments=segments,
-        bootstrap_values=boot_values,
+        returns_to_go=returns.reshape(steps),
         collection_timestep=collection_timestep,
         episode_returns=episode_returns,
-        returns_to_go=returns,
     )
 
 
@@ -198,32 +183,16 @@ def combined_baseline(spec: BaselineSpec, observations: np.ndarray,
     return (1.0 - w) * v_current + w * v_prior
 
 
-def compute_advantages(batch: RolloutBatch, spec: BaselineSpec,
-                       gamma: float = 0.99,
-                       gae_lambda: float | None = None) -> RolloutBatch:
-    """Fill baselines and advantages: A = G - b(s) (Monte Carlo form), or GAE
-    over the combined baseline when gae_lambda is given (ablation only)."""
-    b = combined_baseline(spec, batch.observations, batch.action_probs,
-                          batch.collection_timestep)
-    batch.baselines = b
-    if gae_lambda is None:
-        batch.advantages = batch.returns_to_go - b
-        return batch
-    adv = np.empty(batch.total_steps)
-    for (start, end, terminated), bv in zip(batch.segments,
-                                            batch.bootstrap_values):
-        last_adv = 0.0
-        next_v = 0.0 if terminated else float(bv)
-        for t in range(end - 1, start - 1, -1):
-            delta = batch.rewards[t] + gamma * next_v - b[t]
-            last_adv = delta + gamma * gae_lambda * last_adv
-            adv[t] = last_adv
-            next_v = b[t]
-    batch.advantages = adv
+def compute_advantages(batch: RolloutBatch, spec: BaselineSpec) -> RolloutBatch:
+    """Fill baselines and the Monte Carlo advantages A = G - b(s)."""
+    batch.baselines = combined_baseline(spec, batch.observations,
+                                        batch.action_probs,
+                                        batch.collection_timestep)
+    batch.advantages = batch.returns_to_go - batch.baselines
     return batch
 
 
-def ppo_update(policy: CategoricalPolicy, value_net: MlpModel,
+def ppo_update(policy: MlpModel, value_net: MlpModel,
                batch: RolloutBatch, config: TrainConfig, policy_opt, value_opt,
                rng: np.random.Generator) -> dict:
     """Clipped-surrogate policy update plus Monte Carlo value regression.
@@ -250,7 +219,7 @@ def ppo_update(policy: CategoricalPolicy, value_net: MlpModel,
             old_logp = batch.log_probs[idx]
             b_adv = adv[idx]
 
-            logp_all = log_softmax(forward(policy.network, obs))
+            logp_all = log_softmax(forward(policy, obs))
             p = np.exp(logp_all)
             acts = batch.actions[idx]
             new_logp = logp_all[np.arange(b_size), acts]
@@ -280,14 +249,14 @@ def ppo_update(policy: CategoricalPolicy, value_net: MlpModel,
             # entropy bonus: dH/dlogits_j = -p_j (logp_j + H)
             dlogits += config.entropy_coefficient * p \
                 * (logp_all + entropy[:, None]) / b_size
-            grads = backward(policy.network, obs, dlogits)
+            grads = backward(policy, obs, dlogits)
             clip_grad_norm(grads, config.max_grad_norm)
 
             v_grads = backward(value_net, obs,
                                (config.value_coefficient * v_err / b_size)[:, None])
             clip_grad_norm(v_grads, config.max_grad_norm)
 
-            adam_update(policy.network, policy_opt, grads)
+            adam_update(policy, policy_opt, grads)
             adam_update(value_net, value_opt, v_grads)
 
             stats["policy_loss"].append(pg_loss)
@@ -304,16 +273,15 @@ def ppo_update(policy: CategoricalPolicy, value_net: MlpModel,
 class TrainResult:
     curve: list  # rows of (timestep, ep_ret_mean, ep_ret_std, w_t,
     #              value_loss, policy_loss, entropy)
-    policy: CategoricalPolicy | None = None
+    policy: MlpModel | None = None  # logits network
     value_net: MlpModel | None = None
     diagnostics: list = field(default_factory=list)
 
 
-def init_policy(env, rng: np.random.Generator) -> CategoricalPolicy:
-    """Policy network matching the env's action count (2x64 tanh hidden)."""
-    net = init_mlp([env.obs_dim] + HIDDEN_DIMS + [env.action_space.count],
-                   rng, output_scale=POLICY_OUTPUT_SCALE)
-    return CategoricalPolicy(net)
+def init_policy(env, rng: np.random.Generator) -> MlpModel:
+    """Logits network matching the env's action count (2x64 tanh hidden)."""
+    return init_mlp([env.obs_dim] + HIDDEN_DIMS + [env.action_space.count],
+                    rng, output_scale=POLICY_OUTPUT_SCALE)
 
 
 def init_value_net(obs_dim: int, rng: np.random.Generator) -> MlpModel:
@@ -344,7 +312,7 @@ def train(env_config: EnvConfig, config: TrainConfig,
     value_net = init_value_net(envs[0].obs_dim, init_rng)
     spec = baseline_spec_factory(value_net)
 
-    policy_opt = init_adam(policy.network, config.learning_rate)
+    policy_opt = init_adam(policy, config.learning_rate)
     value_opt = init_adam(value_net, config.learning_rate)
 
     env_states = {"obs": initial_obs,
@@ -357,8 +325,7 @@ def train(env_config: EnvConfig, config: TrainConfig,
                                 config.steps_per_rollout, worker_rngs,
                                 config.gamma, collection_timestep=t,
                                 env_states=env_states)
-        compute_advantages(batch, spec, gamma=config.gamma,
-                           gae_lambda=config.gae_lambda)
+        compute_advantages(batch, spec)
         diag = ppo_update(policy, value_net, batch, config, policy_opt,
                           value_opt, update_rng)
         if batch.episode_returns:

@@ -148,6 +148,30 @@ def test_sampled_trajectories_respect_termination():
             assert not alive[i, first:].any()
 
 
+class ZeroDraws:
+    """Stands in for a generator whose every uniform draw is exactly 0.0."""
+
+    def choice(self, count, size, p):
+        return np.zeros(size, dtype=np.int64)
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_zero_draws_skip_zero_probability_outcomes():
+    # action 0 and the 0 -> 0 transition have probability zero
+    transition = np.zeros((2, 2, 2))
+    transition[:, :, 1] = 1.0
+    model = TabularModel(2, 2, transition, np.zeros((2, 2)),
+                         np.array([1.0, 0.0]), horizon=3)
+    probs = np.array([[0.0, 1.0], [0.0, 1.0]])
+    states, actions, _, alive = sample_trajectories(model, probs, 4,
+                                                    ZeroDraws())
+    np.testing.assert_array_equal(states, [[0, 1, 1]] * 4)
+    np.testing.assert_array_equal(actions, np.ones((4, 3)))
+    assert alive.all()
+
+
 def test_monte_carlo_value_matches_exact():
     model = as_tabular(EnvConfig("chain", horizon=8))
     policy = uniform_policy(model)

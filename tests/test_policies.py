@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from rlwean.nets import MlpModel, backward, forward, init_mlp
-from rlwean.policies import (CategoricalPolicy, action_probs, log_softmax,
-                             sample_actions, softmax)
+from rlwean.policies import action_probs, log_softmax, sample_actions, softmax
 
 
 def fixed_logit_policy(logits):
     """Single-layer net with zero weights so the bias is the logit vector."""
     logits = np.asarray(logits, dtype=np.float64)
     n = len(logits)
-    net = MlpModel([1, n], [np.zeros((n, 1))], [logits.copy()])
-    return CategoricalPolicy(net)
+    return MlpModel([1, n], [np.zeros((n, 1))], [logits.copy()])
 
 
 def test_uniform_logits_give_uniform_probs():
@@ -19,7 +17,7 @@ def test_uniform_logits_give_uniform_probs():
     obs = np.zeros(1)
     probs = action_probs(policy, obs)
     np.testing.assert_allclose(probs, 0.25, atol=1e-15)
-    logp = log_softmax(forward(policy.network, obs))
+    logp = log_softmax(forward(policy, obs))
     assert logp[2] == pytest.approx(np.log(0.25))
     assert -np.sum(np.exp(logp) * logp) == pytest.approx(np.log(4.0))
 
@@ -48,9 +46,8 @@ def test_sample_frequencies_match_softmax():
 def test_probabilities_sum_to_one():
     rng = np.random.default_rng(2)
     net = init_mlp([3, 8, 5], rng)
-    policy = CategoricalPolicy(net)
     for _ in range(20):
-        probs = action_probs(policy, rng.standard_normal(3))
+        probs = action_probs(net, rng.standard_normal(3))
         assert abs(probs.sum() - 1.0) < 1e-10
         logp = log_softmax(rng.standard_normal(5) * 10)
         assert abs(np.exp(logp).sum() - 1.0) < 1e-10
@@ -110,13 +107,19 @@ def test_sample_actions_matches_searchsorted_reference():
     np.testing.assert_array_equal(actions, [0, 1, 2])
 
 
+def test_zero_draw_skips_zero_probability_actions():
+    # searchsorted would return the leading zero-probability action for u = 0
+    rows = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+    actions = sample_actions(rows, [FixedDraw(0.0)] * 3)
+    np.testing.assert_array_equal(actions, [1, 2, 0])
+
+
 def test_categorical_log_prob_gradient_matches_fd():
     rng = np.random.default_rng(4)
     net = init_mlp([3, 6, 4], rng)
-    policy = CategoricalPolicy(net)
     obs = rng.standard_normal(3)
     action = 2
-    probs = action_probs(policy, obs)
+    probs = action_probs(net, obs)
     onehot = np.zeros(4)
     onehot[action] = 1.0
     grads = backward(net, obs, onehot - probs)  # d logp / d logits

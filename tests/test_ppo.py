@@ -3,37 +3,79 @@ import hashlib
 import numpy as np
 import pytest
 
-from rlwean.envs import ActionSpace, EnvConfig, StepResult, make_env
+from rlwean.envs import (GRID_STEP_PENALTY, ActionSpace, EnvConfig,
+                         StepResult, make_env)
 from rlwean.nets import MlpModel, forward, init_adam, init_mlp
-from rlwean.policies import CategoricalPolicy, action_probs, log_softmax
+from rlwean.policies import action_probs, log_softmax
 from rlwean.ppo import (TrainConfig, collect_rollout, compute_advantages,
                         compute_returns, init_policy, init_value_net,
                         ppo_update, train)
 from rlwean.priors import BaselineSpec, PriorArtifact, WeaningSchedule
 
 
-def zero_value_net(obs_dim):
-    return MlpModel([obs_dim, 1], [np.zeros((1, obs_dim))], [np.zeros(1)])
+def constant_value_net(obs_dim, value=0.0):
+    return MlpModel([obs_dim, 1], [np.zeros((1, obs_dim))],
+                    [np.full(1, value)])
 
 
 def forced_action_policy(obs_dim, action_count, action):
-    """Categorical policy that picks `action` with probability 1."""
+    """Logits network that picks `action` with probability 1."""
     bias = np.full(action_count, -1e4)
     bias[action] = 1e4
-    return CategoricalPolicy(MlpModel([obs_dim, action_count],
-                                      [np.zeros((action_count, obs_dim))],
-                                      [bias]))
+    return MlpModel([obs_dim, action_count],
+                    [np.zeros((action_count, obs_dim))], [bias])
 
 
 def test_compute_returns_hand_examples():
-    np.testing.assert_allclose(compute_returns([1.0, 1.0, 1.0], 1.0),
-                               [3.0, 2.0, 1.0])
-    np.testing.assert_allclose(compute_returns([1.0, 0.0, 4.0], 0.5),
-                               [2.0, 2.0, 4.0])
+    last = np.array([[False, False, True]])
     np.testing.assert_allclose(
-        compute_returns([1.0, 0.0], 0.5, terminated=False, bootstrap_value=8.0),
-        [3.0, 4.0])
-    np.testing.assert_allclose(compute_returns([2.0], 0.9), [2.0])
+        compute_returns(np.ones((1, 3)), np.zeros((1, 3)), last, 1.0),
+        [[3.0, 2.0, 1.0]])
+    # a terminal end, and a truncated end bootstrapping 8.0 before a
+    # terminal last step, in one sweep
+    rewards = np.array([[1.0, 0.0, 4.0], [1.0, 0.0, 2.0]])
+    ends = np.array([[False, False, True], [False, True, True]])
+    next_values = np.array([[0.0, 0.0, 0.0], [0.0, 8.0, 0.0]])
+    np.testing.assert_allclose(
+        compute_returns(rewards, next_values, ends, 0.5),
+        [[2.0, 2.0, 4.0], [3.0, 4.0, 2.0]])
+    # two episodes in one row; a cut-off last step bootstrapping 5.0
+    np.testing.assert_allclose(
+        compute_returns(np.ones((1, 4)), np.array([[0.0, 0.0, 0.0, 5.0]]),
+                        np.array([[False, True, False, True]]), 1.0),
+        [[2.0, 1.0, 7.0, 6.0]])
+    np.testing.assert_allclose(
+        compute_returns(np.array([[2.0]]), np.zeros((1, 1)),
+                        np.array([[True]]), 0.9), [[2.0]])
+
+
+def reference_returns(rewards, next_values, ends, gamma):
+    """Per-row scalar loop: each segment restarts from its next value."""
+    out = np.empty_like(rewards)
+    for i in range(rewards.shape[0]):
+        g = 0.0
+        for t in range(rewards.shape[1] - 1, -1, -1):
+            if ends[i, t]:
+                g = next_values[i, t]
+            g = rewards[i, t] + gamma * g
+            out[i, t] = g
+    return out
+
+
+def test_compute_returns_matches_per_row_reference():
+    rng = np.random.default_rng(7)
+    shape = (6, 50)
+    rewards = rng.standard_normal(shape)
+    terminated = rng.random(shape) < 0.1
+    truncated = ~terminated & (rng.random(shape) < 0.1)
+    ends = terminated | truncated
+    cut_off = ~ends[:, -1]
+    ends[:, -1] = True
+    next_values = np.where(terminated, 0.0, rng.standard_normal(shape))
+    assert terminated.any() and truncated.any() and cut_off.any()
+    np.testing.assert_array_equal(
+        compute_returns(rewards, next_values, ends, 0.97),
+        reference_returns(rewards, next_values, ends, 0.97))
 
 
 def test_collect_rollout_chain_forced_right():
@@ -42,11 +84,10 @@ def test_collect_rollout_chain_forced_right():
     envs[0].reset(seed=0)
     policy = forced_action_policy(1, 2, action=1)
     rngs = [np.random.default_rng(0)]
-    batch = collect_rollout(envs, policy, zero_value_net(1), steps=8, rngs=rngs,
-                            gamma=0.5)
+    # both episodes terminate, so the value net's 5.0 must not be bootstrapped
+    batch = collect_rollout(envs, policy, constant_value_net(1, 5.0), steps=8,
+                            rngs=rngs, gamma=0.5)
     np.testing.assert_array_equal(batch.actions, np.ones(8, dtype=np.int64))
-    np.testing.assert_allclose(batch.rewards, [0, 0, 0, 1, 0, 0, 0, 1])
-    assert batch.segments == [(0, 4, True), (4, 8, True)]
     np.testing.assert_allclose(batch.returns_to_go,
                                [0.125, 0.25, 0.5, 1.0] * 2)
     assert batch.episode_returns == [1.0, 1.0]
@@ -54,19 +95,21 @@ def test_collect_rollout_chain_forced_right():
 
 def test_collect_rollout_truncation_bootstraps_value():
     # horizon 6 < shortest path on windy-grid, so every episode truncates
+    # and every step pays the step penalty
     cfg = EnvConfig("windy-grid", horizon=6)
     envs = [make_env(cfg)]
     envs[0].reset(seed=0)
     rng = np.random.default_rng(1)
-    policy = CategoricalPolicy(init_mlp([2, 8, 4], rng, output_scale=0.01))
-    value_net = init_mlp([2, 8, 1], rng)
-    batch = collect_rollout(envs, policy, value_net, steps=6,
-                            rngs=[np.random.default_rng(0)], gamma=0.9)
-    assert batch.segments == [(0, 6, False)]
-    bv = batch.bootstrap_values[0]
-    expected = compute_returns(batch.rewards, 0.9, terminated=False,
-                               bootstrap_value=bv)
-    np.testing.assert_allclose(batch.returns_to_go, expected)
+    policy = init_mlp([2, 8, 4], rng, output_scale=0.01)
+    c, gamma = 3.0, 0.9
+    batch = collect_rollout(envs, policy, constant_value_net(2, c), steps=12,
+                            rngs=[np.random.default_rng(0)], gamma=gamma)
+    # G_t = sum_{k=t}^{5} gamma^(k-t) * penalty + gamma^(6-t) * c
+    left = 6 - np.arange(6)
+    expected = (GRID_STEP_PENALTY * (1 - gamma ** left) / (1 - gamma)
+                + gamma ** left * c)
+    np.testing.assert_allclose(batch.returns_to_go, np.tile(expected, 2),
+                               rtol=1e-12)
 
 
 def test_stored_log_probs_match_reevaluation():
@@ -76,11 +119,11 @@ def test_stored_log_probs_match_reevaluation():
     for i, env in enumerate(envs):
         env.reset(seed=i)
     rng = np.random.default_rng(2)
-    policy = CategoricalPolicy(init_mlp([2, 16, 4], rng))
+    policy = init_mlp([2, 16, 4], rng)
     rngs = [np.random.default_rng(10 + i) for i in range(2)]
-    batch = collect_rollout(envs, policy, zero_value_net(2), steps=64,
+    batch = collect_rollout(envs, policy, constant_value_net(2), steps=64,
                             rngs=rngs, gamma=0.99)
-    logp_all = log_softmax(forward(policy.network, batch.observations))
+    logp_all = log_softmax(forward(policy, batch.observations))
     recomputed = logp_all[np.arange(64), batch.actions]
     np.testing.assert_allclose(batch.log_probs, recomputed, atol=1e-12)
     probs_sum = batch.action_probs.sum(axis=1)
@@ -93,7 +136,7 @@ def make_batch(seed=3, steps=64):
     for i, env in enumerate(envs):
         env.reset(seed=i)
     rng = np.random.default_rng(seed)
-    policy = CategoricalPolicy(init_mlp([1, 16, 2], rng, output_scale=0.01))
+    policy = init_mlp([1, 16, 2], rng, output_scale=0.01)
     value_net = init_mlp([1, 16, 1], rng)
     rngs = [np.random.default_rng(20 + i) for i in range(2)]
     batch = collect_rollout(envs, policy, value_net, steps=steps, rngs=rngs,
@@ -104,7 +147,7 @@ def make_batch(seed=3, steps=64):
 def test_advantage_identity():
     batch, policy, value_net = make_batch()
     spec = BaselineSpec(WeaningSchedule("fixed", 0.0), value_net, None)
-    compute_advantages(batch, spec, gamma=0.99)
+    compute_advantages(batch, spec)
     np.testing.assert_array_equal(batch.advantages,
                                   batch.returns_to_go - batch.baselines)
     np.testing.assert_allclose(batch.advantages + batch.baselines,
@@ -113,8 +156,9 @@ def test_advantage_identity():
 
 def test_zero_baseline_gives_raw_returns():
     batch, policy, _ = make_batch()
-    spec = BaselineSpec(WeaningSchedule("fixed", 0.0), zero_value_net(1), None)
-    compute_advantages(batch, spec, gamma=0.99)
+    spec = BaselineSpec(WeaningSchedule("fixed", 0.0), constant_value_net(1),
+                        None)
+    compute_advantages(batch, spec)
     np.testing.assert_array_equal(batch.advantages, batch.returns_to_go)
     np.testing.assert_array_equal(batch.baselines, np.zeros(batch.total_steps))
 
@@ -125,7 +169,7 @@ def test_q_prior_baseline_uses_stored_probs():
                      [np.array([0.1, 0.7])])
     prior = PriorArtifact("q_function", q_net, obs_dim=1, action_count=2)
     spec = BaselineSpec(WeaningSchedule("fixed", 1.0), value_net, prior)
-    compute_advantages(batch, spec, gamma=0.99)
+    compute_advantages(batch, spec)
     q = forward(q_net, batch.observations)
     expected = np.sum(batch.action_probs * q, axis=1)
     np.testing.assert_allclose(batch.baselines, expected, atol=1e-12)
@@ -136,20 +180,11 @@ def test_combined_baseline_mixes_current_and_prior():
     v_prior_net = MlpModel([1, 1], [np.array([[2.0]])], [np.array([0.5])])
     prior = PriorArtifact("value_function", v_prior_net, obs_dim=1)
     spec = BaselineSpec(WeaningSchedule("fixed", 0.3), value_net, prior)
-    compute_advantages(batch, spec, gamma=0.99)
+    compute_advantages(batch, spec)
     vc = forward(value_net, batch.observations)[:, 0]
     vp = forward(v_prior_net, batch.observations)[:, 0]
     np.testing.assert_allclose(batch.baselines, 0.7 * vc + 0.3 * vp,
                                atol=1e-12)
-
-
-def test_gae_lambda_one_telescopes_to_mc():
-    batch, policy, value_net = make_batch()
-    spec = BaselineSpec(WeaningSchedule("fixed", 0.0), value_net, None)
-    mc = compute_advantages(make_batch()[0], spec, gamma=0.99).advantages
-    gae = compute_advantages(batch, spec, gamma=0.99,
-                             gae_lambda=1.0).advantages
-    np.testing.assert_allclose(gae, mc, atol=1e-10)
 
 
 def test_ppo_update_requires_advantages():
@@ -158,17 +193,17 @@ def test_ppo_update_requires_advantages():
                          update_epochs=1)
     with pytest.raises(ValueError):
         ppo_update(policy, value_net, batch, config,
-                   init_adam(policy.network, 1e-3),
+                   init_adam(policy, 1e-3),
                    init_adam(value_net, 1e-3), np.random.default_rng(0))
 
 
 def test_ppo_update_reduces_value_loss():
     batch, policy, value_net = make_batch(steps=256)
     spec = BaselineSpec(WeaningSchedule("fixed", 0.0), value_net, None)
-    compute_advantages(batch, spec, gamma=0.99)
+    compute_advantages(batch, spec)
     config = TrainConfig(steps_per_rollout=256, num_envs=2, minibatch_size=64,
                          update_epochs=1, learning_rate=1e-2)
-    p_opt = init_adam(policy.network, config.learning_rate)
+    p_opt = init_adam(policy, config.learning_rate)
     v_opt = init_adam(value_net, config.learning_rate)
     rng = np.random.default_rng(0)
     losses = [ppo_update(policy, value_net, batch, config, p_opt, v_opt,
@@ -189,11 +224,11 @@ def test_ppo_update_reduces_value_loss():
 def test_first_epoch_kl_is_small():
     batch, policy, value_net = make_batch(steps=256)
     spec = BaselineSpec(WeaningSchedule("fixed", 0.0), value_net, None)
-    compute_advantages(batch, spec, gamma=0.99)
+    compute_advantages(batch, spec)
     config = TrainConfig(steps_per_rollout=256, num_envs=2,
                          minibatch_size=256, update_epochs=1)
     diag = ppo_update(policy, value_net, batch, config,
-                      init_adam(policy.network, config.learning_rate),
+                      init_adam(policy, config.learning_rate),
                       init_adam(value_net, config.learning_rate),
                       np.random.default_rng(0))
     # the first full-batch minibatch evaluates at unchanged parameters,
@@ -225,13 +260,13 @@ def test_bandit_policy_converges():
     config = TrainConfig(steps_per_rollout=64, num_envs=4, minibatch_size=32,
                          update_epochs=4, gamma=1.0, learning_rate=5e-3,
                          entropy_coefficient=0.0)
-    p_opt = init_adam(policy.network, config.learning_rate)
+    p_opt = init_adam(policy, config.learning_rate)
     v_opt = init_adam(value_net, config.learning_rate)
     update_rng = np.random.default_rng(1)
     rngs = [np.random.default_rng(10 + i) for i in range(4)]
     for _ in range(200):
         batch = collect_rollout(envs, policy, value_net, 64, rngs, 1.0)
-        compute_advantages(batch, spec, gamma=1.0)
+        compute_advantages(batch, spec)
         ppo_update(policy, value_net, batch, config, p_opt, v_opt, update_rng)
     assert action_probs(policy, np.zeros(1))[0] > 0.99
 
@@ -245,7 +280,7 @@ def test_train_is_deterministic():
     a = train(cfg, config, factory, seed=3)
     b = train(cfg, config, factory, seed=3)
     assert a.curve == b.curve
-    for x, y in zip(a.policy.network.weights, b.policy.network.weights):
+    for x, y in zip(a.policy.weights, b.policy.weights):
         np.testing.assert_array_equal(x, y)
     c = train(cfg, config, factory, seed=4)
     assert c.curve != a.curve
@@ -302,7 +337,7 @@ def train_digest(env_config, schedule, prior, seed) -> str:
     result = train(env_config, TrainConfig(**GOLDEN_TRAIN),
                    lambda vn: BaselineSpec(schedule, vn, prior), seed)
     h = hashlib.sha256(repr(result.curve).encode())
-    for net in (result.policy.network, result.value_net):
+    for net in (result.policy, result.value_net):
         for array in net.weights + net.biases:
             h.update(array.tobytes())
     return h.hexdigest()

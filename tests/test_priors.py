@@ -7,7 +7,7 @@ from rlwean.envs import EnvConfig, as_tabular
 from rlwean.errors import CompatibilityError
 from rlwean.nets import MlpModel, forward, init_mlp
 from rlwean.oracle import TabularPolicy, exact_q, exact_value, random_tabular_policy
-from rlwean.policies import CategoricalPolicy, action_probs
+from rlwean.policies import action_probs
 from rlwean.ppo import combined_baseline
 from rlwean.priors import (BaselineSpec, PriorArtifact, WeaningSchedule,
                            check_compatibility, load_artifact, prior_value,
@@ -51,7 +51,7 @@ def test_schedule_validation():
 
 def test_q_to_value_hand_example():
     # pi = (0.5, 0.5), Q = (1, 3) -> V = 2
-    policy = CategoricalPolicy(const_net([0.0, 0.0]))
+    policy = const_net([0.0, 0.0])
     prior = PriorArtifact("q_function", const_net([1.0, 3.0]),
                           obs_dim=1, action_count=2)
     obs = np.zeros(1)
@@ -135,7 +135,7 @@ def test_combined_baseline_convexity():
     rng = np.random.default_rng(1)
     value_net = init_mlp([3, 8, 1], rng)
     prior = PriorArtifact("value_function", init_mlp([3, 8, 1], rng), obs_dim=3)
-    policy = CategoricalPolicy(init_mlp([3, 8, 2], rng))
+    policy = init_mlp([3, 8, 2], rng)
     for _ in range(20):
         obs = rng.standard_normal((5, 3))
         w = float(rng.random())
