@@ -85,7 +85,7 @@ def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
     """Train DQN; returns (q_network, learning curve of
     (timestep, episodic_return_mean) rows). Deterministic given seed."""
     config.validate()
-    env = make_env(env_config)
+    env = make_env(env_config)  # a bank of one
     action_count = env.action_space.count
     rng = np.random.default_rng(seed)
 
@@ -94,38 +94,35 @@ def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
     opt = init_adam(q_net, config.learning_rate)
     buffer = ReplayBuffer(config.buffer_capacity, env.obs_dim)
 
-    obs = env.reset(seed=seed)
-    ep_return = 0.0
+    env.reset(seed=seed)
     recent_returns: list[float] = []
     curve = []
     report_interval = max(config.total_timesteps // 50, 1)
 
     for t in range(config.total_timesteps):
+        obs = env.observations[0]
         if rng.random() < epsilon_at(config, t):
             action = int(rng.integers(action_count))
         else:
             action = int(np.argmax(forward(q_net, obs)))
         result = env.step(action)
-        buffer.add(obs, action, result.reward, result.observation,
-                   result.terminated)
-        ep_return += result.reward
-        if result.terminated or result.truncated:
-            recent_returns.append(ep_return)
-            ep_return = 0.0
-            obs = env.reset()
-        else:
-            obs = result.observation
+        buffer.add(obs, action, result.reward[0], result.observation[0],
+                   result.terminated[0])
+        if result.terminated[0] or result.truncated[0]:
+            recent_returns.append(float(env.episode_return[0]))
+            env.reset()
 
         if t >= config.learning_starts and t % config.train_frequency == 0:
             b_obs, b_act, b_rew, b_next, b_term = buffer.sample(
                 config.batch_size, rng)
             next_q = forward(target_net, b_next).max(axis=1)
             target = b_rew + config.gamma * (1.0 - b_term) * next_q
-            q = forward(q_net, b_obs)
+            activations = []
+            q = forward(q_net, b_obs, activations)
             td_err = q[np.arange(len(b_act)), b_act] - target
             dq = np.zeros_like(q)
             dq[np.arange(len(b_act)), b_act] = td_err / len(b_act)
-            grads = backward(q_net, b_obs, dq)
+            grads = backward(q_net, b_obs, dq, activations)
             adam_update(q_net, opt, grads)
 
         if t % config.target_update_interval == 0:
@@ -144,15 +141,13 @@ def greedy_return(q_net: MlpModel, env_config: EnvConfig, seed: int = 0,
     env = make_env(env_config)
     totals = []
     for ep in range(episodes):
-        obs = env.reset(seed=seed + ep)
-        total, done = 0.0, False
+        env.reset(seed=seed + ep)
+        done = False
         while not done:
-            action = int(np.argmax(forward(q_net, obs)))
+            action = int(np.argmax(forward(q_net, env.observations[0])))
             result = env.step(action)
-            total += result.reward
-            obs = result.observation
-            done = result.terminated or result.truncated
-        totals.append(total)
+            done = result.terminated[0] or result.truncated[0]
+        totals.append(env.episode_return[0])
     return float(np.mean(totals))
 
 

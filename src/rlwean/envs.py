@@ -8,13 +8,20 @@ forms.
   inside a 0.1 radius of the goal, "reach-fast" adds a velocity-toward-goal
   shaping bonus and a -0.01 living cost.
 
+Every env is a bank of `num_envs` members held as arrays: row i of each
+state array is member i, which draws from its own generator exactly as a
+lone env seeded the same way would. One `step(actions)` advances every
+member and returns (num_envs, ...) arrays; `reset(members=mask)` starts new
+episodes for the finished ones. The bank keeps the current observations
+and each member's running episode return. A single env is a bank of one.
+
 Observations are normalized coordinates in [0, 1] so priors transfer across
 variants without rescaling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +39,29 @@ GOAL_START_NOISE = 0.05
 GOAL_SPEED = 0.08
 GOAL_LIVING_COST = -0.01
 GOAL_SHAPING_COEF = 0.1
+GRID_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))  # action -> (dx, dy)
+
+
+def _grid_tables():
+    """Per grid state s = y * GRID_SIZE + x: its observation, its successor
+    under each move before any wind, and where a gust of wind takes it."""
+    top = GRID_SIZE - 1
+    obs, nxt, gust = [], [], []
+    for s in range(GRID_SIZE * GRID_SIZE):
+        y, x = divmod(s, GRID_SIZE)
+        obs.append([x / top, y / top])
+        nxt.append([min(max(y + dy, 0), top) * GRID_SIZE
+                    + min(max(x + dx, 0), top) for dx, dy in GRID_MOVES])
+        gust.append(y * GRID_SIZE + min(x + 1, top))
+    return np.array(obs), np.array(nxt), np.array(gust)
+
+
+# Per chain state: its observation, and its successor under each action.
+CHAIN_OBS = np.arange(CHAIN_N)[:, None] / (CHAIN_N - 1)
+CHAIN_NEXT = np.array([[max(s - 1, 0), min(s + 1, CHAIN_N - 1)]
+                       for s in range(CHAIN_N)])
+GRID_OBS, GRID_NEXT, GRID_GUST = _grid_tables()
+GRID_GOAL = GRID_SIZE * GRID_SIZE - 1
 
 
 @dataclass
@@ -47,10 +77,12 @@ class ActionSpace:
 
 @dataclass
 class StepResult:
-    observation: np.ndarray
-    reward: float
-    terminated: bool
-    truncated: bool
+    """One bank step; row i is member i's transition."""
+
+    observation: np.ndarray  # (num_envs, obs_dim), before any reset
+    reward: np.ndarray  # (num_envs,)
+    terminated: np.ndarray  # (num_envs,) bool
+    truncated: np.ndarray  # (num_envs,) bool
 
 
 @dataclass
@@ -96,89 +128,120 @@ class TabularModel:
 
 
 class _BaseEnv:
-    """Common bookkeeping: horizon truncation and terminal-step guarding."""
+    """Bank bookkeeping: per-member generators, horizon truncation,
+    terminal-step guarding, current observations and episode returns."""
 
-    def __init__(self, config: EnvConfig):
+    def __init__(self, config: EnvConfig, num_envs: int = 1):
         config.validate()
+        if num_envs < 1:
+            raise ValueError("num_envs must be >= 1")
         self.config = config
         self.horizon = config.horizon
-        self._rng = np.random.default_rng(config.seed)
-        self._steps = 0
-        self._done = True
+        self.num_envs = num_envs
+        self.rngs = [np.random.default_rng(config.seed + i)
+                     for i in range(num_envs)]
+        self._clock = 0  # bank steps taken
+        # the clock reading at which each member's episode is truncated
+        self._deadline = np.zeros(num_envs, dtype=np.int64)
+        self._done = np.ones(num_envs, dtype=bool)
+        self._init_state()
+        self.observations = self._obs()
+        self.episode_return = np.zeros(num_envs)
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
+    def reset(self, seed: int | None = None,
+              members: np.ndarray | None = None) -> np.ndarray:
+        """Start new episodes for the members in the boolean mask `members`
+        (all when None), reseeding member i with seed + i when a seed is
+        given. Returns the current observations (num_envs, obs_dim)."""
+        mask = np.ones(self.num_envs, dtype=bool) if members is None \
+            else np.asarray(members, dtype=bool)
         if seed is not None:
-            self._rng = np.random.default_rng(seed)
-        self._steps = 0
-        self._done = False
-        return self._reset_state()
+            for i in np.flatnonzero(mask):
+                self.rngs[i] = np.random.default_rng(seed + i)
+        self._deadline[mask] = self._clock + self.horizon
+        self._done[mask] = False
+        self.episode_return[mask] = 0.0
+        self._reset_state(mask)
+        # np.where builds a new array: observations handed out earlier, as
+        # StepResult.observation, keep the rows they had.
+        self.observations = np.where(mask[:, None], self._obs(),
+                                     self.observations)
+        return self.observations
 
-    def step(self, action) -> StepResult:
-        if self._done:
+    def step(self, actions) -> StepResult:
+        """Advance every member by its action ((num_envs,) ints; a scalar
+        for a bank of one). Finished members must be reset first."""
+        # np.count_nonzero is the cheapest any() on the small arrays here.
+        if np.count_nonzero(self._done):
             raise RuntimeError("step() called on a finished episode; reset first")
-        obs, reward, terminated = self._step_state(action)
-        self._steps += 1
-        truncated = (not terminated) and self._steps >= self.horizon
-        self._done = terminated or truncated
-        return StepResult(obs, reward, terminated, truncated)
+        a = np.asarray(actions, dtype=np.int64).reshape(self.num_envs)
+        listed, count = a.tolist(), self.action_space.count
+        if min(listed) < 0 or max(listed) >= count:
+            raise ValueError(f"actions {listed} outside [0, {count})")
+        reward, terminated = self._step_state(a)
+        self._clock += 1
+        truncated = ~terminated & (self._deadline <= self._clock)
+        self._done = terminated | truncated
+        self.episode_return += reward
+        self.observations = self._obs()
+        return StepResult(self.observations, reward, terminated, truncated)
 
-    def _check_discrete(self, action) -> int:
-        a = int(action)
-        if not 0 <= a < self.action_space.count:
-            raise ValueError(f"action {a} outside [0, {self.action_space.count})")
-        return a
+
+class _TableEnv(_BaseEnv):
+    """A discrete-state env: each member's state is a tabular state index,
+    starting at 0, and `_OBS` maps it to an observation."""
+
+    def _init_state(self):
+        self._state = np.zeros(self.num_envs, dtype=np.int64)
+
+    def _reset_state(self, mask):
+        self._state[mask] = 0
+
+    def _obs(self):
+        return self._OBS[self._state]
 
 
-class ChainEnv(_BaseEnv):
+class ChainEnv(_TableEnv):
     """Deterministic 5-state chain; +1 on reaching the rightmost state."""
 
     obs_dim = 1
     action_space = ActionSpace(count=2)
+    _OBS = CHAIN_OBS
 
-    def _reset_state(self):
-        self._state = 0
-        return self._obs()
-
-    def _obs(self):
-        return np.array([self._state / (CHAIN_N - 1)])
-
-    def _step_state(self, action):
-        a = self._check_discrete(action)
-        self._state = min(self._state + 1, CHAIN_N - 1) if a == 1 else max(self._state - 1, 0)
+    def _step_state(self, a):
+        self._state = CHAIN_NEXT[self._state, a]
         reached = self._state == CHAIN_N - 1
-        return self._obs(), (1.0 if reached else 0.0), reached
+        return np.where(reached, 1.0, 0.0), reached
 
 
-class WindyGridEnv(_BaseEnv):
+class WindyGridEnv(_TableEnv):
     """5x5 grid from (0,0) to goal (4,4); optional +x wind after each move."""
 
     obs_dim = 2
     action_space = ActionSpace(count=4)
-    # action -> (dx, dy)
-    MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-    def _reset_state(self):
-        self._x, self._y = 0, 0
-        return self._obs()
-
-    def _obs(self):
-        return np.array([self._x / (GRID_SIZE - 1), self._y / (GRID_SIZE - 1)])
+    _OBS = GRID_OBS
 
     @property
     def _wind_prob(self) -> float:
         return self.config.wind_strength if self.config.wind_enabled else 0.0
 
-    def _step_state(self, action):
-        a = self._check_discrete(action)
-        dx, dy = self.MOVES[a]
-        self._x = min(max(self._x + dx, 0), GRID_SIZE - 1)
-        self._y = min(max(self._y + dy, 0), GRID_SIZE - 1)
+    def _step_state(self, a):
+        state = GRID_NEXT[self._state, a]
         p = self._wind_prob
-        if p > 0.0 and self._rng.random() < p:
-            self._x = min(self._x + 1, GRID_SIZE - 1)
-        at_goal = (self._x, self._y) == (GRID_SIZE - 1, GRID_SIZE - 1)
-        reward = GRID_STEP_PENALTY + (1.0 if at_goal else 0.0)
-        return self._obs(), reward, at_goal
+        if p > 0.0:
+            gust = np.array([rng.random() for rng in self.rngs]) < p
+            state = np.where(gust, GRID_GUST[state], state)
+        self._state = state
+        at_goal = state == GRID_GOAL
+        return np.where(at_goal, GRID_STEP_PENALTY + 1.0, GRID_STEP_PENALTY), \
+            at_goal
+
+
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (n, d) arrays. A 3-D matmul takes the same
+    dot-product path, bit for bit, as `u[i] @ v[i]` and np.linalg.norm on
+    one row; (u * v).sum(axis=1) rounds differently."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 class GoalWorldEnv(_BaseEnv):
@@ -186,51 +249,57 @@ class GoalWorldEnv(_BaseEnv):
 
     obs_dim = 4
     action_space = ActionSpace(count=4)
+    _DIRECTIONS = np.array(GRID_MOVES, dtype=np.float64)
 
-    def _reset_state(self):
-        noise = self._rng.uniform(-GOAL_START_NOISE, GOAL_START_NOISE, size=2)
-        self._pos = GOAL_START + noise
-        self._vel = np.zeros(2)
-        return self._obs()
+    def _init_state(self):
+        self._pos = np.zeros((self.num_envs, 2))
+        self._vel = np.zeros((self.num_envs, 2))
+
+    def _reset_state(self, mask):
+        for i in np.flatnonzero(mask):
+            noise = self.rngs[i].uniform(-GOAL_START_NOISE, GOAL_START_NOISE,
+                                         size=2)
+            self._pos[i] = GOAL_START + noise
+        self._vel[mask] = 0.0
 
     def _obs(self):
         v = (self._vel / GOAL_SPEED + 1.0) / 2.0
-        return np.concatenate([self._pos, v])
+        return np.concatenate([self._pos, v], axis=1)
 
-    def _step_state(self, action):
-        a = self._check_discrete(action)
-        direction = np.array(WindyGridEnv.MOVES[a], dtype=np.float64)
-        self._vel = GOAL_SPEED * direction
+    def _step_state(self, a):
+        vel = GOAL_SPEED * self._DIRECTIONS[a]
         to_goal = GOAL_POS - self._pos
-        dist_before = float(np.linalg.norm(to_goal))
-        self._pos = np.clip(self._pos + self._vel, 0.0, 1.0)
-        at_goal = float(np.linalg.norm(GOAL_POS - self._pos)) < GOAL_RADIUS
-        if self.config.reward_variant == "reach":
-            reward = 1.0 if at_goal else 0.0
-        else:  # reach-fast
-            reward = GOAL_LIVING_COST + (1.0 if at_goal else 0.0)
-            if dist_before > 1e-12:
-                ghat = to_goal / dist_before
-                reward += GOAL_SHAPING_COEF * max(0.0, float(self._vel @ ghat))
-        return self._obs(), reward, at_goal
+        pos = np.minimum(np.maximum(self._pos + vel, 0.0), 1.0)
+        left = GOAL_POS - pos
+        at_goal = np.sqrt(_row_dots(left, left)) < GOAL_RADIUS
+        self._pos, self._vel = pos, vel
+        reward = at_goal.astype(np.float64)
+        if self.config.reward_variant == "reach-fast":
+            reward = GOAL_LIVING_COST + reward
+            dist_before = np.sqrt(_row_dots(to_goal, to_goal))
+            moved = dist_before > 1e-12
+            ghat = to_goal / np.where(moved, dist_before, 1.0)[:, None]
+            bonus = GOAL_SHAPING_COEF * np.maximum(0.0, _row_dots(vel, ghat))
+            reward = reward + np.where(moved, bonus, 0.0)
+        return reward, at_goal
 
 
-def make_env(config: EnvConfig):
+def make_env(config: EnvConfig, num_envs: int = 1):
+    """A bank of `num_envs` members of the configured env."""
     config.validate()
     if config.env_id == "chain":
-        return ChainEnv(config)
+        return ChainEnv(config, num_envs)
     if config.env_id == "windy-grid":
-        return WindyGridEnv(config)
-    return GoalWorldEnv(config)
+        return WindyGridEnv(config, num_envs)
+    return GoalWorldEnv(config, num_envs)
 
 
 def env_observation(config: EnvConfig, state: int) -> np.ndarray:
     """Observation vector for a tabular state index of chain or windy-grid."""
     if config.env_id == "chain":
-        return np.array([state / (CHAIN_N - 1)])
+        return CHAIN_OBS[state].copy()
     if config.env_id == "windy-grid":
-        y, x = divmod(state, GRID_SIZE)
-        return np.array([x / (GRID_SIZE - 1), y / (GRID_SIZE - 1)])
+        return GRID_OBS[state].copy()
     raise UnsupportedError(f"{config.env_id} has no tabular states")
 
 
@@ -254,11 +323,9 @@ def _chain_tabular(config: EnvConfig) -> TabularModel:
         if terminal[s]:
             p[s, :, s] = 1.0
             continue
-        p[s, 0, max(s - 1, 0)] = 1.0
-        nxt = min(s + 1, n - 1)
-        p[s, 1, nxt] = 1.0
-        if nxt == n - 1:
-            r[s, 1] = 1.0
+        for a in range(a_count):
+            p[s, a, CHAIN_NEXT[s, a]] = 1.0
+            r[s, a] = 1.0 if CHAIN_NEXT[s, a] == n - 1 else 0.0
     init = np.zeros(n)
     init[0] = 1.0
     return TabularModel(n, a_count, p, r, init, config.horizon, terminal)
@@ -267,26 +334,20 @@ def _chain_tabular(config: EnvConfig) -> TabularModel:
 def _grid_tabular(config: EnvConfig) -> TabularModel:
     n = GRID_SIZE * GRID_SIZE
     a_count = 4
-    goal = n - 1  # (4,4) with state index y*5+x
     wind_p = config.wind_strength if config.wind_enabled else 0.0
     p = np.zeros((n, a_count, n))
     r = np.zeros((n, a_count))
     terminal = np.zeros(n, dtype=bool)
-    terminal[goal] = True
+    terminal[GRID_GOAL] = True
     for s in range(n):
         if terminal[s]:
             p[s, :, s] = 1.0
             continue
-        y, x = divmod(s, GRID_SIZE)
-        for a, (dx, dy) in enumerate(WindyGridEnv.MOVES):
-            x1 = min(max(x + dx, 0), GRID_SIZE - 1)
-            y1 = min(max(y + dy, 0), GRID_SIZE - 1)
-            s_nowind = y1 * GRID_SIZE + x1
-            s_wind = y1 * GRID_SIZE + min(x1 + 1, GRID_SIZE - 1)
+        for a in range(a_count):
+            s_nowind = GRID_NEXT[s, a]
             p[s, a, s_nowind] += 1.0 - wind_p
-            p[s, a, s_wind] += wind_p
-            goal_prob = p[s, a, goal]
-            r[s, a] = GRID_STEP_PENALTY + goal_prob
+            p[s, a, GRID_GUST[s_nowind]] += wind_p
+            r[s, a] = GRID_STEP_PENALTY + p[s, a, GRID_GOAL]
     init = np.zeros(n)
     init[0] = 1.0
     return TabularModel(n, a_count, p, r, init, config.horizon, terminal)

@@ -3,12 +3,15 @@
 All networks in this package are feed-forward nets with tanh hidden
 activations and an identity output layer. Forward and backward accept
 either a single input vector or a batch (N, d); batched backward returns
-gradients summed over the batch.
+gradients summed over the batch. A list passed to `forward` receives the
+layer activations; `backward` given that list skips its own forward pass.
+Gradients and Adam's two moments are flat vectors, so the finiteness check
+and the moment updates are single passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +42,28 @@ class MlpModel:
 
 @dataclass
 class GradientBuffer:
-    """Parameter gradients, shape-congruent with an MlpModel."""
+    """Parameter gradients, shape-congruent with an MlpModel.
+
+    The entries are copied into one flat vector, `flat` (weights, then
+    biases, in layer order); d_weights and d_biases are views into it.
+    """
 
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
 
+    def __post_init__(self):
+        arrays = self.d_weights + self.d_biases
+        self.flat = np.concatenate([np.ravel(a) for a in arrays],
+                                   dtype=np.float64)
+        views = _split(self.flat, arrays)
+        self.d_weights = views[:len(self.d_weights)]
+        self.d_biases = views[len(self.d_weights):]
+
     def scale(self, c: float) -> None:
-        for dw in self.d_weights:
-            dw *= c
-        for db in self.d_biases:
-            db *= c
+        self.flat *= c
 
     def global_norm(self) -> float:
+        # Summed array by array: the clip scale depends on these exact bits.
         total = 0.0
         for dw in self.d_weights:
             total += float(np.sum(dw * dw))
@@ -59,7 +72,16 @@ class GradientBuffer:
         return float(np.sqrt(total))
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.d_weights + self.d_biases)
+        return bool(np.isfinite(self.flat).all())
+
+
+def _split(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive views into `flat`, shaped like the arrays of `like`."""
+    views, start = [], 0
+    for a in like:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return views
 
 
 def init_mlp(layer_dims: list[int], rng: np.random.Generator,
@@ -95,21 +117,30 @@ def _forward_cached(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a vector (d,) or a batch (N, d)."""
+def forward(model: MlpModel, x: np.ndarray,
+            activations: list | None = None) -> np.ndarray:
+    """Evaluate the network on a vector (d,) or a batch (N, d).
+
+    A list passed as `activations` receives every layer's output, the
+    input first, for a later backward(model, x, g, activations).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.input_dim:
         raise ValueError(
             f"input dim {x.shape[-1]} != network input dim {model.input_dim}")
-    return _forward_cached(model, x)[-1]
+    acts = _forward_cached(model, x)
+    if activations is not None:
+        activations[:] = acts
+    return acts[-1]
 
 
-def backward(model: MlpModel, x: np.ndarray,
-             output_gradient: np.ndarray) -> GradientBuffer:
+def backward(model: MlpModel, x: np.ndarray, output_gradient: np.ndarray,
+             activations: list | None = None) -> GradientBuffer:
     """Exact gradients of sum(output * output_gradient) w.r.t. parameters.
 
     For batched inputs the gradient is summed over the batch, so pre-scaling
-    output_gradient by 1/N yields a batch-mean gradient.
+    output_gradient by 1/N yields a batch-mean gradient. `activations` from
+    forward(model, x, activations) on the same x skips the forward pass.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(output_gradient, dtype=np.float64)
@@ -122,13 +153,16 @@ def backward(model: MlpModel, x: np.ndarray,
     if x.shape[0] != g.shape[0]:
         raise ValueError("batch size mismatch between input and output_gradient")
 
-    acts = _forward_cached(model, x)
-    d_weights = [np.empty_like(w) for w in model.weights]
-    d_biases = [np.empty_like(b) for b in model.biases]
+    if activations is None:
+        acts = _forward_cached(model, x)
+    else:
+        acts = [a[None, :] for a in activations] if single else activations
+    n_layers = len(model.weights)
+    d_weights, d_biases = [None] * n_layers, [None] * n_layers
     delta = g
-    for l in range(len(model.weights) - 1, -1, -1):
-        d_weights[l][:] = delta.T @ acts[l]
-        d_biases[l][:] = delta.sum(axis=0)
+    for l in range(n_layers - 1, -1, -1):
+        d_weights[l] = delta.T @ acts[l]
+        d_biases[l] = delta.sum(axis=0)
         if l > 0:
             # acts[l] is post-tanh; d tanh(z)/dz = 1 - tanh(z)^2
             delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
@@ -150,21 +184,21 @@ def clip_grad_norm(grads: GradientBuffer, max_norm: float) -> float:
 
 @dataclass
 class AdamState:
-    """Adam optimizer state with bias correction."""
+    """Adam optimizer state with bias correction. The moments are flat
+    vectors laid out like GradientBuffer.flat."""
 
     learning_rate: float
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    first_moment: GradientBuffer | None = field(default=None)
-    second_moment: GradientBuffer | None = field(default=None)
 
 
 def init_adam(model: MlpModel, learning_rate: float) -> AdamState:
-    return AdamState(learning_rate=learning_rate,
-                     first_moment=zero_grads(model),
-                     second_moment=zero_grads(model))
+    size = sum(a.size for a in model.weights + model.biases)
+    return AdamState(learning_rate, np.zeros(size), np.zeros(size))
 
 
 def adam_update(model: MlpModel, state: AdamState, grads: GradientBuffer) -> None:
@@ -176,13 +210,12 @@ def adam_update(model: MlpModel, state: AdamState, grads: GradientBuffer) -> Non
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
+    g, m, v = grads.flat, state.first_moment, state.second_moment
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    step = state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
     params = model.weights + model.biases
-    gs = grads.d_weights + grads.d_biases
-    ms = state.first_moment.d_weights + state.first_moment.d_biases
-    vs = state.second_moment.d_weights + state.second_moment.d_biases
-    for p, g, m, v in zip(params, gs, ms, vs):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+    for p, s in zip(params, _split(step, params)):
+        p -= s

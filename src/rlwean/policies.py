@@ -1,6 +1,6 @@
 """Categorical (softmax) policies over a discrete action set. A policy is its
-logits network, an `MlpModel`; this module turns logits into probabilities
-and draws from them by batched inverse-CDF sampling."""
+logits network, an `MlpModel`; this module turns logits into probabilities,
+and `inverse_cdf` turns uniform draws into outcomes."""
 
 from __future__ import annotations
 
@@ -36,12 +36,3 @@ def inverse_cdf(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """
     index = ((u[:, None] > cum) | (cum <= 0.0)).sum(axis=1)
     return np.minimum(index, cum.shape[1] - 1)
-
-
-def sample_actions(probs: np.ndarray, rngs: list) -> np.ndarray:
-    """One action per row of `probs` (N, A), row i drawn with rngs[i].
-
-    Each generator is advanced by exactly one random() call, in row order.
-    """
-    u = np.array([rng.random() for rng in rngs])
-    return inverse_cdf(u, np.cumsum(probs, axis=1))

@@ -1,24 +1,27 @@
 """On-policy policy-gradient trainer with a clipped surrogate objective.
 
-Rollouts are collected from a bank of parallel environment instances, each
-with its own RNG stream (base_seed + worker_index), into (num_envs, T)
-arrays; returns-to-go come from one backward sweep over them, and the
-arrays are flattened in worker-index order. The policy is its logits
-network. Advantages are plain Monte Carlo returns minus the combined
-baseline; the current value network always regresses to Monte Carlo
-returns so it keeps learning while the prior is weaned off.
+Rollouts are collected from an env bank (one `step` per time step for all
+members, each with its own env RNG stream) into (num_envs, T) arrays.
+Actions come from one inverse-CDF over uniforms drawn up front, T per
+worker from that worker's action RNG (base_seed + worker_index).
+Returns-to-go come from one backward sweep over the arrays, which are then
+flattened in worker-index order. The policy is its logits network.
+Advantages are plain Monte Carlo returns minus the combined baseline; the
+current value network always regresses to Monte Carlo returns so it keeps
+learning while the prior is weaned off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
 from .envs import EnvConfig, make_env
 from .nets import (MlpModel, adam_update, backward, clip_grad_norm, forward,
                    init_adam, init_mlp)
-from .policies import log_softmax, sample_actions
+from .policies import inverse_cdf, log_softmax
 from .priors import (BaselineSpec, effective_weight, prior_value,
                      q_to_value_from_probs)
 
@@ -90,25 +93,21 @@ def compute_returns(rewards, next_values, ends, gamma: float) -> np.ndarray:
     return out
 
 
-def collect_rollout(envs: list, policy: MlpModel, value_net: MlpModel,
+def collect_rollout(envs, policy: MlpModel, value_net: MlpModel,
                     steps: int, rngs: list, gamma: float,
-                    collection_timestep: int = 0,
-                    env_states: dict | None = None) -> RolloutBatch:
-    """Collect exactly `steps` transitions across the env bank, auto-resetting
-    finished episodes, and fill returns_to_go (truncation, and the cut-off at
-    the end of the rollout, bootstrap with the current value network)."""
-    num_envs = len(envs)
+                    collection_timestep: int = 0) -> RolloutBatch:
+    """Collect exactly `steps` transitions from the env bank `envs` (already
+    reset), resetting finished members as they end, and fill returns_to_go
+    (truncation, and the cut-off at the end of the rollout, bootstrap with
+    the current value network). Member i draws its actions with rngs[i]."""
+    num_envs = envs.num_envs
     if steps % num_envs != 0:
         raise ValueError("steps must be divisible by the number of envs")
     t_env = steps // num_envs
-    obs_dim = envs[0].obs_dim
+    obs_dim = envs.obs_dim
 
-    if env_states is None:
-        env_states = {"obs": [env.reset() for env in envs],
-                      "ep_return": [0.0] * num_envs}
-    cur_obs = env_states["obs"]
-    ep_return = env_states["ep_return"]
-
+    # rng.random(T) yields the same doubles as T single random() calls.
+    uniforms = np.stack([rng.random(t_env) for rng in rngs], axis=1)
     obs_buf = np.zeros((num_envs, t_env, obs_dim))
     next_obs_buf = np.zeros((num_envs, t_env, obs_dim))
     act_buf = np.zeros((num_envs, t_env), dtype=np.int64)
@@ -121,27 +120,23 @@ def collect_rollout(envs: list, policy: MlpModel, value_net: MlpModel,
     rows = np.arange(num_envs)
 
     for t in range(t_env):
-        obs_batch = np.stack(cur_obs)
-        logp_all = log_softmax(forward(policy, obs_batch))
+        obs = envs.observations
+        logp_all = log_softmax(forward(policy, obs))
         probs = np.exp(logp_all)
-        actions = sample_actions(probs, rngs)
-        obs_buf[:, t] = obs_batch
+        actions = inverse_cdf(uniforms[t], np.cumsum(probs, axis=1))
+        obs_buf[:, t] = obs
         act_buf[:, t] = actions
         logp_buf[:, t] = logp_all[rows, actions]
         probs_buf[:, t] = probs
-        for i, env in enumerate(envs):
-            result = env.step(actions[i])
-            next_obs_buf[i, t] = result.observation
-            rew_buf[i, t] = result.reward
-            term_buf[i, t] = result.terminated
-            done_buf[i, t] = result.terminated or result.truncated
-            ep_return[i] += result.reward
-            if done_buf[i, t]:
-                episode_returns.append(ep_return[i])
-                ep_return[i] = 0.0
-                cur_obs[i] = env.reset()
-            else:
-                cur_obs[i] = result.observation
+        result = envs.step(actions)
+        next_obs_buf[:, t] = result.observation
+        rew_buf[:, t] = result.reward
+        term_buf[:, t] = result.terminated
+        done = result.terminated | result.truncated
+        done_buf[:, t] = done
+        if done.any():
+            episode_returns.extend(envs.episode_return[done].tolist())
+            envs.reset(members=done)
 
     # The rollout's last step cuts every env's open segment off.
     ends = done_buf.copy()
@@ -151,8 +146,6 @@ def collect_rollout(envs: list, policy: MlpModel, value_net: MlpModel,
     next_values[term_buf] = 0.0
     returns = compute_returns(rew_buf, next_values, ends, gamma)
 
-    env_states["obs"] = cur_obs
-    env_states["ep_return"] = ep_return
     return RolloutBatch(
         observations=obs_buf.reshape(steps, obs_dim),
         actions=act_buf.reshape(steps),
@@ -197,8 +190,8 @@ def ppo_update(policy: MlpModel, value_net: MlpModel,
                rng: np.random.Generator) -> dict:
     """Clipped-surrogate policy update plus Monte Carlo value regression.
 
-    Raises FloatingPointError (parameters of the offending minibatch
-    untouched) if any loss goes non-finite.
+    Raises FloatingPointError, with both networks left as they were before
+    the offending minibatch, if a loss or a gradient goes non-finite.
     """
     if batch.advantages is None:
         raise ValueError("advantages must be computed before ppo_update")
@@ -219,7 +212,8 @@ def ppo_update(policy: MlpModel, value_net: MlpModel,
             old_logp = batch.log_probs[idx]
             b_adv = adv[idx]
 
-            logp_all = log_softmax(forward(policy, obs))
+            policy_activations, value_activations = [], []
+            logp_all = log_softmax(forward(policy, obs, policy_activations))
             p = np.exp(logp_all)
             acts = batch.actions[idx]
             new_logp = logp_all[np.arange(b_size), acts]
@@ -233,7 +227,7 @@ def ppo_update(policy: MlpModel, value_net: MlpModel,
             ent_mean = float(np.mean(entropy))
             loss = pg_loss - config.entropy_coefficient * ent_mean
 
-            v = forward(value_net, obs)[:, 0]
+            v = forward(value_net, obs, value_activations)[:, 0]
             v_err = v - batch.returns_to_go[idx]
             value_loss = 0.5 * float(np.mean(v_err * v_err))
 
@@ -249,13 +243,18 @@ def ppo_update(policy: MlpModel, value_net: MlpModel,
             # entropy bonus: dH/dlogits_j = -p_j (logp_j + H)
             dlogits += config.entropy_coefficient * p \
                 * (logp_all + entropy[:, None]) / b_size
-            grads = backward(policy, obs, dlogits)
+            grads = backward(policy, obs, dlogits, policy_activations)
             clip_grad_norm(grads, config.max_grad_norm)
 
             v_grads = backward(value_net, obs,
-                               (config.value_coefficient * v_err / b_size)[:, None])
+                               (config.value_coefficient * v_err / b_size)[:, None],
+                               value_activations)
             clip_grad_norm(v_grads, config.max_grad_norm)
 
+            # Both checks before either step, so a rejected minibatch
+            # changes neither network.
+            if not (grads.is_finite() and v_grads.is_finite()):
+                raise FloatingPointError("non-finite gradient in ppo_update")
             adam_update(policy, policy_opt, grads)
             adam_update(value_net, value_opt, v_grads)
 
@@ -275,6 +274,8 @@ class TrainResult:
     #              value_loss, policy_loss, entropy)
     policy: MlpModel | None = None  # logits network
     value_net: MlpModel | None = None
+    # per iteration: ppo_update's stats plus the rollout_s, advantage_s and
+    # update_s wall times of its three phases
     diagnostics: list = field(default_factory=list)
 
 
@@ -304,30 +305,31 @@ def train(env_config: EnvConfig, config: TrainConfig,
     worker_rngs = [np.random.default_rng(seed + i)
                    for i in range(config.num_envs)]
 
-    envs = [make_env(env_config) for _ in range(config.num_envs)]
-    initial_obs = [env.reset(seed=ENV_SEED_OFFSET + seed + i)
-                   for i, env in enumerate(envs)]
+    envs = make_env(env_config, config.num_envs)
+    envs.reset(seed=ENV_SEED_OFFSET + seed)
 
-    policy = init_policy(envs[0], init_rng)
-    value_net = init_value_net(envs[0].obs_dim, init_rng)
+    policy = init_policy(envs, init_rng)
+    value_net = init_value_net(envs.obs_dim, init_rng)
     spec = baseline_spec_factory(value_net)
 
     policy_opt = init_adam(policy, config.learning_rate)
     value_opt = init_adam(value_net, config.learning_rate)
 
-    env_states = {"obs": initial_obs,
-                  "ep_return": [0.0] * config.num_envs}
     curve, diagnostics = [], []
     t = 0
     last_mean, last_std = 0.0, 0.0
     while t < config.total_timesteps:
+        t0 = perf_counter()
         batch = collect_rollout(envs, policy, value_net,
                                 config.steps_per_rollout, worker_rngs,
-                                config.gamma, collection_timestep=t,
-                                env_states=env_states)
+                                config.gamma, collection_timestep=t)
+        t1 = perf_counter()
         compute_advantages(batch, spec)
+        t2 = perf_counter()
         diag = ppo_update(policy, value_net, batch, config, policy_opt,
                           value_opt, update_rng)
+        diag.update(rollout_s=t1 - t0, advantage_s=t2 - t1,
+                    update_s=perf_counter() - t2)
         if batch.episode_returns:
             last_mean = float(np.mean(batch.episode_returns))
             last_std = float(np.std(batch.episode_returns))

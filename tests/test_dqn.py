@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,34 @@ def test_export_prior_round_trip(tmp_path):
     obs = rng.random((100, 1))
     np.testing.assert_array_equal(forward(prior.network, obs),
                                   forward(q_net, obs))
+
+
+def dqn_digest(env_config, seed) -> str:
+    """SHA-256 of the learning curve and the final Q-network weights."""
+    q_net, curve = dqn_train(env_config, DqnConfig(total_timesteps=3000), seed)
+    h = hashlib.sha256(repr(curve).encode())
+    for array in q_net.weights + q_net.biases:
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+# Like the PPO goldens: curves and weights must stay byte-identical under
+# refactors and pure speed-ups of the env, backward and Adam.
+DQN_GOLDEN_DIGESTS = {
+    ("windy-grid", 0):
+        "d3ac926dbde1418102f7e677092b9acf3a90c71c0e36dbaa7522f08d82ed108d",
+    ("windy-grid", 1):
+        "af5319f93014860703a7d3c39137f3e6f6f421465446671bf9f902875c24188b",
+    ("chain", 0):
+        "5729123d14912d67a6d4a37fb9b95fda45eb73fbb07a49e4aedcf3583b947770",
+    ("chain", 1):
+        "590c3719f31ff8bb4d9750a3f898f339a6c2834b80791dcaefe1055c49294aa2",
+}
+
+
+def test_dqn_train_matches_golden_digests():
+    configs = {"windy-grid": EnvConfig("windy-grid", horizon=64),
+               "chain": EnvConfig("chain", horizon=16)}
+    got = {(name, seed): dqn_digest(configs[name], seed)
+           for name in configs for seed in (0, 1)}
+    assert got == DQN_GOLDEN_DIGESTS

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from rlwean.envs import (EnvConfig, GOAL_POS, GOAL_RADIUS, as_tabular,
+from rlwean.envs import (CHAIN_N, GOAL_LIVING_COST, GOAL_POS, GOAL_RADIUS,
+                         GOAL_SHAPING_COEF, GOAL_SPEED, GOAL_START,
+                         GOAL_START_NOISE, GRID_MOVES, GRID_SIZE,
+                         GRID_STEP_PENALTY, EnvConfig, as_tabular,
                          env_observation, make_env)
 from rlwean.errors import UnsupportedError
 
@@ -12,8 +15,8 @@ def rollout_rewards(config, seed, actions):
     rewards = []
     for a in actions:
         result = env.step(a)
-        rewards.append(result.reward)
-        if result.terminated or result.truncated:
+        rewards.append(result.reward[0])
+        if result.terminated[0] or result.truncated[0]:
             break
     return rewards
 
@@ -31,13 +34,13 @@ def test_chain_step_semantics():
     env = make_env(cfg)
     env.reset(seed=0)
     result = env.step(1)  # state 0 -> 1
-    assert result.reward == 0.0
-    assert not result.terminated
-    np.testing.assert_allclose(result.observation, [0.25])
+    assert result.reward[0] == 0.0
+    assert not result.terminated[0]
+    np.testing.assert_allclose(result.observation, [[0.25]])
     # three more rights reach the terminal rightmost state with +1
     env.step(1), env.step(1)
     result = env.step(1)
-    assert result.reward == 1.0 and result.terminated
+    assert result.reward[0] == 1.0 and result.terminated[0]
 
 
 def test_zero_wind_equals_no_wind():
@@ -50,17 +53,17 @@ def test_zero_wind_equals_no_wind():
 def test_forced_wind_pushes_x():
     cfg = EnvConfig("windy-grid", wind_enabled=True, wind_strength=1.0, horizon=20)
     env = make_env(cfg)
-    obs = env.reset(seed=0)
+    x0 = env.reset(seed=0)[0, 0]
     result = env.step(2)  # move +y; wind adds +1 to x
-    assert result.observation[0] == pytest.approx(obs[0] + 0.25)
+    assert result.observation[0, 0] == pytest.approx(x0 + 0.25)
     result = env.step(3)  # move -y; wind again
-    assert result.observation[0] == pytest.approx(obs[0] + 0.5)
+    assert result.observation[0, 0] == pytest.approx(x0 + 0.5)
 
 
 def test_goal_world_reach_single_reward():
     cfg = EnvConfig("goal-world", reward_variant="reach", horizon=50)
     env = make_env(cfg)
-    obs = env.reset(seed=5)
+    obs = env.reset(seed=5)[0]
     rewards = []
     done = False
     while not done:
@@ -69,10 +72,10 @@ def test_goal_world_reach_single_reward():
         if pos[0] >= GOAL_POS[0]:
             action = 2
         result = env.step(action)
-        rewards.append(result.reward)
-        obs = result.observation
-        done = result.terminated or result.truncated
-    assert result.terminated
+        rewards.append(result.reward[0])
+        obs = result.observation[0]
+        done = result.terminated[0] or result.truncated[0]
+    assert result.terminated[0]
     assert rewards[:-1] == [0.0] * (len(rewards) - 1)
     assert rewards[-1] == 1.0
     assert np.linalg.norm(obs[:2] - GOAL_POS) < GOAL_RADIUS
@@ -84,7 +87,7 @@ def test_goal_world_reach_fast_living_cost():
     env.reset(seed=5)
     # moving straight away from the goal: no shaping bonus, pure living cost
     result = env.step(1)
-    assert result.reward == pytest.approx(-0.01)
+    assert result.reward[0] == pytest.approx(-0.01)
 
 
 def test_horizon_truncation():
@@ -93,9 +96,9 @@ def test_horizon_truncation():
     env.reset(seed=0)
     for _ in range(2):
         result = env.step(0)
-        assert not (result.terminated or result.truncated)
+        assert not (result.terminated[0] or result.truncated[0])
     result = env.step(0)
-    assert result.truncated and not result.terminated
+    assert result.truncated[0] and not result.terminated[0]
     with pytest.raises(RuntimeError):
         env.step(0)
 
@@ -107,7 +110,7 @@ def test_termination_beats_truncation_at_horizon():
     for _ in range(3):
         env.step(1)
     result = env.step(1)
-    assert result.terminated and not result.truncated
+    assert result.terminated[0] and not result.truncated[0]
 
 
 def test_bad_action_and_bad_config():
@@ -150,7 +153,7 @@ def test_empirical_transitions_match_tensor():
     for ep in range(n):
         env.reset(seed=ep)
         result = env.step(0)
-        key = tuple(np.round(result.observation, 6))
+        key = tuple(np.round(result.observation[0], 6))
         counts[key] = counts.get(key, 0) + 1
     expected = model.transition[0, 0]
     for s2 in np.flatnonzero(expected):
@@ -174,8 +177,8 @@ def test_wind_state_distribution_longer_horizon():
         env.reset(seed=int(rng.integers(1 << 30)))
         for a in actions:
             result = env.step(a)
-        x = round(result.observation[0] * 4)
-        y = round(result.observation[1] * 4)
+        x = round(result.observation[0, 0] * 4)
+        y = round(result.observation[0, 1] * 4)
         final_counts[int(y * 5 + x)] += 1
     dist = np.zeros(model.state_count)
     dist[0] = 1.0
@@ -185,3 +188,127 @@ def test_wind_state_distribution_longer_horizon():
         p = dist[s]
         se = np.sqrt(p * (1 - p) / n)
         assert abs(final_counts[s] / n - p) < 4 * se
+
+
+class ScalarReference:
+    """One env member stepped with Python scalars, one member at a time:
+    the per-env semantics the bank must reproduce bit for bit."""
+
+    def __init__(self, config, seed):
+        self.config = config
+        self.rng = np.random.default_rng(seed)
+
+    def reset(self):
+        self.steps = 0
+        if self.config.env_id == "chain":
+            self.state = 0
+        elif self.config.env_id == "windy-grid":
+            self.x, self.y = 0, 0
+        else:
+            noise = self.rng.uniform(-GOAL_START_NOISE, GOAL_START_NOISE,
+                                     size=2)
+            self.pos, self.vel = GOAL_START + noise, np.zeros(2)
+        return self.obs()
+
+    def obs(self):
+        if self.config.env_id == "chain":
+            return np.array([self.state / (CHAIN_N - 1)])
+        if self.config.env_id == "windy-grid":
+            return np.array([self.x / (GRID_SIZE - 1), self.y / (GRID_SIZE - 1)])
+        return np.concatenate([self.pos, (self.vel / GOAL_SPEED + 1.0) / 2.0])
+
+    def step(self, a):
+        cfg = self.config
+        if cfg.env_id == "chain":
+            self.state = min(self.state + 1, CHAIN_N - 1) if a == 1 \
+                else max(self.state - 1, 0)
+            terminated = self.state == CHAIN_N - 1
+            reward = 1.0 if terminated else 0.0
+        elif cfg.env_id == "windy-grid":
+            dx, dy = GRID_MOVES[a]
+            self.x = min(max(self.x + dx, 0), GRID_SIZE - 1)
+            self.y = min(max(self.y + dy, 0), GRID_SIZE - 1)
+            p = cfg.wind_strength if cfg.wind_enabled else 0.0
+            if p > 0.0 and self.rng.random() < p:
+                self.x = min(self.x + 1, GRID_SIZE - 1)
+            terminated = (self.x, self.y) == (GRID_SIZE - 1, GRID_SIZE - 1)
+            reward = GRID_STEP_PENALTY + (1.0 if terminated else 0.0)
+        else:
+            self.vel = GOAL_SPEED * np.array(GRID_MOVES[a], dtype=float)
+            to_goal = GOAL_POS - self.pos
+            dist_before = float(np.linalg.norm(to_goal))
+            self.pos = np.clip(self.pos + self.vel, 0.0, 1.0)
+            terminated = float(np.linalg.norm(GOAL_POS - self.pos)) < GOAL_RADIUS
+            if cfg.reward_variant == "reach":
+                reward = 1.0 if terminated else 0.0
+            else:
+                reward = GOAL_LIVING_COST + (1.0 if terminated else 0.0)
+                if dist_before > 1e-12:
+                    ghat = to_goal / dist_before
+                    reward += GOAL_SHAPING_COEF * max(0.0,
+                                                      float(self.vel @ ghat))
+        self.steps += 1
+        truncated = not terminated and self.steps >= cfg.horizon
+        return self.obs(), reward, terminated, truncated
+
+
+@pytest.mark.parametrize("config", [
+    EnvConfig("chain", horizon=12),
+    EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.3, horizon=20),
+    EnvConfig("goal-world", reward_variant="reach", horizon=30),
+    EnvConfig("goal-world", reward_variant="reach-fast", horizon=30),
+], ids=["chain", "windy-grid-wind", "goal-reach", "goal-reach-fast"])
+def test_bank_matches_scalar_reference(config):
+    n, seed, steps = 16, 40, 2000
+    bank = make_env(config, n)
+    refs = [ScalarReference(config, seed + i) for i in range(n)]
+    np.testing.assert_array_equal(bank.reset(seed=seed),
+                                  [ref.reset() for ref in refs])
+    actions = np.random.default_rng(0).integers(
+        bank.action_space.count, size=(steps, n))
+    resets = terminations = 0
+    for t in range(steps):
+        result = bank.step(actions[t])
+        expected = [ref.step(int(a)) for ref, a in zip(refs, actions[t])]
+        obs, rewards, terminated, truncated = map(np.array, zip(*expected))
+        np.testing.assert_array_equal(result.observation, obs)
+        np.testing.assert_array_equal(result.reward, rewards)
+        np.testing.assert_array_equal(result.terminated, terminated)
+        np.testing.assert_array_equal(result.truncated, truncated)
+        done = terminated | truncated
+        terminations += terminated.sum()
+        if done.any():
+            resets += done.sum()
+            reset_obs = bank.reset(members=done)
+            for i in np.flatnonzero(done):
+                obs[i] = refs[i].reset()
+            np.testing.assert_array_equal(reset_obs, obs)
+            # rows handed out by the step are not overwritten by the reset
+            np.testing.assert_array_equal(
+                result.observation, [e[0] for e in expected])
+    assert resets > n and terminations > 0
+    # every member's generator has advanced exactly as its scalar twin's
+    for rng, ref in zip(bank.rngs, refs):
+        assert rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def test_bank_guards_actions_and_finished_members():
+    bank = make_env(EnvConfig("chain", horizon=4), 3)
+    with pytest.raises(RuntimeError):
+        bank.step([0, 0, 0])  # never reset
+    bank.reset(seed=0)
+    with pytest.raises(ValueError):
+        bank.step([0, 2, 1])
+    with pytest.raises(ValueError):
+        bank.step([-1, 0, 1])
+    for _ in range(4):
+        result = bank.step([0, 0, 1])
+    np.testing.assert_array_equal(result.truncated, [True, True, False])
+    np.testing.assert_array_equal(result.terminated, [False, False, True])
+    bank.reset(members=np.array([True, True, False]))
+    np.testing.assert_array_equal(bank.episode_return, [0.0, 0.0, 1.0])
+    with pytest.raises(RuntimeError):
+        bank.step([0, 0, 0])  # member 2 is still finished
+    bank.reset(members=np.array([False, False, True]))
+    np.testing.assert_array_equal(bank.episode_return, [0.0, 0.0, 0.0])
+    bank.step([1, 1, 1])

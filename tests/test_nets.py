@@ -81,6 +81,24 @@ def test_batched_backward_sums_over_batch():
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def test_backward_reuses_forward_activations():
+    # the activations a forward leaves behind give the same bits as the
+    # forward pass backward would otherwise run itself
+    rng = np.random.default_rng(7)
+    model = init_mlp([4, 16, 16, 3], rng)
+    for x, g in ((rng.standard_normal((32, 4)), rng.standard_normal((32, 3))),
+                 (rng.standard_normal(4), rng.standard_normal(3))):
+        acts = []
+        out = forward(model, x, acts)
+        assert len(acts) == 4 and acts[-1] is out
+        reused = backward(model, x, g, acts)
+        fresh = backward(model, x, g)
+        assert reused.flat.tobytes() == fresh.flat.tobytes()
+    # the per-layer arrays are views of the one flat vector
+    reused.d_weights[0][0, 0] = np.inf
+    assert not reused.is_finite()
+
+
 def test_zero_output_gradient_gives_zero_buffer():
     rng = np.random.default_rng(3)
     model = init_mlp([3, 4, 2], rng)

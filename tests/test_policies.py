@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rlwean.nets import MlpModel, backward, forward, init_mlp
-from rlwean.policies import action_probs, log_softmax, sample_actions, softmax
+from rlwean.policies import action_probs, inverse_cdf, log_softmax, softmax
 
 
 def fixed_logit_policy(logits):
@@ -26,7 +26,8 @@ def test_extreme_logits_pick_one_action():
     policy = fixed_logit_policy([1000.0, 0.0])
     n = 10_000
     probs = action_probs(policy, np.zeros((n, 1)))
-    actions = sample_actions(probs, [np.random.default_rng(0)] * n)
+    actions = inverse_cdf(np.random.default_rng(0).random(n),
+                          np.cumsum(probs, axis=1))
     assert set(actions.tolist()) == {0}
 
 
@@ -36,7 +37,8 @@ def test_sample_frequencies_match_softmax():
     probs = softmax(logits)
     n = 100_000
     rows = action_probs(policy, np.zeros((n, 1)))
-    actions = sample_actions(rows, [np.random.default_rng(1)] * n)
+    actions = inverse_cdf(np.random.default_rng(1).random(n),
+                          np.cumsum(rows, axis=1))
     counts = np.bincount(actions, minlength=3)
     for i in range(3):
         se = np.sqrt(probs[i] * (1 - probs[i]) / n)
@@ -60,21 +62,12 @@ def test_sampled_log_prob_consistent_with_evaluation():
     net = init_mlp([2, 8, 4], rng)
     obs = rng.standard_normal((16, 2))
     logp_all = log_softmax(forward(net, obs))
-    actions = sample_actions(np.exp(logp_all), [rng] * len(obs))
+    actions = inverse_cdf(rng.random(len(obs)),
+                          np.cumsum(np.exp(logp_all), axis=1))
     assert ((0 <= actions) & (actions < 4)).all()
     for i, a in enumerate(actions):
         assert logp_all[i, a] == pytest.approx(
             log_softmax(forward(net, obs[i]))[a], abs=1e-12)
-
-
-class FixedDraw:
-    """Stands in for a generator whose next random() is `u`."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 def reference_action(probs_row, u):
@@ -82,26 +75,21 @@ def reference_action(probs_row, u):
                len(probs_row) - 1)
 
 
-def test_sample_actions_matches_searchsorted_reference():
+def test_inverse_cdf_matches_searchsorted_reference():
     rng = np.random.default_rng(6)
     probs = rng.dirichlet(np.ones(5), size=200)
     probs[::3, 1] = 0.0  # exact zeros, renormalized
     probs[::7, 4] = 0.0
     probs /= probs.sum(axis=1, keepdims=True)
-    gens = [np.random.default_rng(100 + i) for i in range(len(probs))]
-    twins = [np.random.default_rng(100 + i) for i in range(len(probs))]
-    actions = sample_actions(probs, gens)
-    expected = [reference_action(row, twin.random())
-                for row, twin in zip(probs, twins)]
-    np.testing.assert_array_equal(actions, expected)
-    # exactly one random() per row: each generator is level with its twin
-    for gen, twin in zip(gens, twins):
-        assert gen.random() == twin.random()
+    draws = rng.random(len(probs))
+    actions = inverse_cdf(draws, np.cumsum(probs, axis=1))
+    np.testing.assert_array_equal(
+        actions, [reference_action(row, u) for row, u in zip(probs, draws)])
 
     # u on a cumulative-sum boundary, and u above a last cumsum below 1
     rows = np.array([[0.25, 0.25, 0.5], [0.0, 0.5, 0.5], [0.3, 0.3, 0.3]])
-    draws = [0.25, 0.3, 0.95]
-    actions = sample_actions(rows, [FixedDraw(u) for u in draws])
+    draws = np.array([0.25, 0.3, 0.95])
+    actions = inverse_cdf(draws, np.cumsum(rows, axis=1))
     np.testing.assert_array_equal(
         actions, [reference_action(r, u) for r, u in zip(rows, draws)])
     np.testing.assert_array_equal(actions, [0, 1, 2])
@@ -110,7 +98,7 @@ def test_sample_actions_matches_searchsorted_reference():
 def test_zero_draw_skips_zero_probability_actions():
     # searchsorted would return the leading zero-probability action for u = 0
     rows = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
-    actions = sample_actions(rows, [FixedDraw(0.0)] * 3)
+    actions = inverse_cdf(np.zeros(3), np.cumsum(rows, axis=1))
     np.testing.assert_array_equal(actions, [1, 2, 0])
 
 

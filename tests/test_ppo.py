@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from rlwean.envs import (GRID_STEP_PENALTY, ActionSpace, EnvConfig,
-                         StepResult, make_env)
+from rlwean.envs import (GRID_STEP_PENALTY, ActionSpace, EnvConfig, _BaseEnv,
+                         make_env)
 from rlwean.nets import MlpModel, forward, init_adam, init_mlp
 from rlwean.policies import action_probs, log_softmax
 from rlwean.ppo import (TrainConfig, collect_rollout, compute_advantages,
@@ -80,8 +80,8 @@ def test_compute_returns_matches_per_row_reference():
 
 def test_collect_rollout_chain_forced_right():
     cfg = EnvConfig("chain", horizon=64)
-    envs = [make_env(cfg)]
-    envs[0].reset(seed=0)
+    envs = make_env(cfg)
+    envs.reset(seed=0)
     policy = forced_action_policy(1, 2, action=1)
     rngs = [np.random.default_rng(0)]
     # both episodes terminate, so the value net's 5.0 must not be bootstrapped
@@ -97,8 +97,8 @@ def test_collect_rollout_truncation_bootstraps_value():
     # horizon 6 < shortest path on windy-grid, so every episode truncates
     # and every step pays the step penalty
     cfg = EnvConfig("windy-grid", horizon=6)
-    envs = [make_env(cfg)]
-    envs[0].reset(seed=0)
+    envs = make_env(cfg)
+    envs.reset(seed=0)
     rng = np.random.default_rng(1)
     policy = init_mlp([2, 8, 4], rng, output_scale=0.01)
     c, gamma = 3.0, 0.9
@@ -112,12 +112,32 @@ def test_collect_rollout_truncation_bootstraps_value():
                                rtol=1e-12)
 
 
+def test_collect_rollout_draws_one_uniform_per_step():
+    # each worker's generator gives one random() per time step, in order,
+    # and the action is the searchsorted pick of that draw
+    cfg = EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.3,
+                    horizon=16)
+    envs = make_env(cfg, 3)
+    envs.reset(seed=0)
+    policy = init_mlp([2, 16, 4], np.random.default_rng(2))
+    rngs = [np.random.default_rng(30 + i) for i in range(3)]
+    twins = [np.random.default_rng(30 + i) for i in range(3)]
+    batch = collect_rollout(envs, policy, constant_value_net(2), steps=48,
+                            rngs=rngs, gamma=0.99)
+    cum = np.cumsum(batch.action_probs, axis=1).reshape(3, 16, 4)
+    actions = batch.actions.reshape(3, 16)
+    for i, twin in enumerate(twins):
+        for t in range(16):
+            expected = min(int(np.searchsorted(cum[i, t], twin.random())), 3)
+            assert actions[i, t] == expected
+        assert rngs[i].random() == twin.random()
+
+
 def test_stored_log_probs_match_reevaluation():
     cfg = EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.3,
                     horizon=16)
-    envs = [make_env(cfg) for _ in range(2)]
-    for i, env in enumerate(envs):
-        env.reset(seed=i)
+    envs = make_env(cfg, 2)
+    envs.reset(seed=0)
     rng = np.random.default_rng(2)
     policy = init_mlp([2, 16, 4], rng)
     rngs = [np.random.default_rng(10 + i) for i in range(2)]
@@ -132,9 +152,8 @@ def test_stored_log_probs_match_reevaluation():
 
 def make_batch(seed=3, steps=64):
     cfg = EnvConfig("chain", horizon=16)
-    envs = [make_env(cfg) for _ in range(2)]
-    for i, env in enumerate(envs):
-        env.reset(seed=i)
+    envs = make_env(cfg, 2)
+    envs.reset(seed=0)
     rng = np.random.default_rng(seed)
     policy = init_mlp([1, 16, 2], rng, output_scale=0.01)
     value_net = init_mlp([1, 16, 1], rng)
@@ -237,24 +256,57 @@ def test_first_epoch_kl_is_small():
     assert abs(diag["approx_kl"]) < 1e-8
 
 
-class BanditEnv:
+def test_nonfinite_value_gradient_leaves_both_nets_unchanged():
+    # W0 = 0 and b0 = 0 give h1 = 0, so h2 = tanh(1) is not saturated and the
+    # loss is finite; backpropagating through W1 = 1e308 overflows, and only
+    # the value gradient goes non-finite
+    batch, policy, _ = make_batch()
+    value_net = MlpModel([1, 8, 8, 1],
+                         [np.zeros((8, 1)), np.full((8, 8), 1e308),
+                          np.full((1, 8), 10.0)],
+                         [np.zeros(8), np.ones(8), np.zeros(1)])
+    compute_advantages(batch, BaselineSpec(WeaningSchedule("fixed", 0.0),
+                                           constant_value_net(1), None))
+    config = TrainConfig(steps_per_rollout=64, num_envs=2, minibatch_size=32,
+                         update_epochs=1)
+    nets_before = [policy.copy(), value_net.copy()]
+    p_opt = init_adam(policy, 1e-3)
+    v_opt = init_adam(value_net, 1e-3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError):
+        ppo_update(policy, value_net, batch, config, p_opt, v_opt,
+                   np.random.default_rng(0))
+    for net, before in zip((policy, value_net), nets_before):
+        for a, b in zip(net.weights + net.biases,
+                        before.weights + before.biases):
+            assert a.tobytes() == b.tobytes()
+    assert p_opt.step_count == v_opt.step_count == 0
+
+
+class BanditEnv(_BaseEnv):
     """2-armed bandit: arm 0 pays 1, arm 1 pays 0; one-step episodes."""
 
     obs_dim = 1
     action_space = ActionSpace(count=2)
 
-    def reset(self, seed=None):
-        return np.zeros(1)
+    def _init_state(self):
+        pass
 
-    def step(self, action):
-        reward = 1.0 if int(action) == 0 else 0.0
-        return StepResult(np.zeros(1), reward, True, False)
+    def _reset_state(self, mask):
+        pass
+
+    def _obs(self):
+        return np.zeros((self.num_envs, 1))
+
+    def _step_state(self, a):
+        return (a == 0).astype(np.float64), np.ones(self.num_envs, dtype=bool)
 
 
 def test_bandit_policy_converges():
     rng = np.random.default_rng(0)
-    envs = [BanditEnv() for _ in range(4)]
-    policy = init_policy(envs[0], rng)
+    envs = BanditEnv(EnvConfig("chain"), 4)
+    envs.reset()
+    policy = init_policy(envs, rng)
     value_net = init_value_net(1, rng)
     spec = BaselineSpec(WeaningSchedule("fixed", 0.0), value_net, None)
     config = TrainConfig(steps_per_rollout=64, num_envs=4, minibatch_size=32,
@@ -284,6 +336,19 @@ def test_train_is_deterministic():
         np.testing.assert_array_equal(x, y)
     c = train(cfg, config, factory, seed=4)
     assert c.curve != a.curve
+
+
+def test_train_records_phase_times():
+    cfg = EnvConfig("chain", horizon=16)
+    config = TrainConfig(total_timesteps=1024, num_envs=4,
+                         steps_per_rollout=512, minibatch_size=128,
+                         update_epochs=1)
+    result = train(cfg, config, lambda vn: BaselineSpec(
+        WeaningSchedule("fixed", 0.0), vn, None), seed=0)
+    assert len(result.diagnostics) == 2
+    for row in result.diagnostics:
+        for key in ("rollout_s", "advantage_s", "update_s"):
+            assert row[key] >= 0.0
 
 
 def test_train_config_validation():
