@@ -60,7 +60,7 @@ def load_scenario_file(path) -> ScenarioConfig:
         config.validate()
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path}: value of the wrong type: {exc}") from exc
     return config
 

@@ -153,19 +153,19 @@ class _BaseEnv:
         """Start new episodes for the members in the boolean mask `members`
         (all when None), reseeding member i with seed + i when a seed is
         given. Returns the current observations (num_envs, obs_dim)."""
-        mask = np.ones(self.num_envs, dtype=bool) if members is None \
-            else np.asarray(members, dtype=bool)
+        rows = np.arange(self.num_envs) if members is None \
+            else np.asarray(members, dtype=bool).nonzero()[0]
         if seed is not None:
-            for i in np.flatnonzero(mask):
+            for i in rows:
                 self.rngs[i] = np.random.default_rng(seed + i)
-        self._deadline[mask] = self._clock + self.horizon
-        self._done[mask] = False
-        self.episode_return[mask] = 0.0
-        self._reset_state(mask)
-        # np.where builds a new array: observations handed out earlier, as
-        # StepResult.observation, keep the rows they had.
-        self.observations = np.where(mask[:, None], self._obs(),
-                                     self.observations)
+        self._deadline[rows] = self._clock + self.horizon
+        self._done[rows] = False
+        self.episode_return[rows] = 0.0
+        self._reset_state(rows)
+        # Only the reset rows change, in a copy: observations handed out
+        # earlier, as StepResult.observation, keep the rows they had.
+        self.observations = self.observations.copy()
+        self.observations[rows] = self._obs(rows)
         return self.observations
 
     def step(self, actions) -> StepResult:
@@ -194,11 +194,11 @@ class _TableEnv(_BaseEnv):
     def _init_state(self):
         self._state = np.zeros(self.num_envs, dtype=np.int64)
 
-    def _reset_state(self, mask):
-        self._state[mask] = 0
+    def _reset_state(self, rows):
+        self._state[rows] = 0
 
-    def _obs(self):
-        return self._OBS[self._state]
+    def _obs(self, rows=slice(None)):
+        return self._OBS[self._state[rows]]
 
 
 class ChainEnv(_TableEnv):
@@ -255,16 +255,16 @@ class GoalWorldEnv(_BaseEnv):
         self._pos = np.zeros((self.num_envs, 2))
         self._vel = np.zeros((self.num_envs, 2))
 
-    def _reset_state(self, mask):
-        for i in np.flatnonzero(mask):
+    def _reset_state(self, rows):
+        for i in rows:
             noise = self.rngs[i].uniform(-GOAL_START_NOISE, GOAL_START_NOISE,
                                          size=2)
             self._pos[i] = GOAL_START + noise
-        self._vel[mask] = 0.0
+        self._vel[rows] = 0.0
 
-    def _obs(self):
-        v = (self._vel / GOAL_SPEED + 1.0) / 2.0
-        return np.concatenate([self._pos, v], axis=1)
+    def _obs(self, rows=slice(None)):
+        v = (self._vel[rows] / GOAL_SPEED + 1.0) / 2.0
+        return np.concatenate([self._pos[rows], v], axis=1)
 
     def _step_state(self, a):
         vel = GOAL_SPEED * self._DIRECTIONS[a]

@@ -3,8 +3,11 @@
 All networks in this package are feed-forward nets with tanh hidden
 activations and an identity output layer. Forward and backward accept
 either a single input vector or a batch (N, d); batched backward returns
-gradients summed over the batch. A list passed to `forward` receives the
-layer activations; `backward` given that list skips its own forward pass.
+gradients summed over the batch. `forward` also takes a stacked model of K
+nets, weights (K, out, in) and biases (K, 1, out), on inputs (K or 1, N, d):
+3-D matmul gives each net the bits of its own 2-D forward. A list passed to
+`forward` receives the layer activations; `backward` given that list skips
+its own forward pass.
 Gradients and Adam's two moments are flat vectors, so the finiteness check
 and the moment updates are single passes.
 """
@@ -110,7 +113,7 @@ def _forward_cached(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     h = x
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w.T + b
+        h = h @ w.mT + b
         if l != last:
             h = np.tanh(h)
         acts.append(h)
@@ -119,7 +122,8 @@ def _forward_cached(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
 
 def forward(model: MlpModel, x: np.ndarray,
             activations: list | None = None) -> np.ndarray:
-    """Evaluate the network on a vector (d,) or a batch (N, d).
+    """Evaluate the network on a vector (d,) or a batch (N, d), or a
+    stacked model on (K, N, d).
 
     A list passed as `activations` receives every layer's output, the
     input first, for a later backward(model, x, g, activations).

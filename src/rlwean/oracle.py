@@ -178,27 +178,30 @@ def sample_trajectories(model: TabularModel, probs: np.ndarray, n: int,
     """Vectorized sampling of n trajectories of length <= model.horizon.
 
     Returns (states, actions, rewards, alive) arrays of shape (n, H); `alive`
-    marks steps actually taken (False after termination).
+    marks steps actually taken (False after termination). Each is the
+    transposed view of an (H, n) buffer filled one contiguous row per time
+    step; per-(s, a) tables are gathered from rows s * A + a.
     """
-    horizon = model.horizon
+    horizon, action_count = model.horizon, model.action_count
     cum_pi = np.cumsum(probs, axis=1)
-    cum_p = np.cumsum(model.transition, axis=2)
-    states = np.zeros((n, horizon), dtype=np.int64)
-    actions = np.zeros((n, horizon), dtype=np.int64)
-    rewards = np.zeros((n, horizon))
-    alive = np.zeros((n, horizon), dtype=bool)
+    cum_p = np.cumsum(model.transition, axis=2).reshape(-1, model.state_count)
+    states = np.empty((horizon, n), dtype=np.int64)
+    actions = np.empty((horizon, n), dtype=np.int64)
+    rewards = np.empty((horizon, n))
+    alive = np.empty((horizon, n), dtype=bool)
     s = rng.choice(model.state_count, size=n, p=model.initial_distribution)
     live = ~model.terminal[s]
     for t in range(horizon):
-        a = inverse_cdf(rng.random(n), cum_pi[s])
-        states[:, t] = s
-        actions[:, t] = a
-        alive[:, t] = live
-        rewards[:, t] = np.where(live, model.reward[s, a], 0.0)
-        s2 = inverse_cdf(rng.random(n), cum_p[s, a])
+        a = inverse_cdf(rng.random(n), np.take(cum_pi, s, axis=0))
+        sa = s * action_count + a
+        states[t] = s
+        actions[t] = a
+        alive[t] = live
+        rewards[t] = np.where(live, np.take(model.reward, sa), 0.0)
+        s2 = inverse_cdf(rng.random(n), np.take(cum_p, sa, axis=0))
         s = np.where(live, s2, s)
-        live = live & ~model.terminal[s]
-    return states, actions, rewards, alive
+        live &= ~np.take(model.terminal, s)
+    return states.T, actions.T, rewards.T, alive.T
 
 
 def gradient_variance(model: TabularModel, logits: np.ndarray,
@@ -211,38 +214,46 @@ def gradient_variance(model: TabularModel, logits: np.ndarray,
     Returns (mean_gradient (S, A), covariance_trace, jackknife standard error
     of the trace).
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    if n_samples < 3:
+        raise ValueError("n_samples must be >= 3 for the jackknife")
     if baseline is not None and len(baseline) != model.state_count:
         raise ValueError("baseline length must equal state count")
     probs = softmax(logits)
     states, actions, rewards, alive = sample_trajectories(
         model, probs, n_samples, rng)
     horizon = model.horizon
-    disc = gamma ** np.arange(horizon)
-    returns = (rewards * disc).sum(axis=1)
-    grads = np.zeros((n_samples, model.state_count, model.action_count))
-    onehot = np.eye(model.action_count)
+    state_count, action_count = model.state_count, model.action_count
+    # Summed over contiguous rows, in the order (n, H) sampling buffers had.
+    returns = np.ascontiguousarray(
+        rewards * (gamma ** np.arange(horizon))).sum(axis=1)
+    # row s * A + a: onehot(a) - pi(s), the score of a w.r.t. the logits of s
+    score = (np.eye(action_count) - probs[:, None, :]).reshape(-1, action_count)
+    grads = np.zeros((n_samples, state_count, action_count))
+    # Row i * S + s: the logits of s in trajectory i's estimate. One step's
+    # rows are distinct, so a plain indexed add is exact.
+    grad_rows = grads.reshape(-1, action_count)
     for t in range(horizon):
         idx = np.flatnonzero(alive[:, t])
         if idx.size == 0:
             break
-        s_t = states[idx, t]
-        coef = returns[idx]
+        s_t = np.take(states[:, t], idx)
+        coef = np.take(returns, idx)
         if baseline is not None:
-            coef = coef - baseline[s_t]
-        delta = coef[:, None] * (onehot[actions[idx, t]] - probs[s_t])
-        np.add.at(grads, (idx, s_t), delta)
+            coef = coef - np.take(baseline, s_t)
+        rows = idx * state_count + s_t
+        delta = coef[:, None] * np.take(
+            score, s_t * action_count + np.take(actions[:, t], idx), axis=0)
+        grad_rows[rows] += delta
 
-    flat = grads.reshape(n_samples, -1)
-    mean = flat.mean(axis=0)
+    n = n_samples
+    flat = grads.reshape(n, -1)
+    s1 = flat.sum(axis=0)
+    mean = s1 / n  # what flat.mean(axis=0) computes
     centered = flat - mean
     sq_norms = np.einsum("ij,ij->i", flat, flat)
-    trace = float(np.sum(centered * centered) / (n_samples - 1))
+    trace = float(np.sum(centered * centered) / (n - 1))
 
     # Jackknife over leave-one-out trace estimates, computed in O(n d).
-    n = n_samples
-    s1 = flat.sum(axis=0)
     s2 = float(sq_norms.sum())
     s1_dot_g = flat @ s1
     s1_sq = float(s1 @ s1)

@@ -31,8 +31,13 @@ def inverse_cdf(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
 
     Counts the cumulative sums strictly below u (the index
     searchsorted(cum, u) gives), plus the zero leading sums, so a u of
-    exactly 0.0 never draws a zero-probability outcome. Clamped to K-1 for
-    a u above a last cumulative sum that rounded below 1.
+    exactly 0.0 (raised to the least positive float) never draws a
+    zero-probability outcome. Sums do not decrease, so counting only the
+    first K-1 columns clamps to K-1 a u above a last sum that rounded below
+    1. Columns are added one by one: reducing the short K axis is slower.
     """
-    index = ((u[:, None] > cum) | (cum <= 0.0)).sum(axis=1)
-    return np.minimum(index, cum.shape[1] - 1)
+    u = np.maximum(u, 5e-324)
+    index = np.zeros(len(u), dtype=np.intp)
+    for k in range(cum.shape[1] - 1):
+        index += u > cum[:, k]
+    return index

@@ -139,8 +139,8 @@ def load_artifact(path) -> PriorArtifact:
         doc = json.load(f)
     try:
         return _artifact_from_doc(doc)
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: malformed artifact: {exc}") from exc
+    except (TypeError, AttributeError, KeyError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed artifact: {exc!r}") from exc
 
 
 def _artifact_from_doc(doc) -> PriorArtifact:

@@ -109,15 +109,22 @@ def without_source_block(doc):
     return yaml.safe_dump(doc)
 
 
+def with_infinite_setting(doc):
+    doc["setting"] = float("inf")
+    return yaml.safe_dump(doc)
+
+
 @pytest.mark.parametrize("text", [
     with_unknown_env_key(scenario_doc()),
     with_removed_train_option(scenario_doc()),
     with_wrongly_typed_value(scenario_doc()),
     without_source_block(scenario_doc()),
+    with_infinite_setting(scenario_doc()),
     "setting: [1, 2\nmode: rrl\n",
     "- just\n- a list\n",
 ], ids=["unknown-env-key", "removed-train-option", "wrongly-typed-value",
-        "missing-source-block", "malformed-yaml", "not-a-mapping"])
+        "missing-source-block", "infinite-setting", "malformed-yaml",
+        "not-a-mapping"])
 def test_bad_scenario_file_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "scenario.yaml"
     path.write_text(text)

@@ -42,6 +42,22 @@ def test_batch_forward_matches_loop():
         np.testing.assert_allclose(batch[i], forward(model, xs[i]))
 
 
+def test_stacked_forward_matches_each_net():
+    rng = np.random.default_rng(14)
+    dims = [3, 7, 5, 2]
+    nets = [init_mlp(dims, rng) for _ in range(4)]
+    stacked = MlpModel(
+        dims, [np.stack([m.weights[l] for m in nets]) for l in range(3)],
+        [np.stack([m.biases[l] for m in nets])[:, None, :] for l in range(3)])
+    for rows in (1, 6):
+        xs = rng.standard_normal((4, rows, 3))
+        out = forward(stacked, xs)
+        shared = forward(stacked, xs[:1])  # one batch for every net
+        for k, net in enumerate(nets):
+            np.testing.assert_array_equal(out[k], forward(net, xs[k]))
+            np.testing.assert_array_equal(shared[k], forward(net, xs[0]))
+
+
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(1)
     model = init_mlp([4, 8, 8, 2], rng)

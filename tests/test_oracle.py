@@ -7,7 +7,7 @@ from rlwean.oracle import (TabularPolicy, exact_policy_gradient, exact_q,
                            exact_value, expected_return, gradient_variance,
                            random_tabular_policy, sample_trajectories,
                            solve_linear, value_iteration)
-from rlwean.policies import softmax
+from rlwean.policies import inverse_cdf, softmax
 from rlwean.verify import demo_logits, demo_mdp
 
 
@@ -223,9 +223,10 @@ def test_gradient_variance_reduction_with_exact_v():
 
 def test_gradient_variance_input_validation():
     model = demo_mdp()
-    with pytest.raises(ValueError):
-        gradient_variance(model, demo_logits(), None, 1,
-                          np.random.default_rng(0))
+    for n_samples in (1, 2):  # the jackknife divides by n - 2
+        with pytest.raises(ValueError):
+            gradient_variance(model, demo_logits(), None, n_samples,
+                              np.random.default_rng(0))
     with pytest.raises(ValueError):
         gradient_variance(model, demo_logits(), np.zeros(5), 100,
                           np.random.default_rng(0))
@@ -236,3 +237,107 @@ def test_tabular_policy_validation():
         TabularPolicy(np.array([[0.5, 0.6]]))
     with pytest.raises(ValueError):
         TabularPolicy(np.array([[-0.1, 1.1]]))
+
+
+def reference_sample_trajectories(model, probs, n, rng):
+    """The (n, H) column-by-column sampler that sample_trajectories
+    replaced, kept to pin its draws and outputs bit for bit."""
+    horizon = model.horizon
+    cum_pi = np.cumsum(probs, axis=1)
+    cum_p = np.cumsum(model.transition, axis=2)
+    states = np.zeros((n, horizon), dtype=np.int64)
+    actions = np.zeros((n, horizon), dtype=np.int64)
+    rewards = np.zeros((n, horizon))
+    alive = np.zeros((n, horizon), dtype=bool)
+    s = rng.choice(model.state_count, size=n, p=model.initial_distribution)
+    live = ~model.terminal[s]
+    for t in range(horizon):
+        a = inverse_cdf(rng.random(n), cum_pi[s])
+        states[:, t] = s
+        actions[:, t] = a
+        alive[:, t] = live
+        rewards[:, t] = np.where(live, model.reward[s, a], 0.0)
+        s2 = inverse_cdf(rng.random(n), cum_p[s, a])
+        s = np.where(live, s2, s)
+        live = live & ~model.terminal[s]
+    return states, actions, rewards, alive
+
+
+def reference_gradient_variance(model, logits, baseline, n_samples, rng,
+                                gamma=1.0):
+    """The np.add.at gradient_variance that the row scatter replaced."""
+    probs = softmax(logits)
+    states, actions, rewards, alive = reference_sample_trajectories(
+        model, probs, n_samples, rng)
+    horizon = model.horizon
+    disc = gamma ** np.arange(horizon)
+    returns = (rewards * disc).sum(axis=1)
+    grads = np.zeros((n_samples, model.state_count, model.action_count))
+    onehot = np.eye(model.action_count)
+    for t in range(horizon):
+        idx = np.flatnonzero(alive[:, t])
+        if idx.size == 0:
+            break
+        s_t = states[idx, t]
+        coef = returns[idx]
+        if baseline is not None:
+            coef = coef - baseline[s_t]
+        delta = coef[:, None] * (onehot[actions[idx, t]] - probs[s_t])
+        np.add.at(grads, (idx, s_t), delta)
+
+    flat = grads.reshape(n_samples, -1)
+    mean = flat.mean(axis=0)
+    centered = flat - mean
+    sq_norms = np.einsum("ij,ij->i", flat, flat)
+    trace = float(np.sum(centered * centered) / (n_samples - 1))
+    n = n_samples
+    s1 = flat.sum(axis=0)
+    s2 = float(sq_norms.sum())
+    s1_dot_g = flat @ s1
+    s1_sq = float(s1 @ s1)
+    loo_mean_sq = (s1_sq - 2.0 * s1_dot_g + sq_norms) / (n - 1)
+    loo_trace = (s2 - sq_norms - loo_mean_sq) / (n - 2)
+    se = float(np.sqrt((n - 1) / n * np.sum((loo_trace - loo_trace.mean()) ** 2)))
+    return mean.reshape(model.state_count, model.action_count), trace, se
+
+
+def reference_cases():
+    """Models with logits, gamma and the exact V^pi baseline: the demo MDP;
+    the chain, with terminal states; and, at horizons past the 8 terms from
+    which numpy sums a contiguous row pairwise, the demo MDP and the windy
+    grid, whose rewards are dense."""
+    rng = np.random.default_rng(5)
+    models = [
+        (demo_mdp(), 1.0),
+        (as_tabular(EnvConfig("chain", horizon=6)), 0.9),
+        (demo_mdp(horizon=12), 0.9),
+        (as_tabular(EnvConfig("windy-grid", wind_enabled=True,
+                              wind_strength=0.3, horizon=12)), 0.9),
+    ]
+    for model, gamma in models:
+        logits = rng.standard_normal((model.state_count, model.action_count))
+        v = exact_value(model, TabularPolicy(softmax(logits)), gamma)
+        yield model, logits, v, gamma
+
+
+def test_sample_trajectories_matches_reference():
+    for model, logits, _, _ in reference_cases():
+        probs = softmax(logits)
+        got = sample_trajectories(model, probs, 3000,
+                                  np.random.default_rng(8))
+        want = reference_sample_trajectories(model, probs, 3000,
+                                             np.random.default_rng(8))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+def test_gradient_variance_matches_reference():
+    for model, logits, v, gamma in reference_cases():
+        for baseline in (None, v):
+            got = gradient_variance(model, logits, baseline, 5000,
+                                    np.random.default_rng(9), gamma)
+            want = reference_gradient_variance(
+                model, logits, baseline, 5000, np.random.default_rng(9), gamma)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1] and got[2] == want[2]

@@ -292,11 +292,11 @@ class BanditEnv(_BaseEnv):
     def _init_state(self):
         pass
 
-    def _reset_state(self, mask):
+    def _reset_state(self, rows):
         pass
 
-    def _obs(self):
-        return np.zeros((self.num_envs, 1))
+    def _obs(self, rows=slice(None)):
+        return np.zeros((self.num_envs, 1))[rows]
 
     def _step_state(self, a):
         return (a == 0).astype(np.float64), np.ones(self.num_envs, dtype=bool)

@@ -192,10 +192,12 @@ def test_artifact_rejects_bad_documents(tmp_path):
     layer = doc["layers"][0]
     nan_weight = {**layer, "weights": [float("nan")] + layer["weights"][1:]}
     inf_bias = {**layer, "biases": [float("inf")] + layer["biases"][1:]}
+    no_rows = {k: v for k, v in layer.items() if k != "rows"}
     for corrupt in ({"format_version": 2}, {"activation": "relu"},
                     {"kind": "advantage"}, {"layers": []},
                     {"layers": [nan_weight]}, {"layers": [inf_bias]},
-                    {"layers": 5}, {"obs_dim": None}, {"metadata": []}):
+                    {"layers": 5}, {"obs_dim": None}, {"metadata": []},
+                    {"layers": [no_rows]}, {"obs_dim": float("inf")}):
         bad = {**doc, **corrupt}
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
