@@ -38,7 +38,7 @@ def load_scenario_file(path) -> ScenarioConfig:
         try:
             return cls(**fields)
         except TypeError as exc:
-            raise ValueError(f"{path}: bad {name} block: {exc}") from exc
+            raise ValueError(f"bad {name} block: {exc}") from exc
 
     try:
         source, target = doc["source"], doc["target"]
@@ -62,6 +62,8 @@ def load_scenario_file(path) -> ScenarioConfig:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path}: value of the wrong type: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return config
 
 
@@ -70,10 +72,10 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
         config = replace(config, mode=args.mode)
     if args.seed is not None:
         config = replace(config, target_seeds=(args.seed,))
-    if args.seeds:
+    if args.seeds is not None:
         seeds = tuple(int(s) for s in args.seeds.split(","))
         config = replace(config, target_seeds=seeds)
-    if args.total_timesteps:
+    if args.total_timesteps is not None:
         config = replace(
             config, target_total_timesteps=args.total_timesteps,
             train_config=replace(config.train_config,

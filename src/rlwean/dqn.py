@@ -34,6 +34,13 @@ class DqnConfig:
     learning_rate: float = DQN_LEARNING_RATE
 
     def validate(self) -> None:
+        for name in ("total_timesteps", "buffer_capacity", "batch_size",
+                     "target_update_interval", "train_frequency"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
+        if self.learning_starts < 0:
+            raise ValueError("learning_starts must be >= 0")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0.0 < self.epsilon_decay_fraction <= 1.0:

@@ -20,6 +20,7 @@ from .policies import inverse_cdf, softmax
 ENUM_MAX_STATE_ACTIONS = 32
 ENUM_MAX_HORIZON = 8
 PIVOT_EPS = 1e-12
+BLOCK = 8192  # trajectories per block in sampling and gradient statistics
 
 
 @dataclass
@@ -180,7 +181,9 @@ def sample_trajectories(model: TabularModel, probs: np.ndarray, n: int,
     Returns (states, actions, rewards, alive) arrays of shape (n, H); `alive`
     marks steps actually taken (False after termination). Each is the
     transposed view of an (H, n) buffer filled one contiguous row per time
-    step; per-(s, a) tables are gathered from rows s * A + a.
+    step; per-(s, a) tables are gathered from rows s * A + a. Each step
+    draws its n action, then its n transition uniforms (so no draw depends
+    on BLOCK), then works in blocks of BLOCK rows: O(H n) memory + 1 block.
     """
     horizon, action_count = model.horizon, model.action_count
     cum_pi = np.cumsum(probs, axis=1)
@@ -192,15 +195,20 @@ def sample_trajectories(model: TabularModel, probs: np.ndarray, n: int,
     s = rng.choice(model.state_count, size=n, p=model.initial_distribution)
     live = ~model.terminal[s]
     for t in range(horizon):
-        a = inverse_cdf(rng.random(n), np.take(cum_pi, s, axis=0))
-        sa = s * action_count + a
+        u_a = rng.random(n)
+        u_s = rng.random(n)
         states[t] = s
-        actions[t] = a
         alive[t] = live
-        rewards[t] = np.where(live, np.take(model.reward, sa), 0.0)
-        s2 = inverse_cdf(rng.random(n), np.take(cum_p, sa, axis=0))
-        s = np.where(live, s2, s)
-        live &= ~np.take(model.terminal, s)
+        for b in range(0, n, BLOCK):
+            blk = slice(b, b + BLOCK)
+            s_b, live_b = s[blk], live[blk]
+            a = inverse_cdf(u_a[blk], np.take(cum_pi, s_b, axis=0))
+            sa = s_b * action_count + a
+            actions[t, blk] = a
+            rewards[t, blk] = np.where(live_b, np.take(model.reward, sa), 0.0)
+            s2 = inverse_cdf(u_s[blk], np.take(cum_p, sa, axis=0))
+            np.copyto(s_b, s2, where=live_b)
+            live_b &= ~np.take(model.terminal, s_b)
     return states.T, actions.T, rewards.T, alive.T
 
 
@@ -212,7 +220,7 @@ def gradient_variance(model: TabularModel, logits: np.ndarray,
 
     Each estimate is sum_t grad log pi(a_t|s_t) * (R(tau) - b(s_t)).
     Returns (mean_gradient (S, A), covariance_trace, jackknife standard error
-    of the trace).
+    of the trace). Memory is O(H n + n S A) plus one block of BLOCK rows.
     """
     if n_samples < 3:
         raise ValueError("n_samples must be >= 3 for the jackknife")
@@ -223,39 +231,43 @@ def gradient_variance(model: TabularModel, logits: np.ndarray,
         model, probs, n_samples, rng)
     horizon = model.horizon
     state_count, action_count = model.state_count, model.action_count
-    # Summed over contiguous rows, in the order (n, H) sampling buffers had.
-    returns = np.ascontiguousarray(
-        rewards * (gamma ** np.arange(horizon))).sum(axis=1)
+    disc = gamma ** np.arange(horizon)
     # row s * A + a: onehot(a) - pi(s), the score of a w.r.t. the logits of s
     score = (np.eye(action_count) - probs[:, None, :]).reshape(-1, action_count)
     grads = np.zeros((n_samples, state_count, action_count))
-    # Row i * S + s: the logits of s in trajectory i's estimate. One step's
-    # rows are distinct, so a plain indexed add is exact.
-    grad_rows = grads.reshape(-1, action_count)
-    for t in range(horizon):
-        idx = np.flatnonzero(alive[:, t])
-        if idx.size == 0:
-            break
-        s_t = np.take(states[:, t], idx)
-        coef = np.take(returns, idx)
-        if baseline is not None:
-            coef = coef - np.take(baseline, s_t)
-        rows = idx * state_count + s_t
-        delta = coef[:, None] * np.take(
-            score, s_t * action_count + np.take(actions[:, t], idx), axis=0)
-        grad_rows[rows] += delta
+    for b in range(0, n_samples, BLOCK):
+        blk = slice(b, b + BLOCK)
+        # Summed over contiguous rows, as the (n, H) sampling buffers had.
+        returns = np.ascontiguousarray(rewards[blk] * disc).sum(axis=1)
+        # Row i * S + s: the logits of s in the block's trajectory i. One
+        # step's rows are distinct, so a plain indexed add is exact.
+        grad_rows = grads[blk].reshape(-1, action_count)
+        for t in range(horizon):
+            idx = np.flatnonzero(alive[blk, t])
+            if idx.size == 0:
+                break
+            s_t = np.take(states[blk, t], idx)
+            coef = np.take(returns, idx)
+            if baseline is not None:
+                coef = coef - np.take(baseline, s_t)
+            delta = coef[:, None] * np.take(
+                score, s_t * action_count + np.take(actions[blk, t], idx),
+                axis=0)
+            grad_rows[idx * state_count + s_t] += delta
+    del states, actions, rewards, alive
 
     n = n_samples
     flat = grads.reshape(n, -1)
     s1 = flat.sum(axis=0)
-    mean = s1 / n  # what flat.mean(axis=0) computes
-    centered = flat - mean
     sq_norms = np.einsum("ij,ij->i", flat, flat)
-    trace = float(np.sum(centered * centered) / (n - 1))
+    s1_dot_g = flat @ s1
+    mean = s1 / n  # what flat.mean(axis=0) computes
+    flat -= mean  # centered and squared in place: no second (n, d) buffer
+    flat *= flat
+    trace = float(np.sum(flat) / (n - 1))
 
     # Jackknife over leave-one-out trace estimates, computed in O(n d).
     s2 = float(sq_norms.sum())
-    s1_dot_g = flat @ s1
     s1_sq = float(s1 @ s1)
     loo_mean_sq = (s1_sq - 2.0 * s1_dot_g + sq_norms) / (n - 1)
     loo_trace = (s2 - sq_norms - loo_mean_sq) / (n - 2)

@@ -46,6 +46,11 @@ class TrainConfig:
     learning_rate: float = 2.5e-4
 
     def validate(self) -> None:
+        for name in ("total_timesteps", "num_envs", "steps_per_rollout",
+                     "minibatch_size", "update_epochs"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
         if self.clip_coefficient <= 0.0:

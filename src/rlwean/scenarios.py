@@ -61,6 +61,19 @@ class ScenarioConfig:
             raise ValueError(f"mode must be rrl or tbr, got {self.mode!r}")
         self.source_env.validate()
         self.target_env.validate()
+        for seeds in (self.source_seeds, self.target_seeds):
+            if not seeds or not all(isinstance(s, (int, np.integer))
+                                    and s >= 0 for s in seeds):
+                raise ValueError("seeds must be non-empty lists of "
+                                 "integers >= 0")
+        # The budgets each run gets, so nothing fails after training starts.
+        replace(self.train_config,
+                total_timesteps=self.target_total_timesteps).validate()
+        if self.source_algorithm == "dqn":
+            DqnConfig(total_timesteps=self.source_total_timesteps).validate()
+        else:
+            replace(self.train_config,
+                    total_timesteps=self.source_total_timesteps).validate()
         if self.setting == 1:
             if self.source_env != self.target_env:
                 raise ValueError("setting 1 requires source env == target env")

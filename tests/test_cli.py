@@ -114,6 +114,16 @@ def with_infinite_setting(doc):
     return yaml.safe_dump(doc)
 
 
+def with_no_seeds(doc, block):
+    doc[block]["seeds"] = []
+    return yaml.safe_dump(doc)
+
+
+def with_train(doc, **fields):
+    doc["train"] = {**TRAIN_SMALL, **fields}
+    return yaml.safe_dump(doc)
+
+
 @pytest.mark.parametrize("text", [
     with_unknown_env_key(scenario_doc()),
     with_removed_train_option(scenario_doc()),
@@ -122,9 +132,21 @@ def with_infinite_setting(doc):
     with_infinite_setting(scenario_doc()),
     "setting: [1, 2\nmode: rrl\n",
     "- just\n- a list\n",
+    with_no_seeds(scenario_doc(mode="rrl"), "source"),
+    with_no_seeds(scenario_doc(mode="rrl"), "target"),
+    with_train(scenario_doc(), num_envs=0),
+    with_train(scenario_doc(), minibatch_size=0),
+    with_train(scenario_doc(), steps_per_rollout=0),
+    with_train(scenario_doc(mode="rrl"), num_envs=-4),
+    with_train(scenario_doc(), num_envs=2.5, steps_per_rollout=1280,
+               minibatch_size=256),
+    yaml.safe_dump({**scenario_doc(mode="rrl"),
+                    "target": {**scenario_doc()["target"], "seeds": [-1]}}),
 ], ids=["unknown-env-key", "removed-train-option", "wrongly-typed-value",
         "missing-source-block", "infinite-setting", "malformed-yaml",
-        "not-a-mapping"])
+        "not-a-mapping", "empty-source-seeds", "empty-target-seeds",
+        "zero-num-envs", "zero-minibatch-size", "zero-steps-per-rollout",
+        "negative-num-envs", "fractional-num-envs", "negative-target-seed"])
 def test_bad_scenario_file_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "scenario.yaml"
     path.write_text(text)
@@ -132,6 +154,29 @@ def test_bad_scenario_file_is_config_error(tmp_path, capsys, text):
                  "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and str(path) in err
+    assert not (tmp_path / "x").exists()  # rejected before any training
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "0", "--total-timesteps", "0"],
+    ["--seed", "0", "--total-timesteps", "-10"],
+    ["--seeds", "", "--total-timesteps", "4096"],
+], ids=["zero-budget", "negative-budget", "empty-seeds"])
+def test_run_bad_override_is_config_error(tmp_path, flags):
+    out = tmp_path / "x"
+    assert main(["run", "--setting", "1", "--mode", "tbr", *flags,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["dqn", "pg"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_export_prior_bad_budget_is_config_error(tmp_path, algorithm,
+                                                 budget):
+    out = tmp_path / "prior.json"
+    assert main(["export-prior", "--env", "chain", "--algorithm", algorithm,
+                 "--total-timesteps", budget, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_verify_quick_exits_zero(capsys):

@@ -25,6 +25,12 @@ def test_dqn_config_validation():
         DqnConfig(epsilon_start=0.1, epsilon_end=0.5).validate()
     with pytest.raises(ValueError):
         DqnConfig(epsilon_decay_fraction=0.0).validate()
+    for name in ("total_timesteps", "buffer_capacity", "batch_size",
+                 "target_update_interval", "train_frequency"):
+        with pytest.raises(ValueError, match=name):
+            DqnConfig(**{name: 0}).validate()
+    with pytest.raises(ValueError, match="learning_starts"):
+        DqnConfig(learning_starts=-1).validate()
 
 
 def test_replay_buffer_ring_eviction():

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rlwean.envs import EnvConfig, TabularModel, as_tabular
 from rlwean.errors import UnsupportedError
-from rlwean.oracle import (TabularPolicy, exact_policy_gradient, exact_q,
-                           exact_value, expected_return, gradient_variance,
-                           random_tabular_policy, sample_trajectories,
-                           solve_linear, value_iteration)
+from rlwean.oracle import (BLOCK, TabularPolicy, exact_policy_gradient,
+                           exact_q, exact_value, expected_return,
+                           gradient_variance, random_tabular_policy,
+                           sample_trajectories, solve_linear, value_iteration)
 from rlwean.policies import inverse_cdf, softmax
 from rlwean.verify import demo_logits, demo_mdp
 
@@ -341,3 +343,38 @@ def test_gradient_variance_matches_reference():
                 model, logits, baseline, 5000, np.random.default_rng(9), gamma)
             np.testing.assert_array_equal(got[0], want[0])
             assert got[1] == want[1] and got[2] == want[2]
+
+
+@pytest.mark.parametrize("case, n", [(0, 2 * BLOCK + 17), (1, 2 * BLOCK + 17),
+                                     (3, BLOCK + 1)],
+                         ids=["demo", "chain", "windy-grid"])
+def test_blocked_sampling_matches_reference_across_block_boundaries(case, n):
+    # n past one or two blocks, with a short last block
+    model, logits, v, gamma = list(reference_cases())[case]
+    probs = softmax(logits)
+    got = sample_trajectories(model, probs, n, np.random.default_rng(11))
+    want = reference_sample_trajectories(model, probs, n,
+                                         np.random.default_rng(11))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+    for baseline in (None, v):
+        got = gradient_variance(model, logits, baseline, n,
+                                np.random.default_rng(12), gamma)
+        want = reference_gradient_variance(model, logits, baseline, n,
+                                           np.random.default_rng(12), gamma)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1] and got[2] == want[2]
+
+
+def test_gradient_variance_memory_is_bounded():
+    # 200k trajectories at H=2: the (H, n) buffers and the (n, S A)
+    # estimates take about 16 MiB. Whole-n temporaries peaked at 41 MiB.
+    tracemalloc.start()
+    try:
+        gradient_variance(demo_mdp(), demo_logits(), None, 200_000,
+                          np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20

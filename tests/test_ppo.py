@@ -360,6 +360,11 @@ def test_train_config_validation():
         TrainConfig(steps_per_rollout=2048, minibatch_size=100).validate()
     with pytest.raises(ValueError):
         TrainConfig(clip_coefficient=0.0).validate()
+    for name in ("total_timesteps", "num_envs", "steps_per_rollout",
+                 "minibatch_size", "update_epochs"):
+        for count in (0, -1):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: count}).validate()
 
 
 def test_train_chain_learns():
