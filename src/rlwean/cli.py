@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -137,6 +138,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_prior(args) -> int:
+    parent = os.path.dirname(os.path.abspath(args.out))
+    if os.path.isdir(args.out) or not os.path.isdir(parent):
+        raise ValueError(f"--out {args.out} must name a file in an existing "
+                         "directory")
     env_config = EnvConfig(env_id=args.env, wind_enabled=args.wind_enabled,
                            wind_strength=args.wind_strength,
                            reward_variant=args.reward_variant,
@@ -236,7 +241,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

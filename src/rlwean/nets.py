@@ -8,24 +8,42 @@ nets, weights (K, out, in) and biases (K, 1, out), on inputs (K or 1, N, d):
 3-D matmul gives each net the bits of its own 2-D forward. A list passed to
 `forward` receives the layer activations; `backward` given that list skips
 its own forward pass.
-Gradients and Adam's two moments are flat vectors, so the finiteness check
-and the moment updates are single passes.
+Parameters, gradients and Adam's moments are flat vectors (weights, then
+biases, in layer order), so Adam and the gradient checks are single passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 
+def _flat_views(weights: list, biases: list, flat: np.ndarray | None):
+    """One float64 vector holding `weights` then `biases` end to end (a copy
+    of them, unless `flat` is given) and views into it shaped like them."""
+    if flat is None:
+        flat = np.concatenate(weights + biases, axis=None, dtype=np.float64)
+    views, start = [], 0
+    for a in weights + biases:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views[:len(weights)], views[len(weights):]
+
+
 @dataclass
 class MlpModel:
-    """Feed-forward network: weights[l] has shape (out_dim, in_dim)."""
+    """Feed-forward network: weights[l] has shape (out_dim, in_dim).
+    Weights and biases are views into the parameter vector `flat`."""
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, flat):
+        self.flat, self.weights, self.biases = _flat_views(
+            self.weights, self.biases, flat)
 
     @property
     def input_dim(self) -> int:
@@ -36,55 +54,36 @@ class MlpModel:
         return self.layer_dims[-1]
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return MlpModel(list(self.layer_dims), self.weights, self.biases,
+                        self.flat.copy())
 
 
 @dataclass
 class GradientBuffer:
-    """Parameter gradients, shape-congruent with an MlpModel.
-
-    The entries are copied into one flat vector, `flat` (weights, then
-    biases, in layer order); d_weights and d_biases are views into it.
-    """
+    """Parameter gradients, shape-congruent with an MlpModel and laid out
+    like its `flat`; d_weights and d_biases are views into `flat`."""
 
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
+    flat: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        arrays = self.d_weights + self.d_biases
-        self.flat = np.concatenate([np.ravel(a) for a in arrays],
-                                   dtype=np.float64)
-        views = _split(self.flat, arrays)
-        self.d_weights = views[:len(self.d_weights)]
-        self.d_biases = views[len(self.d_weights):]
+    def __post_init__(self, flat):
+        self.flat, self.d_weights, self.d_biases = _flat_views(
+            self.d_weights, self.d_biases, flat)
 
     def scale(self, c: float) -> None:
         self.flat *= c
 
     def global_norm(self) -> float:
         # Summed array by array: the clip scale depends on these exact bits.
-        total = 0.0
-        for dw in self.d_weights:
-            total += float(np.sum(dw * dw))
-        for db in self.d_biases:
-            total += float(np.sum(db * db))
+        squares, total, start = self.flat * self.flat, 0.0, 0
+        for a in self.d_weights + self.d_biases:
+            total += float(np.add.reduce(squares[start:start + a.size]))
+            start += a.size
         return float(np.sqrt(total))
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
-
-
-def _split(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    """Consecutive views into `flat`, shaped like the arrays of `like`."""
-    views, start = [], 0
-    for a in like:
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
-    return views
 
 
 def init_mlp(layer_dims: list[int], rng: np.random.Generator,
@@ -113,9 +112,10 @@ def _forward_cached(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     h = x
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w.mT + b
+        h = h @ w.mT
+        h += b
         if l != last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         acts.append(h)
     return acts
 
@@ -161,21 +161,23 @@ def backward(model: MlpModel, x: np.ndarray, output_gradient: np.ndarray,
         acts = _forward_cached(model, x)
     else:
         acts = [a[None, :] for a in activations] if single else activations
-    n_layers = len(model.weights)
-    d_weights, d_biases = [None] * n_layers, [None] * n_layers
+    grads = GradientBuffer(model.weights, model.biases, np.empty_like(model.flat))
     delta = g
-    for l in range(n_layers - 1, -1, -1):
-        d_weights[l] = delta.T @ acts[l]
-        d_biases[l] = delta.sum(axis=0)
+    for l in range(len(model.weights) - 1, -1, -1):
+        np.matmul(delta.T, acts[l], out=grads.d_weights[l])
+        np.add.reduce(delta, axis=0, out=grads.d_biases[l])  # np.sum's bits
         if l > 0:
-            # acts[l] is post-tanh; d tanh(z)/dz = 1 - tanh(z)^2
-            delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
-    return GradientBuffer(d_weights, d_biases)
+            # acts[l] is post-tanh; d tanh(z)/dz = 1 - tanh(z)^2. np.dot: @
+            # takes a loop without BLAS on the value head's (N, 1) @ (1, out).
+            slope = np.square(acts[l])
+            np.subtract(1.0, slope, out=slope)
+            delta = np.dot(delta, model.weights[l])
+            delta *= slope
+    return grads
 
 
 def zero_grads(model: MlpModel) -> GradientBuffer:
-    return GradientBuffer([np.zeros_like(w) for w in model.weights],
-                          [np.zeros_like(b) for b in model.biases])
+    return GradientBuffer(model.weights, model.biases, np.zeros_like(model.flat))
 
 
 def clip_grad_norm(grads: GradientBuffer, max_norm: float) -> float:
@@ -188,8 +190,8 @@ def clip_grad_norm(grads: GradientBuffer, max_norm: float) -> float:
 
 @dataclass
 class AdamState:
-    """Adam optimizer state with bias correction. The moments are flat
-    vectors laid out like GradientBuffer.flat."""
+    """Adam optimizer state with bias correction. The moments, and the two
+    rows of the step's `scratch` space, are laid out like MlpModel.flat."""
 
     learning_rate: float
     first_moment: np.ndarray
@@ -199,9 +201,12 @@ class AdamState:
     epsilon: float = 1e-8
     step_count: int = 0
 
+    def __post_init__(self):
+        self.scratch = np.empty((2,) + self.first_moment.shape)
+
 
 def init_adam(model: MlpModel, learning_rate: float) -> AdamState:
-    size = sum(a.size for a in model.weights + model.biases)
+    size = model.flat.size
     return AdamState(learning_rate, np.zeros(size), np.zeros(size))
 
 
@@ -215,11 +220,15 @@ def adam_update(model: MlpModel, state: AdamState, grads: GradientBuffer) -> Non
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     g, m, v = grads.flat, state.first_moment, state.second_moment
+    step, denom = state.scratch
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(1.0 - b1, g, out=step)
     v *= b2
-    v += (1.0 - b2) * g * g
-    step = state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
-    params = model.weights + model.biases
-    for p, s in zip(params, _split(step, params)):
-        p -= s
+    v += np.multiply(np.multiply(1.0 - b2, g, out=step), g, out=step)
+    # step = lr * (m / c1) / (sqrt(v / c2) + eps)
+    np.divide(m, c1, out=step)
+    step *= state.learning_rate
+    np.sqrt(np.divide(v, c2, out=denom), out=denom)
+    denom += state.epsilon
+    step /= denom
+    model.flat -= step

@@ -232,16 +232,17 @@ def gradient_variance(model: TabularModel, logits: np.ndarray,
     horizon = model.horizon
     state_count, action_count = model.state_count, model.action_count
     disc = gamma ** np.arange(horizon)
-    # row s * A + a: onehot(a) - pi(s), the score of a w.r.t. the logits of s
-    score = (np.eye(action_count) - probs[:, None, :]).reshape(-1, action_count)
+    # score[k, s * A + a]: logit k of s in the score onehot(a) - pi(s)
+    score = np.ascontiguousarray(
+        (np.eye(action_count) - probs[:, None, :]).reshape(-1, action_count).T)
     grads = np.zeros((n_samples, state_count, action_count))
     for b in range(0, n_samples, BLOCK):
         blk = slice(b, b + BLOCK)
         # Summed over contiguous rows, as the (n, H) sampling buffers had.
         returns = np.ascontiguousarray(rewards[blk] * disc).sum(axis=1)
-        # Row i * S + s: the logits of s in the block's trajectory i. One
-        # step's rows are distinct, so a plain indexed add is exact.
-        grad_rows = grads[blk].reshape(-1, action_count)
+        # Entry (i * S + s) * A + k: logit k of s in the block's trajectory
+        # i. One step's entries are distinct, so a plain indexed add is exact.
+        grad_flat = grads[blk].reshape(-1)
         for t in range(horizon):
             idx = np.flatnonzero(alive[blk, t])
             if idx.size == 0:
@@ -250,10 +251,10 @@ def gradient_variance(model: TabularModel, logits: np.ndarray,
             coef = np.take(returns, idx)
             if baseline is not None:
                 coef = coef - np.take(baseline, s_t)
-            delta = coef[:, None] * np.take(
-                score, s_t * action_count + np.take(actions[blk, t], idx),
-                axis=0)
-            grad_rows[idx * state_count + s_t] += delta
+            sa = s_t * action_count + np.take(actions[blk, t], idx)
+            entry = (idx * state_count + s_t) * action_count
+            for k in range(action_count):
+                grad_flat[entry + k] += coef * np.take(score[k], sa)
     del states, actions, rewards, alive
 
     n = n_samples

@@ -190,6 +190,61 @@ def compute_advantages(batch: RolloutBatch, spec: BaselineSpec) -> RolloutBatch:
     return batch
 
 
+def ppo_gradients(policy: MlpModel, value_net: MlpModel, batch: RolloutBatch,
+                  idx: np.ndarray, adv: np.ndarray, config: TrainConfig):
+    """Loss stats and both nets' pre-clip gradients on minibatch batch[idx],
+    given the advantages `adv` ppo_update uses. Changes neither network;
+    raises FloatingPointError if a loss goes non-finite."""
+    b_size = len(idx)
+    rows = np.arange(b_size)
+    obs = batch.observations[idx]
+    old_logp = batch.log_probs[idx]
+    b_adv = adv[idx]
+    eps = config.clip_coefficient
+
+    policy_activations, value_activations = [], []
+    logp_all = log_softmax(forward(policy, obs, policy_activations))
+    p = np.exp(logp_all)
+    acts = batch.actions[idx]
+    new_logp = logp_all[rows, acts]
+    entropy = -np.sum(p * logp_all, axis=1)
+
+    log_ratio = new_logp - old_logp
+    ratio = np.exp(log_ratio)
+    surr1 = ratio * b_adv
+    surr2 = np.clip(ratio, 1.0 - eps, 1.0 + eps) * b_adv
+    pg_loss = -float(np.mean(np.minimum(surr1, surr2)))
+    ent_mean = float(np.mean(entropy))
+    loss = pg_loss - config.entropy_coefficient * ent_mean
+
+    v = forward(value_net, obs, value_activations)[:, 0]
+    v_err = v - batch.returns_to_go[idx]
+    value_loss = 0.5 * float(np.mean(v_err * v_err))
+
+    if not (np.isfinite(loss) and np.isfinite(value_loss)):
+        raise FloatingPointError("non-finite loss in ppo_update")
+
+    # d(pg_loss)/d(new_logp); the clipped branch has zero gradient.
+    unclipped = surr1 <= surr2
+    dlogp = np.where(unclipped, -b_adv * ratio, 0.0) / b_size
+    # onehot - p, exactly: 0 - p is -p and 1 - p is 1 + (-p)
+    score = np.negative(p)
+    score[rows, acts] += 1.0
+    dlogits = dlogp[:, None] * score
+    # entropy bonus: dH/dlogits_j = -p_j (logp_j + H)
+    dlogits += config.entropy_coefficient * p \
+        * (logp_all + entropy[:, None]) / b_size
+    grads = backward(policy, obs, dlogits, policy_activations)
+    v_grads = backward(value_net, obs,
+                       (config.value_coefficient * v_err / b_size)[:, None],
+                       value_activations)
+    return ({"policy_loss": pg_loss, "value_loss": value_loss,
+             "entropy": ent_mean,
+             "approx_kl": float(np.mean(ratio - 1.0 - log_ratio)),
+             "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > eps))},
+            grads, v_grads)
+
+
 def ppo_update(policy: MlpModel, value_net: MlpModel,
                batch: RolloutBatch, config: TrainConfig, policy_opt, value_opt,
                rng: np.random.Generator) -> dict:
@@ -204,73 +259,23 @@ def ppo_update(policy: MlpModel, value_net: MlpModel,
     adv = batch.advantages
     if config.advantage_normalization:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    eps = config.clip_coefficient
-    stats = {"policy_loss": [], "value_loss": [], "entropy": [],
-             "approx_kl": [], "clip_fraction": []}
-
+    mb_stats = []
     for _ in range(config.update_epochs):
         perm = rng.permutation(n)
         for mb_start in range(0, n, config.minibatch_size):
             idx = perm[mb_start:mb_start + config.minibatch_size]
-            b_size = len(idx)
-            obs = batch.observations[idx]
-            old_logp = batch.log_probs[idx]
-            b_adv = adv[idx]
-
-            policy_activations, value_activations = [], []
-            logp_all = log_softmax(forward(policy, obs, policy_activations))
-            p = np.exp(logp_all)
-            acts = batch.actions[idx]
-            new_logp = logp_all[np.arange(b_size), acts]
-            entropy = -np.sum(p * logp_all, axis=1)
-
-            log_ratio = new_logp - old_logp
-            ratio = np.exp(log_ratio)
-            surr1 = ratio * b_adv
-            surr2 = np.clip(ratio, 1.0 - eps, 1.0 + eps) * b_adv
-            pg_loss = -float(np.mean(np.minimum(surr1, surr2)))
-            ent_mean = float(np.mean(entropy))
-            loss = pg_loss - config.entropy_coefficient * ent_mean
-
-            v = forward(value_net, obs, value_activations)[:, 0]
-            v_err = v - batch.returns_to_go[idx]
-            value_loss = 0.5 * float(np.mean(v_err * v_err))
-
-            if not (np.isfinite(loss) and np.isfinite(value_loss)):
-                raise FloatingPointError("non-finite loss in ppo_update")
-
-            # d(pg_loss)/d(new_logp); the clipped branch has zero gradient.
-            unclipped = surr1 <= surr2
-            dlogp = np.where(unclipped, -b_adv * ratio, 0.0) / b_size
-            onehot = np.zeros_like(p)
-            onehot[np.arange(b_size), acts] = 1.0
-            dlogits = dlogp[:, None] * (onehot - p)
-            # entropy bonus: dH/dlogits_j = -p_j (logp_j + H)
-            dlogits += config.entropy_coefficient * p \
-                * (logp_all + entropy[:, None]) / b_size
-            grads = backward(policy, obs, dlogits, policy_activations)
+            stats, grads, v_grads = ppo_gradients(policy, value_net, batch,
+                                                  idx, adv, config)
             clip_grad_norm(grads, config.max_grad_norm)
-
-            v_grads = backward(value_net, obs,
-                               (config.value_coefficient * v_err / b_size)[:, None],
-                               value_activations)
             clip_grad_norm(v_grads, config.max_grad_norm)
-
             # Both checks before either step, so a rejected minibatch
             # changes neither network.
             if not (grads.is_finite() and v_grads.is_finite()):
                 raise FloatingPointError("non-finite gradient in ppo_update")
             adam_update(policy, policy_opt, grads)
             adam_update(value_net, value_opt, v_grads)
-
-            stats["policy_loss"].append(pg_loss)
-            stats["value_loss"].append(value_loss)
-            stats["entropy"].append(ent_mean)
-            stats["approx_kl"].append(float(np.mean(ratio - 1.0 - log_ratio)))
-            stats["clip_fraction"].append(
-                float(np.mean(np.abs(ratio - 1.0) > eps)))
-
-    return {k: float(np.mean(v)) for k, v in stats.items()}
+            mb_stats.append(stats)
+    return {k: float(np.mean([s[k] for s in mb_stats])) for k in stats}
 
 
 @dataclass

@@ -138,14 +138,14 @@ def q_to_value_identity_check(n_policies: int = 20, seed: int = 3) -> CheckResul
 def perturbed_models(model: MlpModel, step: float) -> MlpModel:
     """The 2P nets of a central-difference check as one stacked model
     (weights (2P, out, in), biases (2P, 1, out)): net j has flat parameter
-    j (GradientBuffer.flat order) raised by `step`, net P + j has it
+    j (MlpModel.flat order) raised by `step`, net P + j has it
     lowered. Memory is O(P^2)."""
-    params = model.weights + model.biases
-    flat = np.concatenate([p.ravel() for p in params])
+    flat = model.flat
     j = np.arange(flat.size)
     thetas = np.tile(flat, (2 * flat.size, 1))
     thetas[j, j] += step
     thetas[flat.size + j, j] -= step
+    params = model.weights + model.biases
     blocks = np.split(thetas, np.cumsum([p.size for p in params])[:-1], axis=1)
     stacked = [block.reshape((len(thetas),) + (1,) * (2 - p.ndim) + p.shape)
                for block, p in zip(blocks, params)]

@@ -179,6 +179,50 @@ def test_export_prior_bad_budget_is_config_error(tmp_path, algorithm,
     assert not out.exists()
 
 
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("training ran before the output path was checked")
+
+
+@pytest.mark.parametrize("algorithm", ["dqn", "pg"])
+@pytest.mark.parametrize("target", ["existing-dir", "missing-parent"])
+def test_export_prior_bad_out_path_is_config_error_before_training(
+        tmp_path, monkeypatch, capsys, algorithm, target):
+    monkeypatch.setattr("rlwean.cli.dqn_train", fail_if_called)
+    monkeypatch.setattr("rlwean.cli.train", fail_if_called)
+    out = tmp_path if target == "existing-dir" \
+        else tmp_path / "missing" / "q.json"
+    assert main(["export-prior", "--env", "chain", "--algorithm", algorithm,
+                 "--total-timesteps", "3000", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_inspect_prior_directory_is_config_error(tmp_path, capsys):
+    assert main(["inspect-prior", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_prior_directory_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("rlwean.scenarios.train", fail_if_called)
+    prior_dir = tmp_path / "prior"
+    prior_dir.mkdir()
+    assert main(["run", "--setting", "1", "--mode", "rrl", "--seed", "0",
+                 "--prior", str(prior_dir), "--out",
+                 str(tmp_path / "x")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_out_existing_file_is_config_error(tmp_path, monkeypatch,
+                                              capsys):
+    monkeypatch.setattr("rlwean.scenarios.train", fail_if_called)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", "--setting", "1", "--mode", "tbr", "--seed", "0",
+                 "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert out.read_text() == ""
+
+
 def test_verify_quick_exits_zero(capsys):
     assert main(["verify", "--level", "quick"]) == 0
     printed = capsys.readouterr().out

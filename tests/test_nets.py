@@ -203,3 +203,170 @@ def test_init_determinism_and_bounds():
     assert np.max(np.abs(a.weights[1])) <= 0.01 * np.sqrt(1.0 / 8)
     with pytest.raises(ValueError):
         init_mlp([4], np.random.default_rng(0))
+
+
+def reference_forward_cached(model, x):
+    """The per-layer forward kept from before parameters were one flat
+    vector: a fresh array for the product, the bias add and the tanh."""
+    acts, h = [x], x
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        h = h @ w.mT + b
+        if l != last:
+            h = np.tanh(h)
+        acts.append(h)
+    return acts
+
+
+def reference_backward(model, x, g):
+    """Kept reference: per-layer gradients with @, then concatenated."""
+    acts = reference_forward_cached(model, x)
+    n_layers = len(model.weights)
+    d_weights, d_biases = [None] * n_layers, [None] * n_layers
+    delta = g
+    for l in range(n_layers - 1, -1, -1):
+        d_weights[l] = delta.T @ acts[l]
+        d_biases[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
+    return np.concatenate([a.ravel() for a in d_weights + d_biases])
+
+
+def reference_global_norm(arrays):
+    total = 0.0
+    for a in arrays:
+        total += float(np.sum(a * a))
+    return float(np.sqrt(total))
+
+
+def reference_adam_update(params, m, v, t, g, lr, b1=0.9, b2=0.999,
+                          eps=1e-8):
+    """Kept reference: whole-vector moments, the step split per array."""
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    step = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    start = 0
+    for p in params:
+        p -= step[start:start + p.size].reshape(p.shape)
+        start += p.size
+
+
+def signed_zero_case(dims, rows, seed):
+    """A net with negated rows of weights, inputs and output gradients
+    with exact zeros, so products of 0 and negative weights give -0.0.
+    numpy's sums start from +0.0, so gradients themselves never hold -0.0;
+    the bytes still show any change of a product or its order."""
+    rng = np.random.default_rng(seed)
+    model = init_mlp(dims, rng)
+    for w in model.weights:
+        w[::3] = -np.abs(w[::3])
+    x = rng.standard_normal((rows, dims[0]))
+    x[::4] = 0.0
+    g = rng.standard_normal((rows, dims[-1]))
+    g[::3] = 0.0
+    g[:, ::2] *= -1.0
+    if rows > 1:
+        g[1] = -0.0
+    return model, x, g
+
+
+def _cached(model, x):
+    acts = []
+    forward(model, x, acts)
+    return acts
+
+
+@pytest.mark.parametrize("dims,rows", [
+    ([2, 64, 64, 1], 256),   # the value head
+    ([2, 64, 64, 1], 1),     # np.dot's scalar path on its (1, 1) delta
+    ([1, 64, 64, 2], 256),   # chain's obs-dim-1 input
+    ([2, 64, 64, 4], 1),
+    ([2, 64, 64, 4], 128),
+])
+def test_backward_matches_kept_reference_bytes(dims, rows):
+    model, x, g = signed_zero_case(dims, rows, seed=rows + dims[0])
+    for got_act, ref_act in zip(_cached(model, x),
+                                reference_forward_cached(model, x)):
+        assert got_act.tobytes() == ref_act.tobytes()
+    expected = reference_backward(model, x, g)
+    assert backward(model, x, g).flat.tobytes() == expected.tobytes()
+    acts = []
+    forward(model, x, acts)
+    grads = backward(model, x, g, acts)
+    assert grads.flat.tobytes() == expected.tobytes()
+    assert grads.global_norm() == reference_global_norm(
+        grads.d_weights + grads.d_biases)
+
+
+def test_adam_matches_kept_reference_bytes():
+    rng = np.random.default_rng(21)
+    model, x, _ = signed_zero_case([2, 64, 64, 4], 32, seed=22)
+    ref_params = [a.copy() for a in model.weights + model.biases]
+    ref_m, ref_v = np.zeros(model.flat.size), np.zeros(model.flat.size)
+    state = init_adam(model, 2.5e-4)
+    for t in range(1, 51):
+        g = rng.standard_normal((32, 4))
+        g[::5] = 0.0
+        grads = backward(model, x, g)
+        clip_grad_norm(grads, 0.5)
+        adam_update(model, state, grads)
+        reference_adam_update(ref_params, ref_m, ref_v, t, grads.flat, 2.5e-4)
+        assert state.first_moment.tobytes() == ref_m.tobytes()
+        assert state.second_moment.tobytes() == ref_v.tobytes()
+        for a, b in zip(model.weights + model.biases, ref_params):
+            assert a.tobytes() == b.tobytes()
+
+
+def assert_params_share_flat(model):
+    for a in model.weights + model.biases:
+        assert np.shares_memory(a, model.flat)
+
+
+def test_parameters_are_views_of_one_flat_vector(tmp_path):
+    from rlwean.priors import PriorArtifact, load_artifact, save_artifact
+    from rlwean.verify import perturbed_models
+    model = init_mlp([3, 5, 2], np.random.default_rng(8))
+    assert model.flat.dtype == np.float64
+    assert model.flat.size == sum(a.size for a in model.weights + model.biases)
+    assert_params_share_flat(model)
+    np.testing.assert_array_equal(
+        model.flat, np.concatenate([a.ravel() for a in
+                                    model.weights + model.biases]))
+
+    clone = model.copy()
+    assert_params_share_flat(clone)
+    assert not np.shares_memory(clone.flat, model.flat)
+    before = model.flat.copy()
+    clone.weights[0][0, 0] += 1.0
+    clone.flat[-1] = 7.0
+    np.testing.assert_array_equal(model.flat, before)
+
+    path = tmp_path / "v.json"
+    save_artifact(PriorArtifact("q_function", model, obs_dim=3,
+                                action_count=2), path)
+    loaded = load_artifact(path).network
+    assert_params_share_flat(loaded)
+    assert loaded.flat.tobytes() == model.flat.tobytes()
+
+    stacked = perturbed_models(model, 1e-3)
+    assert_params_share_flat(stacked)
+    # a write to flat is a write to the net forward evaluates
+    model.flat[:] = 0.0
+    np.testing.assert_array_equal(forward(model, np.ones(3)), np.zeros(2))
+
+
+def test_backward_results_never_alias():
+    rng = np.random.default_rng(9)
+    model = init_mlp([3, 6, 2], rng)
+    x = rng.standard_normal((5, 3))
+    first = backward(model, x, rng.standard_normal((5, 2)))
+    second = backward(model, x, rng.standard_normal((5, 2)))
+    kept = second.flat.copy()
+    assert not np.shares_memory(first.flat, second.flat)
+    assert not np.shares_memory(first.flat, model.flat)
+    clip_grad_norm(first, 1e-6 * first.global_norm())
+    np.testing.assert_array_equal(second.flat, kept)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 
 from rlwean.envs import (GRID_STEP_PENALTY, ActionSpace, EnvConfig, _BaseEnv,
                          make_env)
-from rlwean.nets import MlpModel, forward, init_adam, init_mlp
+from rlwean.nets import (MlpModel, adam_update, clip_grad_norm, forward,
+                         init_adam, init_mlp)
 from rlwean.policies import action_probs, log_softmax
 from rlwean.ppo import (TrainConfig, collect_rollout, compute_advantages,
                         compute_returns, init_policy, init_value_net,
-                        ppo_update, train)
+                        ppo_gradients, ppo_update, train)
 from rlwean.priors import BaselineSpec, PriorArtifact, WeaningSchedule
 
 
@@ -238,6 +240,46 @@ def test_ppo_update_reduces_value_loss():
     floor = 0.5 * floor / batch.total_steps
     assert losses[-1] < losses[0]
     assert losses[-1] < floor * 1.1 + 1e-3
+
+
+def adam_snapshot(state):
+    return (state.first_moment.tobytes(), state.second_moment.tobytes(),
+            state.step_count)
+
+
+def test_ppo_gradients_are_pre_clip_and_change_nothing():
+    batch, policy, value_net = make_batch(steps=256)
+    compute_advantages(batch, BaselineSpec(WeaningSchedule("fixed", 0.0),
+                                           value_net, None))
+    config = TrainConfig(steps_per_rollout=256, num_envs=2,
+                         minibatch_size=256, update_epochs=1,
+                         max_grad_norm=1e-6, advantage_normalization=False)
+    p_opt = init_adam(policy, config.learning_rate)
+    v_opt = init_adam(value_net, config.learning_rate)
+    ppo_update(policy, value_net, batch, config, p_opt, v_opt,
+               np.random.default_rng(4))  # ratios leave 1, moments nonzero
+    nets_before = [policy.flat.tobytes(), value_net.flat.tobytes()]
+    opts_before = [adam_snapshot(p_opt), adam_snapshot(v_opt)]
+
+    idx = np.random.default_rng(5).permutation(256)
+    stats, grads, v_grads = ppo_gradients(policy, value_net, batch, idx,
+                                          batch.advantages, config)
+    assert [policy.flat.tobytes(), value_net.flat.tobytes()] == nets_before
+    assert [adam_snapshot(p_opt), adam_snapshot(v_opt)] == opts_before
+    assert grads.global_norm() > config.max_grad_norm
+    assert v_grads.global_norm() > config.max_grad_norm
+
+    # ppo_update's one minibatch is these gradients, clipped, then stepped
+    expected = [(policy.copy(), copy.deepcopy(p_opt), grads),
+                (value_net.copy(), copy.deepcopy(v_opt), v_grads)]
+    for net, opt, g in expected:
+        clip_grad_norm(g, config.max_grad_norm)
+        adam_update(net, opt, g)
+    diag = ppo_update(policy, value_net, batch, config, p_opt, v_opt,
+                      np.random.default_rng(5))
+    assert diag == stats
+    assert policy.flat.tobytes() == expected[0][0].flat.tobytes()
+    assert value_net.flat.tobytes() == expected[1][0].flat.tobytes()
 
 
 def test_first_epoch_kl_is_small():
