@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import EnvConfig, make_env
-from .nets import MlpModel, adam_update, backward, forward, init_adam, init_mlp
+from .nets import (MlpModel, adam_update, backward, forward, init_adam,
+                   init_mlp, single_blas_thread)
 from .priors import PriorArtifact, save_artifact
 
 HIDDEN_DIMS = [64, 64]
@@ -106,38 +107,39 @@ def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
     curve = []
     report_interval = max(config.total_timesteps // 50, 1)
 
-    for t in range(config.total_timesteps):
-        obs = env.observations[0]
-        if rng.random() < epsilon_at(config, t):
-            action = int(rng.integers(action_count))
-        else:
-            action = int(np.argmax(forward(q_net, obs)))
-        result = env.step(action)
-        buffer.add(obs, action, result.reward[0], result.observation[0],
-                   result.terminated[0])
-        if result.terminated[0] or result.truncated[0]:
-            recent_returns.append(float(env.episode_return[0]))
-            env.reset()
+    with single_blas_thread():
+        for t in range(config.total_timesteps):
+            obs = env.observations[0]
+            if rng.random() < epsilon_at(config, t):
+                action = int(rng.integers(action_count))
+            else:
+                action = int(np.argmax(forward(q_net, obs)))
+            result = env.step(action)
+            buffer.add(obs, action, result.reward[0], result.observation[0],
+                       result.terminated[0])
+            if result.terminated[0] or result.truncated[0]:
+                recent_returns.append(float(env.episode_return[0]))
+                env.reset()
 
-        if t >= config.learning_starts and t % config.train_frequency == 0:
-            b_obs, b_act, b_rew, b_next, b_term = buffer.sample(
-                config.batch_size, rng)
-            next_q = forward(target_net, b_next).max(axis=1)
-            target = b_rew + config.gamma * (1.0 - b_term) * next_q
-            activations = []
-            q = forward(q_net, b_obs, activations)
-            td_err = q[np.arange(len(b_act)), b_act] - target
-            dq = np.zeros_like(q)
-            dq[np.arange(len(b_act)), b_act] = td_err / len(b_act)
-            grads = backward(q_net, b_obs, dq, activations)
-            adam_update(q_net, opt, grads)
+            if t >= config.learning_starts and t % config.train_frequency == 0:
+                b_obs, b_act, b_rew, b_next, b_term = buffer.sample(
+                    config.batch_size, rng)
+                next_q = forward(target_net, b_next).max(axis=1)
+                target = b_rew + config.gamma * (1.0 - b_term) * next_q
+                activations = []
+                q = forward(q_net, b_obs, activations)
+                td_err = q[np.arange(len(b_act)), b_act] - target
+                dq = np.zeros_like(q)
+                dq[np.arange(len(b_act)), b_act] = td_err / len(b_act)
+                grads = backward(q_net, b_obs, dq, activations)
+                adam_update(q_net, opt, grads)
 
-        if t % config.target_update_interval == 0:
-            target_net = q_net.copy()
+            if t % config.target_update_interval == 0:
+                target_net = q_net.copy()
 
-        if (t + 1) % report_interval == 0 and recent_returns:
-            window = recent_returns[-20:]
-            curve.append((t + 1, float(np.mean(window))))
+            if (t + 1) % report_interval == 0 and recent_returns:
+                window = recent_returns[-20:]
+                curve.append((t + 1, float(np.mean(window))))
 
     return q_net, curve
 

@@ -14,9 +14,40 @@ biases, in layer order), so Adam and the gradient checks are single passes.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import InitVar, dataclass
+from pathlib import Path
 
 import numpy as np
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return (lib.scipy_openblas_get_num_threads64_,
+                    lib.scipy_openblas_set_num_threads64_)
+    return None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body on one OpenBLAS thread. The products here (at most
+    256 x 64) run no faster on two threads, and any other busy process
+    stalls every split product. OpenBLAS splits a GEMM's output between
+    its threads, so the bits are the same."""
+    get, set_ = _openblas_threads() or (lambda: 1, lambda n: None)
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _flat_views(weights: list, biases: list, flat: np.ndarray | None):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .envs import EnvConfig, make_env
 from .nets import (MlpModel, adam_update, backward, clip_grad_norm, forward,
-                   init_adam, init_mlp)
+                   init_adam, init_mlp, single_blas_thread)
 from .policies import inverse_cdf, log_softmax
 from .priors import (BaselineSpec, effective_weight, prior_value,
                      q_to_value_from_probs)
@@ -328,26 +328,27 @@ def train(env_config: EnvConfig, config: TrainConfig,
     curve, diagnostics = [], []
     t = 0
     last_mean, last_std = 0.0, 0.0
-    while t < config.total_timesteps:
-        t0 = perf_counter()
-        batch = collect_rollout(envs, policy, value_net,
-                                config.steps_per_rollout, worker_rngs,
-                                config.gamma, collection_timestep=t)
-        t1 = perf_counter()
-        compute_advantages(batch, spec)
-        t2 = perf_counter()
-        diag = ppo_update(policy, value_net, batch, config, policy_opt,
-                          value_opt, update_rng)
-        diag.update(rollout_s=t1 - t0, advantage_s=t2 - t1,
-                    update_s=perf_counter() - t2)
-        if batch.episode_returns:
-            last_mean = float(np.mean(batch.episode_returns))
-            last_std = float(np.std(batch.episode_returns))
-        w_t = effective_weight(spec, t)
-        curve.append((t, last_mean, last_std, w_t, diag["value_loss"],
-                      diag["policy_loss"], diag["entropy"]))
-        diagnostics.append(diag)
-        t += config.steps_per_rollout
+    with single_blas_thread():
+        while t < config.total_timesteps:
+            t0 = perf_counter()
+            batch = collect_rollout(envs, policy, value_net,
+                                    config.steps_per_rollout, worker_rngs,
+                                    config.gamma, collection_timestep=t)
+            t1 = perf_counter()
+            compute_advantages(batch, spec)
+            t2 = perf_counter()
+            diag = ppo_update(policy, value_net, batch, config, policy_opt,
+                              value_opt, update_rng)
+            diag.update(rollout_s=t1 - t0, advantage_s=t2 - t1,
+                        update_s=perf_counter() - t2)
+            if batch.episode_returns:
+                last_mean = float(np.mean(batch.episode_returns))
+                last_std = float(np.std(batch.episode_returns))
+            w_t = effective_weight(spec, t)
+            curve.append((t, last_mean, last_std, w_t, diag["value_loss"],
+                          diag["policy_loss"], diag["entropy"]))
+            diagnostics.append(diag)
+            t += config.steps_per_rollout
 
     return TrainResult(curve=curve, policy=policy, value_net=value_net,
                        diagnostics=diagnostics)

@@ -6,7 +6,7 @@ import pytest
 from rlwean.dqn import (DqnConfig, ReplayBuffer, dqn_train, epsilon_at,
                         export_prior, greedy_return)
 from rlwean.envs import EnvConfig, as_tabular, env_observation
-from rlwean.nets import forward
+from rlwean.nets import _openblas_threads, adam_update, forward
 from rlwean.oracle import value_iteration
 from rlwean.priors import load_artifact
 
@@ -122,3 +122,21 @@ def test_dqn_train_matches_golden_digests():
     got = {(name, seed): dqn_digest(configs[name], seed)
            for name in configs for seed in (0, 1)}
     assert got == DQN_GOLDEN_DIGESTS
+
+
+def test_dqn_train_runs_on_one_blas_thread(monkeypatch):
+    if _openblas_threads() is None:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    get, _ = _openblas_threads()
+    before, seen = get(), []
+
+    def adam_spy(*args):
+        seen.append(get())
+        adam_update(*args)
+
+    monkeypatch.setattr("rlwean.dqn.adam_update", adam_spy)
+    config = DqnConfig(total_timesteps=8, learning_starts=0, batch_size=4,
+                       train_frequency=4)
+    dqn_train(EnvConfig("chain", horizon=16), config, 0)
+    assert seen == [1, 1]
+    assert get() == before

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from rlwean import nets
 from rlwean.nets import (AdamState, GradientBuffer, MlpModel, adam_update,
                          backward, clip_grad_norm, forward, init_adam,
-                         init_mlp, zero_grads)
+                         init_mlp, single_blas_thread, zero_grads)
 
 
 def test_zero_network_outputs_zero():
@@ -370,3 +371,23 @@ def test_backward_results_never_alias():
     assert not np.shares_memory(first.flat, model.flat)
     clip_grad_norm(first, 1e-6 * first.global_norm())
     np.testing.assert_array_equal(second.flat, kept)
+
+
+def test_single_blas_thread_keeps_bits_and_restores_the_count():
+    threads = nets._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    get, _ = threads
+    before = get()
+    rng = np.random.default_rng(10)
+    # large enough for OpenBLAS to split the GEMM when it has threads
+    a, b = rng.standard_normal((256, 64)), rng.standard_normal((64, 64))
+    kept = [a @ b, a.T @ a, np.dot(a, b)]
+    with single_blas_thread():
+        assert get() == 1
+        for got, want in zip([a @ b, a.T @ a, np.dot(a, b)], kept):
+            np.testing.assert_array_equal(got, want)
+    assert get() == before
+    with pytest.raises(RuntimeError), single_blas_thread():
+        raise RuntimeError
+    assert get() == before

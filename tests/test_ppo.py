@@ -6,8 +6,8 @@ import pytest
 
 from rlwean.envs import (GRID_STEP_PENALTY, ActionSpace, EnvConfig, _BaseEnv,
                          make_env)
-from rlwean.nets import (MlpModel, adam_update, clip_grad_norm, forward,
-                         init_adam, init_mlp)
+from rlwean.nets import (MlpModel, _openblas_threads, adam_update,
+                         clip_grad_norm, forward, init_adam, init_mlp)
 from rlwean.policies import action_probs, log_softmax
 from rlwean.ppo import (TrainConfig, collect_rollout, compute_advantages,
                         compute_returns, init_policy, init_value_net,
@@ -378,6 +378,26 @@ def test_train_is_deterministic():
         np.testing.assert_array_equal(x, y)
     c = train(cfg, config, factory, seed=4)
     assert c.curve != a.curve
+
+
+def test_train_runs_on_one_blas_thread(monkeypatch):
+    if _openblas_threads() is None:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    get, _ = _openblas_threads()
+    before, seen = get(), []
+
+    def update_spy(*args):
+        seen.append(get())
+        return ppo_update(*args)
+
+    monkeypatch.setattr("rlwean.ppo.ppo_update", update_spy)
+    config = TrainConfig(total_timesteps=1024, num_envs=4,
+                         steps_per_rollout=512, minibatch_size=128,
+                         update_epochs=1)
+    train(EnvConfig("chain", horizon=16), config, lambda vn: BaselineSpec(
+        WeaningSchedule("fixed", 0.0), vn, None), seed=0)
+    assert seen == [1, 1]
+    assert get() == before
 
 
 def test_train_records_phase_times():
