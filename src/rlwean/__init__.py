@@ -5,9 +5,9 @@ reduction."""
 from .envs import ActionSpace, EnvConfig, StepResult, TabularModel, as_tabular, make_env
 from .nets import AdamState, GradientBuffer, MlpModel, adam_update, backward, forward, init_adam, init_mlp
 from .policies import action_probs
-from .priors import (BaselineSpec, PriorArtifact, WeaningSchedule,
-                     load_artifact, prior_value, q_to_value_from_probs,
-                     save_artifact, weaning_weight)
+from .priors import (PriorArtifact, WeaningSchedule, load_artifact,
+                     prior_value, q_to_value_from_probs, save_artifact,
+                     weaning_weight)
 from .ppo import RolloutBatch, TrainConfig, collect_rollout, combined_baseline, compute_advantages, compute_returns, ppo_update, train
 from .dqn import DqnConfig, ReplayBuffer, dqn_train, export_prior
 from .oracle import (ExactGradient, TabularPolicy, exact_policy_gradient,

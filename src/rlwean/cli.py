@@ -16,10 +16,11 @@ import yaml
 from .dqn import DqnConfig, dqn_train, export_prior
 from .envs import EnvConfig
 from .ppo import TrainConfig, train
-from .priors import (BaselineSpec, PriorArtifact, WeaningSchedule,
-                     load_artifact, save_artifact)
-from .scenarios import (ScenarioConfig, compare, default_scenario,
-                        optimal_return, run_scenario)
+from .priors import (PriorArtifact, WeaningSchedule, load_artifact,
+                     save_artifact)
+from .scenarios import (DEFAULT_BUDGET, DEFAULT_SOURCE_SEEDS,
+                        DEFAULT_TARGET_SEEDS, ScenarioConfig, compare,
+                        default_scenario, run_scenario)
 from .verify import run_verification
 
 
@@ -48,13 +49,13 @@ def load_scenario_file(path) -> ScenarioConfig:
             mode=doc.get("mode", "rrl"),
             source_env=block("source env", EnvConfig, source["env"]),
             source_algorithm=source.get("algorithm", "dqn"),
-            source_seeds=tuple(source.get("seeds", (0, 1, 2))),
+            source_seeds=tuple(source.get("seeds", DEFAULT_SOURCE_SEEDS)),
             source_total_timesteps=int(source.get("total_timesteps",
-                                                  100_000)),
+                                                  DEFAULT_BUDGET)),
             target_env=block("target env", EnvConfig, target["env"]),
-            target_seeds=tuple(target.get("seeds", range(10))),
+            target_seeds=tuple(target.get("seeds", DEFAULT_TARGET_SEEDS)),
             target_total_timesteps=int(target.get("total_timesteps",
-                                                  100_000)),
+                                                  DEFAULT_BUDGET)),
             schedule=block("schedule", WeaningSchedule, doc["schedule"]),
             train_config=block("train", TrainConfig, doc.get("train", {})),
         )
@@ -77,10 +78,7 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
         seeds = tuple(int(s) for s in args.seeds.split(","))
         config = replace(config, target_seeds=seeds)
     if args.total_timesteps is not None:
-        config = replace(
-            config, target_total_timesteps=args.total_timesteps,
-            train_config=replace(config.train_config,
-                                 total_timesteps=args.total_timesteps))
+        config = replace(config, target_total_timesteps=args.total_timesteps)
     schedule = config.schedule
     if args.w0 is not None:
         schedule = replace(schedule, w0=args.w0)
@@ -153,10 +151,7 @@ def cmd_export_prior(args) -> int:
                              args.seed)
         export_prior(q_net, {**metadata, "source_algorithm": "dqn"}, args.out)
     else:
-        result = train(env_config,
-                       TrainConfig(total_timesteps=args.total_timesteps),
-                       lambda vn: BaselineSpec(
-                           WeaningSchedule("fixed", 0.0), vn, None),
+        result = train(env_config, TrainConfig(), args.total_timesteps,
                        args.seed)
         artifact = PriorArtifact(
             kind="value_function", network=result.value_net,

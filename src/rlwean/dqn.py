@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import EnvConfig, make_env
+from .errors import check_count
 from .nets import (MlpModel, adam_update, backward, forward, init_adam,
                    init_mlp, single_blas_thread)
 from .priors import PriorArtifact, save_artifact
@@ -37,9 +38,7 @@ class DqnConfig:
     def validate(self) -> None:
         for name in ("total_timesteps", "buffer_capacity", "batch_size",
                      "target_update_interval", "train_frequency"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+            check_count(name, getattr(self, name))
         if self.learning_starts < 0:
             raise ValueError("learning_starts must be >= 0")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the count check every config uses."""
+
+import numpy as np
 
 
 class UnsupportedError(ValueError):
@@ -7,3 +9,9 @@ class UnsupportedError(ValueError):
 
 class CompatibilityError(ValueError):
     """A prior artifact does not match the target observation/action space."""
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless value is an integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1")

@@ -19,11 +19,12 @@ from time import perf_counter
 import numpy as np
 
 from .envs import EnvConfig, make_env
+from .errors import check_count
 from .nets import (MlpModel, adam_update, backward, clip_grad_norm, forward,
                    init_adam, init_mlp, single_blas_thread)
 from .policies import inverse_cdf, log_softmax
-from .priors import (BaselineSpec, effective_weight, prior_value,
-                     q_to_value_from_probs)
+from .priors import (PriorArtifact, WeaningSchedule, prior_value,
+                     q_to_value_from_probs, weaning_weight)
 
 HIDDEN_DIMS = [64, 64]
 POLICY_OUTPUT_SCALE = 0.01
@@ -32,7 +33,6 @@ ENV_SEED_OFFSET = 1_000_003
 
 @dataclass
 class TrainConfig:
-    total_timesteps: int = 100_000
     num_envs: int = 16
     steps_per_rollout: int = 2048
     minibatch_size: int = 256
@@ -46,11 +46,9 @@ class TrainConfig:
     learning_rate: float = 2.5e-4
 
     def validate(self) -> None:
-        for name in ("total_timesteps", "num_envs", "steps_per_rollout",
-                     "minibatch_size", "update_epochs"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+        for name in ("num_envs", "steps_per_rollout", "minibatch_size",
+                     "update_epochs"):
+            check_count(name, getattr(self, name))
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
         if self.clip_coefficient <= 0.0:
@@ -70,10 +68,7 @@ class RolloutBatch:
     log_probs: np.ndarray
     action_probs: np.ndarray  # (N, A) rollout-time probabilities
     returns_to_go: np.ndarray
-    collection_timestep: int
     episode_returns: list
-    baselines: np.ndarray | None = None
-    advantages: np.ndarray | None = None
 
     @property
     def total_steps(self) -> int:
@@ -99,8 +94,7 @@ def compute_returns(rewards, next_values, ends, gamma: float) -> np.ndarray:
 
 
 def collect_rollout(envs, policy: MlpModel, value_net: MlpModel,
-                    steps: int, rngs: list, gamma: float,
-                    collection_timestep: int = 0) -> RolloutBatch:
+                    steps: int, rngs: list, gamma: float) -> RolloutBatch:
     """Collect exactly `steps` transitions from the env bank `envs` (already
     reset), resetting finished members as they end, and fill returns_to_go
     (truncation, and the cut-off at the end of the rollout, bootstrap with
@@ -157,37 +151,34 @@ def collect_rollout(envs, policy: MlpModel, value_net: MlpModel,
         log_probs=logp_buf.reshape(steps),
         action_probs=probs_buf.reshape(steps, -1),
         returns_to_go=returns.reshape(steps),
-        collection_timestep=collection_timestep,
         episode_returns=episode_returns,
     )
 
 
-def combined_baseline(spec: BaselineSpec, observations: np.ndarray,
-                      action_probs: np.ndarray, t: int) -> np.ndarray:
-    """b(s) = (1 - w_t) V_current(s) + w_t V_prior(s) for a batch (N, obs_dim).
+def combined_baseline(value_net: MlpModel, prior: PriorArtifact | None,
+                      w: float, observations: np.ndarray,
+                      action_probs: np.ndarray) -> np.ndarray:
+    """b(s) = (1 - w) V_current(s) + w V_prior(s) for a batch (N, obs_dim).
 
     A Q-function prior becomes V_prior(s) = sum_a pi(a|s) Q(s, a) with the
-    given action probabilities (N, A); a value prior is used as is. With no
-    prior, or w_t = 0, this is V_current alone.
+    given action probabilities (N, A); a value prior is used as is. At
+    w = 0 this is V_current alone, and the prior may be None.
     """
-    v_current = forward(spec.current_value_network, observations)[:, 0]
-    w = effective_weight(spec, t)
+    v_current = forward(value_net, observations)[:, 0]
     if w == 0.0:
         return v_current
-    if spec.prior.kind == "q_function":
-        v_prior = q_to_value_from_probs(spec.prior, action_probs, observations)
+    if prior.kind == "q_function":
+        v_prior = q_to_value_from_probs(prior, action_probs, observations)
     else:
-        v_prior = prior_value(spec.prior, observations)
+        v_prior = prior_value(prior, observations)
     return (1.0 - w) * v_current + w * v_prior
 
 
-def compute_advantages(batch: RolloutBatch, spec: BaselineSpec) -> RolloutBatch:
-    """Fill baselines and the Monte Carlo advantages A = G - b(s)."""
-    batch.baselines = combined_baseline(spec, batch.observations,
-                                        batch.action_probs,
-                                        batch.collection_timestep)
-    batch.advantages = batch.returns_to_go - batch.baselines
-    return batch
+def compute_advantages(batch: RolloutBatch, value_net: MlpModel,
+                       prior: PriorArtifact | None, w: float) -> np.ndarray:
+    """Monte Carlo advantages A = G - b(s), b the combined baseline."""
+    return batch.returns_to_go - combined_baseline(
+        value_net, prior, w, batch.observations, batch.action_probs)
 
 
 def ppo_gradients(policy: MlpModel, value_net: MlpModel, batch: RolloutBatch,
@@ -245,18 +236,16 @@ def ppo_gradients(policy: MlpModel, value_net: MlpModel, batch: RolloutBatch,
             grads, v_grads)
 
 
-def ppo_update(policy: MlpModel, value_net: MlpModel,
-               batch: RolloutBatch, config: TrainConfig, policy_opt, value_opt,
-               rng: np.random.Generator) -> dict:
+def ppo_update(policy: MlpModel, value_net: MlpModel, batch: RolloutBatch,
+               advantages: np.ndarray, config: TrainConfig, policy_opt,
+               value_opt, rng: np.random.Generator) -> dict:
     """Clipped-surrogate policy update plus Monte Carlo value regression.
 
     Raises FloatingPointError, with both networks left as they were before
     the offending minibatch, if a loss or a gradient goes non-finite.
     """
-    if batch.advantages is None:
-        raise ValueError("advantages must be computed before ppo_update")
     n = batch.total_steps
-    adv = batch.advantages
+    adv = advantages
     if config.advantage_normalization:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     mb_stats = []
@@ -299,15 +288,19 @@ def init_value_net(obs_dim: int, rng: np.random.Generator) -> MlpModel:
     return init_mlp([obs_dim] + HIDDEN_DIMS + [1], rng, output_scale=1.0)
 
 
-def train(env_config: EnvConfig, config: TrainConfig,
-          baseline_spec_factory, seed: int) -> TrainResult:
+def train(env_config: EnvConfig, config: TrainConfig, total_timesteps: int,
+          seed: int, prior: PriorArtifact | None = None,
+          schedule: WeaningSchedule | None = None) -> TrainResult:
     """Run the collect -> advantage -> update loop until total_timesteps.
 
-    baseline_spec_factory(value_net) -> BaselineSpec lets the caller attach a
-    prior (or none) to the freshly initialized value network. Deterministic
-    given seed.
+    With a prior, iteration t's baseline blends it in with the weight
+    w_t = weaning_weight(schedule, t); without one, w_t = 0 and the baseline
+    is the learned value network alone. Deterministic given seed.
     """
     config.validate()
+    check_count("total_timesteps", total_timesteps)
+    if prior is not None and schedule is None:
+        raise ValueError("a prior needs a weaning schedule")
     ss = np.random.SeedSequence(seed)
     init_seed, update_seed = ss.spawn(2)
     init_rng = np.random.default_rng(init_seed)
@@ -320,7 +313,6 @@ def train(env_config: EnvConfig, config: TrainConfig,
 
     policy = init_policy(envs, init_rng)
     value_net = init_value_net(envs.obs_dim, init_rng)
-    spec = baseline_spec_factory(value_net)
 
     policy_opt = init_adam(policy, config.learning_rate)
     value_opt = init_adam(value_net, config.learning_rate)
@@ -329,22 +321,22 @@ def train(env_config: EnvConfig, config: TrainConfig,
     t = 0
     last_mean, last_std = 0.0, 0.0
     with single_blas_thread():
-        while t < config.total_timesteps:
+        while t < total_timesteps:
+            w_t = 0.0 if prior is None else weaning_weight(schedule, t)
             t0 = perf_counter()
             batch = collect_rollout(envs, policy, value_net,
                                     config.steps_per_rollout, worker_rngs,
-                                    config.gamma, collection_timestep=t)
+                                    config.gamma)
             t1 = perf_counter()
-            compute_advantages(batch, spec)
+            advantages = compute_advantages(batch, value_net, prior, w_t)
             t2 = perf_counter()
-            diag = ppo_update(policy, value_net, batch, config, policy_opt,
-                              value_opt, update_rng)
+            diag = ppo_update(policy, value_net, batch, advantages, config,
+                              policy_opt, value_opt, update_rng)
             diag.update(rollout_s=t1 - t0, advantage_s=t2 - t1,
                         update_s=perf_counter() - t2)
             if batch.episode_returns:
                 last_mean = float(np.mean(batch.episode_returns))
                 last_std = float(np.std(batch.episode_returns))
-            w_t = effective_weight(spec, t)
             curve.append((t, last_mean, last_std, w_t, diag["value_loss"],
                           diag["policy_loss"], diag["entropy"]))
             diagnostics.append(diag)

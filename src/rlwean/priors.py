@@ -213,18 +213,3 @@ def prior_value(prior: PriorArtifact, observation: np.ndarray):
     out = forward(prior.network, obs)[..., 0]
     return float(out) if obs.ndim == 1 else out
 
-
-@dataclass
-class BaselineSpec:
-    """Prior (optional), weaning schedule and the learned value network."""
-
-    schedule: WeaningSchedule
-    current_value_network: MlpModel
-    prior: PriorArtifact | None = None
-
-
-def effective_weight(spec: BaselineSpec, t: int) -> float:
-    """w_t, forced to 0 when no prior is present (tabula rasa)."""
-    if spec.prior is None:
-        return 0.0
-    return weaning_weight(spec.schedule, t)

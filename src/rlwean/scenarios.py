@@ -16,9 +16,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dqn import DqnConfig, dqn_train, export_prior
-from .envs import EnvConfig
-from .priors import (BaselineSpec, PriorArtifact, WeaningSchedule,
-                     check_compatibility, load_artifact, save_artifact)
+from .envs import EnvConfig, make_env
+from .errors import check_count
+from .priors import (PriorArtifact, WeaningSchedule, check_compatibility,
+                     load_artifact, save_artifact)
 from .ppo import TrainConfig, train
 
 CSV_HEADER = ["timestep", "episodic_return_mean", "episodic_return_std",
@@ -66,14 +67,10 @@ class ScenarioConfig:
                                     and s >= 0 for s in seeds):
                 raise ValueError("seeds must be non-empty lists of "
                                  "integers >= 0")
-        # The budgets each run gets, so nothing fails after training starts.
-        replace(self.train_config,
-                total_timesteps=self.target_total_timesteps).validate()
-        if self.source_algorithm == "dqn":
-            DqnConfig(total_timesteps=self.source_total_timesteps).validate()
-        else:
-            replace(self.train_config,
-                    total_timesteps=self.source_total_timesteps).validate()
+        # Checked here so that nothing fails after training starts.
+        for name in ("source_total_timesteps", "target_total_timesteps"):
+            check_count(name, getattr(self, name))
+        self.train_config.validate()
         if self.setting == 1:
             if self.source_env != self.target_env:
                 raise ValueError("setting 1 requires source env == target env")
@@ -147,8 +144,7 @@ def default_scenario(setting: int, mode: str = "rrl",
         source_seeds=tuple(source_seeds),
         source_total_timesteps=source_total_timesteps,
         target_env=tgt, target_seeds=tuple(target_seeds),
-        target_total_timesteps=target_total_timesteps, schedule=sched,
-        train_config=TrainConfig(total_timesteps=target_total_timesteps))
+        target_total_timesteps=target_total_timesteps, schedule=sched)
     config.validate()
     return config
 
@@ -170,14 +166,15 @@ def read_curve_csv(path) -> list[dict]:
 
 def train_source_prior(config: ScenarioConfig, artifact_path) -> PriorArtifact:
     """Train the source over its seeds and export the best-final-return
-    seed's network as the prior artifact."""
+    seed's network as the prior artifact. Ties go to the earlier seed, also
+    between DQN seeds that never finished an episode (return -inf)."""
     best_perf, best_net, best_seed = -np.inf, None, None
     if config.source_algorithm == "dqn":
         dqn_config = DqnConfig(total_timesteps=config.source_total_timesteps)
         for seed in config.source_seeds:
             q_net, curve = dqn_train(config.source_env, dqn_config, seed)
             perf = curve[-1][1] if curve else -np.inf
-            if perf > best_perf:
+            if best_net is None or perf > best_perf:
                 best_perf, best_net, best_seed = perf, q_net, seed
         return export_prior(best_net, {
             "source_env_id": config.source_env.env_id,
@@ -185,12 +182,9 @@ def train_source_prior(config: ScenarioConfig, artifact_path) -> PriorArtifact:
             "source_seed": best_seed,
         }, artifact_path)
 
-    train_config = replace(config.train_config,
-                           total_timesteps=config.source_total_timesteps)
     for seed in config.source_seeds:
-        result = train(config.source_env, train_config,
-                       lambda vn: BaselineSpec(config.schedule, vn, None),
-                       seed)
+        result = train(config.source_env, config.train_config,
+                       config.source_total_timesteps, seed)
         tail = result.curve[-max(len(result.curve) // 10, 1):]
         perf = float(np.mean([row[1] for row in tail]))
         if perf > best_perf:
@@ -225,17 +219,14 @@ def run_scenario(config: ScenarioConfig, out_dir,
         if prior.kind != expected_kind:
             raise ValueError(f"scenario expects a {expected_kind} prior, "
                              f"got {prior.kind}")
-        from .envs import make_env
         probe = make_env(config.target_env)
         check_compatibility(prior, probe.obs_dim, probe.action_space.count)
 
-    train_config = replace(config.train_config,
-                           total_timesteps=config.target_total_timesteps)
     csv_paths = {}
     for seed in config.target_seeds:
-        result = train(
-            config.target_env, train_config,
-            lambda vn: BaselineSpec(config.schedule, vn, prior), seed)
+        result = train(config.target_env, config.train_config,
+                       config.target_total_timesteps, seed, prior,
+                       config.schedule)
         path = os.path.join(out_dir, f"{config.mode}_seed{seed}.csv")
         write_curve_csv(path, result.curve)
         csv_paths[seed] = path

@@ -12,8 +12,8 @@ import numpy as np
 
 from .envs import EnvConfig, TabularModel, as_tabular
 from .nets import MlpModel, backward, forward, init_mlp
-from .oracle import (exact_policy_gradient, exact_q, exact_value,
-                     gradient_variance, random_tabular_policy)
+from .oracle import (TabularPolicy, exact_policy_gradient, exact_q,
+                     exact_value, gradient_variance, random_tabular_policy)
 from .policies import softmax
 from .priors import WeaningSchedule, weaning_weight
 
@@ -72,7 +72,6 @@ def unbiasedness_checks(n_samples: int, seed: int = 0) -> list[CheckResult]:
     exact = exact_policy_gradient(model, logits, model.horizon, 1.0).values
 
     policy = softmax(logits)
-    from .oracle import TabularPolicy
     v_current = exact_value(model, TabularPolicy(policy), 1.0)
     rng_prior = np.random.default_rng(7)
     prior_policy = random_tabular_policy(2, 2, rng_prior)
@@ -102,7 +101,6 @@ def variance_reduction_check(n_samples: int, seed: int = 100) -> CheckResult:
     3 combined jackknife standard errors below the no-baseline trace."""
     model = demo_mdp()
     logits = demo_logits()
-    from .oracle import TabularPolicy
     v_pi = exact_value(model, TabularPolicy(softmax(logits)), 1.0)
     _, trace_none, se_none = gradient_variance(
         model, logits, None, n_samples, np.random.default_rng(seed))

@@ -5,14 +5,16 @@ import pytest
 import yaml
 
 from rlwean.cli import load_scenario_file, main
+from rlwean.dqn import DqnConfig, dqn_train
+from rlwean.envs import EnvConfig
 from rlwean.nets import forward
+from rlwean.ppo import TrainConfig, train
 from rlwean.priors import load_artifact
 from rlwean.scenarios import read_curve_csv
 
 RUN_SMALL = ["--total-timesteps", "4096", "--seeds", "0,1"]
 TRAIN_SMALL = {"num_envs": 4, "steps_per_rollout": 1024,
-               "minibatch_size": 256, "update_epochs": 2,
-               "total_timesteps": 4096}
+               "minibatch_size": 256, "update_epochs": 2}
 
 
 def scenario_doc(mode="tbr"):
@@ -142,11 +144,14 @@ def with_train(doc, **fields):
                minibatch_size=256),
     yaml.safe_dump({**scenario_doc(mode="rrl"),
                     "target": {**scenario_doc()["target"], "seeds": [-1]}}),
+    # budgets live under source and target only
+    with_train(scenario_doc(), total_timesteps=2048),
 ], ids=["unknown-env-key", "removed-train-option", "wrongly-typed-value",
         "missing-source-block", "infinite-setting", "malformed-yaml",
         "not-a-mapping", "empty-source-seeds", "empty-target-seeds",
         "zero-num-envs", "zero-minibatch-size", "zero-steps-per-rollout",
-        "negative-num-envs", "fractional-num-envs", "negative-target-seed"])
+        "negative-num-envs", "fractional-num-envs", "negative-target-seed",
+        "train-total-timesteps"])
 def test_bad_scenario_file_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "scenario.yaml"
     path.write_text(text)
@@ -247,6 +252,39 @@ def test_export_and_inspect_prior(tmp_path, capsys):
     assert "obs_dim: 1" in printed
     assert "action_count: 2" in printed
     assert "format_version: 1" in printed
+
+
+def test_export_pg_prior_is_the_trained_value_net(tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["export-prior", "--env", "chain", "--algorithm", "pg",
+                 "--seed", "5", "--horizon", "16", "--total-timesteps", "4096",
+                 "--out", str(out)]) == 0
+    prior = load_artifact(out)
+    assert prior.kind == "value_function"
+    assert (prior.source_algorithm, prior.source_seed) == ("pg", 5)
+    trained = train(EnvConfig("chain", horizon=16), TrainConfig(), 4096,
+                    5).value_net
+    assert prior.network.layer_dims == trained.layer_dims
+    assert prior.network.flat.tobytes() == trained.flat.tobytes()
+
+
+def test_run_with_dqn_source_that_never_finishes_an_episode(tmp_path):
+    # 20 source steps end no episode, so every seed's final return is -inf
+    # and the first source seed must be exported
+    doc = scenario_doc(mode="rrl")
+    env = {"env_id": "windy-grid", "wind_enabled": False, "horizon": 64}
+    doc.update(setting=1, schedule={"kind": "fixed", "w0": 0.9})
+    doc["source"].update(env=env, seeds=[2, 0], total_timesteps=20)
+    doc["target"].update(env=env, seeds=[0])
+    for seed in (2, 0):
+        assert dqn_train(EnvConfig(**env), DqnConfig(total_timesteps=20),
+                         seed)[1] == []
+    out = tmp_path / "rrl"
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    prior = load_artifact(out / "prior.json")
+    assert (prior.kind, prior.source_seed) == ("q_function", 2)
+    assert len(read_curve_csv(out / "rrl_seed0.csv")) == 4
 
 
 def test_inspect_missing_prior_is_config_error(tmp_path):

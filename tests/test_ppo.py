@@ -9,10 +9,10 @@ from rlwean.envs import (GRID_STEP_PENALTY, ActionSpace, EnvConfig, _BaseEnv,
 from rlwean.nets import (MlpModel, _openblas_threads, adam_update,
                          clip_grad_norm, forward, init_adam, init_mlp)
 from rlwean.policies import action_probs, log_softmax
-from rlwean.ppo import (TrainConfig, collect_rollout, compute_advantages,
-                        compute_returns, init_policy, init_value_net,
-                        ppo_gradients, ppo_update, train)
-from rlwean.priors import BaselineSpec, PriorArtifact, WeaningSchedule
+from rlwean.ppo import (TrainConfig, collect_rollout, combined_baseline,
+                        compute_advantages, compute_returns, init_policy,
+                        init_value_net, ppo_gradients, ppo_update, train)
+from rlwean.priors import PriorArtifact, WeaningSchedule
 
 
 def constant_value_net(obs_dim, value=0.0):
@@ -167,21 +167,21 @@ def make_batch(seed=3, steps=64):
 
 def test_advantage_identity():
     batch, policy, value_net = make_batch()
-    spec = BaselineSpec(WeaningSchedule("fixed", 0.0), value_net, None)
-    compute_advantages(batch, spec)
-    np.testing.assert_array_equal(batch.advantages,
-                                  batch.returns_to_go - batch.baselines)
-    np.testing.assert_allclose(batch.advantages + batch.baselines,
+    advantages = compute_advantages(batch, value_net, None, 0.0)
+    baselines = combined_baseline(value_net, None, 0.0, batch.observations,
+                                  batch.action_probs)
+    np.testing.assert_array_equal(advantages,
+                                  batch.returns_to_go - baselines)
+    np.testing.assert_allclose(advantages + baselines,
                                batch.returns_to_go, atol=1e-12)
 
 
 def test_zero_baseline_gives_raw_returns():
     batch, policy, _ = make_batch()
-    spec = BaselineSpec(WeaningSchedule("fixed", 0.0), constant_value_net(1),
-                        None)
-    compute_advantages(batch, spec)
-    np.testing.assert_array_equal(batch.advantages, batch.returns_to_go)
-    np.testing.assert_array_equal(batch.baselines, np.zeros(batch.total_steps))
+    advantages = compute_advantages(batch, constant_value_net(1), None, 0.0)
+    np.testing.assert_array_equal(advantages, batch.returns_to_go)
+    np.testing.assert_array_equal(batch.returns_to_go - advantages,
+                                  np.zeros(batch.total_steps))
 
 
 def test_q_prior_baseline_uses_stored_probs():
@@ -189,46 +189,34 @@ def test_q_prior_baseline_uses_stored_probs():
     q_net = MlpModel([1, 2], [np.array([[0.5], [-0.25]])],
                      [np.array([0.1, 0.7])])
     prior = PriorArtifact("q_function", q_net, obs_dim=1, action_count=2)
-    spec = BaselineSpec(WeaningSchedule("fixed", 1.0), value_net, prior)
-    compute_advantages(batch, spec)
+    baselines = batch.returns_to_go - compute_advantages(batch, value_net,
+                                                         prior, 1.0)
     q = forward(q_net, batch.observations)
     expected = np.sum(batch.action_probs * q, axis=1)
-    np.testing.assert_allclose(batch.baselines, expected, atol=1e-12)
+    np.testing.assert_allclose(baselines, expected, atol=1e-12)
 
 
 def test_combined_baseline_mixes_current_and_prior():
     batch, policy, value_net = make_batch()
     v_prior_net = MlpModel([1, 1], [np.array([[2.0]])], [np.array([0.5])])
     prior = PriorArtifact("value_function", v_prior_net, obs_dim=1)
-    spec = BaselineSpec(WeaningSchedule("fixed", 0.3), value_net, prior)
-    compute_advantages(batch, spec)
+    baselines = batch.returns_to_go - compute_advantages(batch, value_net,
+                                                         prior, 0.3)
     vc = forward(value_net, batch.observations)[:, 0]
     vp = forward(v_prior_net, batch.observations)[:, 0]
-    np.testing.assert_allclose(batch.baselines, 0.7 * vc + 0.3 * vp,
-                               atol=1e-12)
-
-
-def test_ppo_update_requires_advantages():
-    batch, policy, value_net = make_batch()
-    config = TrainConfig(steps_per_rollout=64, num_envs=2, minibatch_size=32,
-                         update_epochs=1)
-    with pytest.raises(ValueError):
-        ppo_update(policy, value_net, batch, config,
-                   init_adam(policy, 1e-3),
-                   init_adam(value_net, 1e-3), np.random.default_rng(0))
+    np.testing.assert_allclose(baselines, 0.7 * vc + 0.3 * vp, atol=1e-12)
 
 
 def test_ppo_update_reduces_value_loss():
     batch, policy, value_net = make_batch(steps=256)
-    spec = BaselineSpec(WeaningSchedule("fixed", 0.0), value_net, None)
-    compute_advantages(batch, spec)
+    advantages = compute_advantages(batch, value_net, None, 0.0)
     config = TrainConfig(steps_per_rollout=256, num_envs=2, minibatch_size=64,
                          update_epochs=1, learning_rate=1e-2)
     p_opt = init_adam(policy, config.learning_rate)
     v_opt = init_adam(value_net, config.learning_rate)
     rng = np.random.default_rng(0)
-    losses = [ppo_update(policy, value_net, batch, config, p_opt, v_opt,
-                         rng)["value_loss"] for _ in range(100)]
+    losses = [ppo_update(policy, value_net, batch, advantages, config, p_opt,
+                         v_opt, rng)["value_loss"] for _ in range(100)]
     # irreducible floor: returns for identical observations still differ,
     # so the best any value function can do is predict per-obs means
     obs_keys = [tuple(o) for o in batch.observations]
@@ -249,21 +237,20 @@ def adam_snapshot(state):
 
 def test_ppo_gradients_are_pre_clip_and_change_nothing():
     batch, policy, value_net = make_batch(steps=256)
-    compute_advantages(batch, BaselineSpec(WeaningSchedule("fixed", 0.0),
-                                           value_net, None))
+    advantages = compute_advantages(batch, value_net, None, 0.0)
     config = TrainConfig(steps_per_rollout=256, num_envs=2,
                          minibatch_size=256, update_epochs=1,
                          max_grad_norm=1e-6, advantage_normalization=False)
     p_opt = init_adam(policy, config.learning_rate)
     v_opt = init_adam(value_net, config.learning_rate)
-    ppo_update(policy, value_net, batch, config, p_opt, v_opt,
+    ppo_update(policy, value_net, batch, advantages, config, p_opt, v_opt,
                np.random.default_rng(4))  # ratios leave 1, moments nonzero
     nets_before = [policy.flat.tobytes(), value_net.flat.tobytes()]
     opts_before = [adam_snapshot(p_opt), adam_snapshot(v_opt)]
 
     idx = np.random.default_rng(5).permutation(256)
     stats, grads, v_grads = ppo_gradients(policy, value_net, batch, idx,
-                                          batch.advantages, config)
+                                          advantages, config)
     assert [policy.flat.tobytes(), value_net.flat.tobytes()] == nets_before
     assert [adam_snapshot(p_opt), adam_snapshot(v_opt)] == opts_before
     assert grads.global_norm() > config.max_grad_norm
@@ -275,8 +262,8 @@ def test_ppo_gradients_are_pre_clip_and_change_nothing():
     for net, opt, g in expected:
         clip_grad_norm(g, config.max_grad_norm)
         adam_update(net, opt, g)
-    diag = ppo_update(policy, value_net, batch, config, p_opt, v_opt,
-                      np.random.default_rng(5))
+    diag = ppo_update(policy, value_net, batch, advantages, config, p_opt,
+                      v_opt, np.random.default_rng(5))
     assert diag == stats
     assert policy.flat.tobytes() == expected[0][0].flat.tobytes()
     assert value_net.flat.tobytes() == expected[1][0].flat.tobytes()
@@ -284,11 +271,10 @@ def test_ppo_gradients_are_pre_clip_and_change_nothing():
 
 def test_first_epoch_kl_is_small():
     batch, policy, value_net = make_batch(steps=256)
-    spec = BaselineSpec(WeaningSchedule("fixed", 0.0), value_net, None)
-    compute_advantages(batch, spec)
+    advantages = compute_advantages(batch, value_net, None, 0.0)
     config = TrainConfig(steps_per_rollout=256, num_envs=2,
                          minibatch_size=256, update_epochs=1)
-    diag = ppo_update(policy, value_net, batch, config,
+    diag = ppo_update(policy, value_net, batch, advantages, config,
                       init_adam(policy, config.learning_rate),
                       init_adam(value_net, config.learning_rate),
                       np.random.default_rng(0))
@@ -307,8 +293,7 @@ def test_nonfinite_value_gradient_leaves_both_nets_unchanged():
                          [np.zeros((8, 1)), np.full((8, 8), 1e308),
                           np.full((1, 8), 10.0)],
                          [np.zeros(8), np.ones(8), np.zeros(1)])
-    compute_advantages(batch, BaselineSpec(WeaningSchedule("fixed", 0.0),
-                                           constant_value_net(1), None))
+    advantages = compute_advantages(batch, constant_value_net(1), None, 0.0)
     config = TrainConfig(steps_per_rollout=64, num_envs=2, minibatch_size=32,
                          update_epochs=1)
     nets_before = [policy.copy(), value_net.copy()]
@@ -316,7 +301,7 @@ def test_nonfinite_value_gradient_leaves_both_nets_unchanged():
     v_opt = init_adam(value_net, 1e-3)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FloatingPointError):
-        ppo_update(policy, value_net, batch, config, p_opt, v_opt,
+        ppo_update(policy, value_net, batch, advantages, config, p_opt, v_opt,
                    np.random.default_rng(0))
     for net, before in zip((policy, value_net), nets_before):
         for a, b in zip(net.weights + net.biases,
@@ -350,7 +335,6 @@ def test_bandit_policy_converges():
     envs.reset()
     policy = init_policy(envs, rng)
     value_net = init_value_net(1, rng)
-    spec = BaselineSpec(WeaningSchedule("fixed", 0.0), value_net, None)
     config = TrainConfig(steps_per_rollout=64, num_envs=4, minibatch_size=32,
                          update_epochs=4, gamma=1.0, learning_rate=5e-3,
                          entropy_coefficient=0.0)
@@ -360,23 +344,22 @@ def test_bandit_policy_converges():
     rngs = [np.random.default_rng(10 + i) for i in range(4)]
     for _ in range(200):
         batch = collect_rollout(envs, policy, value_net, 64, rngs, 1.0)
-        compute_advantages(batch, spec)
-        ppo_update(policy, value_net, batch, config, p_opt, v_opt, update_rng)
+        advantages = compute_advantages(batch, value_net, None, 0.0)
+        ppo_update(policy, value_net, batch, advantages, config, p_opt, v_opt,
+                   update_rng)
     assert action_probs(policy, np.zeros(1))[0] > 0.99
 
 
 def test_train_is_deterministic():
     cfg = EnvConfig("chain", horizon=16)
-    config = TrainConfig(total_timesteps=1024, num_envs=4,
-                         steps_per_rollout=512, minibatch_size=128,
-                         update_epochs=2)
-    factory = lambda vn: BaselineSpec(WeaningSchedule("fixed", 0.0), vn, None)
-    a = train(cfg, config, factory, seed=3)
-    b = train(cfg, config, factory, seed=3)
+    config = TrainConfig(num_envs=4, steps_per_rollout=512,
+                         minibatch_size=128, update_epochs=2)
+    a = train(cfg, config, 1024, seed=3)
+    b = train(cfg, config, 1024, seed=3)
     assert a.curve == b.curve
     for x, y in zip(a.policy.weights, b.policy.weights):
         np.testing.assert_array_equal(x, y)
-    c = train(cfg, config, factory, seed=4)
+    c = train(cfg, config, 1024, seed=4)
     assert c.curve != a.curve
 
 
@@ -391,22 +374,18 @@ def test_train_runs_on_one_blas_thread(monkeypatch):
         return ppo_update(*args)
 
     monkeypatch.setattr("rlwean.ppo.ppo_update", update_spy)
-    config = TrainConfig(total_timesteps=1024, num_envs=4,
-                         steps_per_rollout=512, minibatch_size=128,
-                         update_epochs=1)
-    train(EnvConfig("chain", horizon=16), config, lambda vn: BaselineSpec(
-        WeaningSchedule("fixed", 0.0), vn, None), seed=0)
+    config = TrainConfig(num_envs=4, steps_per_rollout=512,
+                         minibatch_size=128, update_epochs=1)
+    train(EnvConfig("chain", horizon=16), config, 1024, seed=0)
     assert seen == [1, 1]
     assert get() == before
 
 
 def test_train_records_phase_times():
     cfg = EnvConfig("chain", horizon=16)
-    config = TrainConfig(total_timesteps=1024, num_envs=4,
-                         steps_per_rollout=512, minibatch_size=128,
-                         update_epochs=1)
-    result = train(cfg, config, lambda vn: BaselineSpec(
-        WeaningSchedule("fixed", 0.0), vn, None), seed=0)
+    config = TrainConfig(num_envs=4, steps_per_rollout=512,
+                         minibatch_size=128, update_epochs=1)
+    result = train(cfg, config, 1024, seed=0)
     assert len(result.diagnostics) == 2
     for row in result.diagnostics:
         for key in ("rollout_s", "advantage_s", "update_s"):
@@ -422,26 +401,30 @@ def test_train_config_validation():
         TrainConfig(steps_per_rollout=2048, minibatch_size=100).validate()
     with pytest.raises(ValueError):
         TrainConfig(clip_coefficient=0.0).validate()
-    for name in ("total_timesteps", "num_envs", "steps_per_rollout",
-                 "minibatch_size", "update_epochs"):
+    for name in ("num_envs", "steps_per_rollout", "minibatch_size",
+                 "update_epochs"):
         for count in (0, -1):
             with pytest.raises(ValueError, match=name):
                 TrainConfig(**{name: count}).validate()
+    for budget in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="total_timesteps"):
+            train(EnvConfig("chain"), TrainConfig(), budget, seed=0)
+    prior = PriorArtifact("value_function", constant_value_net(1), obs_dim=1)
+    with pytest.raises(ValueError, match="schedule"):
+        train(EnvConfig("chain"), TrainConfig(), 2048, 0, prior=prior)
 
 
 def test_train_chain_learns():
     cfg = EnvConfig("chain", horizon=16)
-    config = TrainConfig(total_timesteps=20_480, num_envs=4,
-                         steps_per_rollout=512, minibatch_size=128,
-                         update_epochs=4)
-    result = train(cfg, config,
-                   lambda vn: BaselineSpec(WeaningSchedule("fixed", 0.0), vn,
-                                           None), seed=0)
+    config = TrainConfig(num_envs=4, steps_per_rollout=512,
+                         minibatch_size=128, update_epochs=4)
+    result = train(cfg, config, 20_480, seed=0)
     assert result.curve[-1][1] > 0.95  # near the optimal return of 1.0
 
 
-GOLDEN_TRAIN = dict(total_timesteps=2048, num_envs=4, steps_per_rollout=512,
-                    minibatch_size=128, update_epochs=2)
+GOLDEN_TRAIN = dict(num_envs=4, steps_per_rollout=512, minibatch_size=128,
+                    update_epochs=2)
+GOLDEN_BUDGET = 2048
 
 
 def golden_cases():
@@ -466,8 +449,8 @@ def golden_cases():
 
 def train_digest(env_config, schedule, prior, seed) -> str:
     """SHA-256 of the curve and the final policy and value weights."""
-    result = train(env_config, TrainConfig(**GOLDEN_TRAIN),
-                   lambda vn: BaselineSpec(schedule, vn, prior), seed)
+    result = train(env_config, TrainConfig(**GOLDEN_TRAIN), GOLDEN_BUDGET,
+                   seed, prior, schedule)
     h = hashlib.sha256(repr(result.curve).encode())
     for net in (result.policy, result.value_net):
         for array in net.weights + net.biases:

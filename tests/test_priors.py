@@ -9,7 +9,7 @@ from rlwean.nets import MlpModel, forward, init_mlp
 from rlwean.oracle import TabularPolicy, exact_q, exact_value, random_tabular_policy
 from rlwean.policies import action_probs
 from rlwean.ppo import combined_baseline
-from rlwean.priors import (BaselineSpec, PriorArtifact, WeaningSchedule,
+from rlwean.priors import (PriorArtifact, WeaningSchedule,
                            check_compatibility, load_artifact, prior_value,
                            q_to_value_from_probs, save_artifact,
                            weaning_weight)
@@ -118,17 +118,16 @@ def test_combined_baseline_endpoints_and_interpolation():
     obs = np.zeros((3, 1))
     probs = np.full((3, 2), 0.5)
 
-    spec0 = BaselineSpec(WeaningSchedule("fixed", 0.0), value_net, prior)
-    np.testing.assert_array_equal(combined_baseline(spec0, obs, probs, 0), 2.0)
-    spec1 = BaselineSpec(WeaningSchedule("fixed", 1.0), value_net, prior)
-    np.testing.assert_array_equal(combined_baseline(spec1, obs, probs, 0), 10.0)
-    spec9 = BaselineSpec(WeaningSchedule("fixed", 0.9), value_net, prior)
-    np.testing.assert_allclose(combined_baseline(spec9, obs, probs, 0),
-                               0.1 * 2.0 + 0.9 * 10.0)
-    # without a prior the weight is forced to zero
-    spec_none = BaselineSpec(WeaningSchedule("fixed", 0.9), value_net, None)
-    np.testing.assert_array_equal(combined_baseline(spec_none, obs, probs, 0),
-                                  2.0)
+    np.testing.assert_array_equal(
+        combined_baseline(value_net, prior, 0.0, obs, probs), 2.0)
+    np.testing.assert_array_equal(
+        combined_baseline(value_net, prior, 1.0, obs, probs), 10.0)
+    np.testing.assert_allclose(
+        combined_baseline(value_net, prior, 0.9, obs, probs),
+        0.1 * 2.0 + 0.9 * 10.0)
+    # w = 0 never touches the prior, so it may be absent
+    np.testing.assert_array_equal(
+        combined_baseline(value_net, None, 0.0, obs, probs), 2.0)
 
 
 def test_combined_baseline_convexity():
@@ -139,8 +138,8 @@ def test_combined_baseline_convexity():
     for _ in range(20):
         obs = rng.standard_normal((5, 3))
         w = float(rng.random())
-        spec = BaselineSpec(WeaningSchedule("fixed", w), value_net, prior)
-        b = combined_baseline(spec, obs, action_probs(policy, obs), 0)
+        b = combined_baseline(value_net, prior, w, obs,
+                              action_probs(policy, obs))
         vc = forward(value_net, obs)[:, 0]
         vp = prior_value(prior, obs)
         assert (np.minimum(vc, vp) - 1e-12 <= b).all()

@@ -12,9 +12,8 @@ from rlwean.scenarios import (CSV_HEADER, ComparisonSummary, ScenarioConfig,
                               optimal_return, read_curve_csv, run_scenario,
                               steps_to_threshold, write_curve_csv)
 
-SMALL_TRAIN = TrainConfig(total_timesteps=4096, num_envs=4,
-                          steps_per_rollout=1024, minibatch_size=256,
-                          update_epochs=2)
+SMALL_TRAIN = TrainConfig(num_envs=4, steps_per_rollout=1024,
+                          minibatch_size=256, update_epochs=2)
 
 
 def small_scenario(setting=1, mode="tbr", **kwargs):
