@@ -19,40 +19,31 @@ from .priors import PriorArtifact, save_artifact
 
 HIDDEN_DIMS = [64, 64]
 DQN_LEARNING_RATE = 1e-3
+BUFFER_CAPACITY = 50_000
+BATCH_SIZE = 128
+GAMMA = 0.99
+TARGET_UPDATE_INTERVAL = 500
+EPSILON_START = 1.0
+EPSILON_END = 0.05
+EPSILON_DECAY_FRACTION = 0.5  # of the run's total_timesteps
+LEARNING_STARTS = 1000
+TRAIN_FREQUENCY = 4
 
 
 @dataclass
 class DqnConfig:
     total_timesteps: int = 100_000
-    buffer_capacity: int = 50_000
-    batch_size: int = 128
-    gamma: float = 0.99
-    target_update_interval: int = 500
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_fraction: float = 0.5
-    learning_starts: int = 1000
-    train_frequency: int = 4
-    learning_rate: float = DQN_LEARNING_RATE
 
     def validate(self) -> None:
-        for name in ("total_timesteps", "buffer_capacity", "batch_size",
-                     "target_update_interval", "train_frequency"):
-            check_count(name, getattr(self, name))
-        if self.learning_starts < 0:
-            raise ValueError("learning_starts must be >= 0")
-        if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
-            raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
-        if not 0.0 < self.epsilon_decay_fraction <= 1.0:
-            raise ValueError("epsilon_decay_fraction must lie in (0, 1]")
+        check_count("total_timesteps", self.total_timesteps)
 
 
 def epsilon_at(config: DqnConfig, t: int) -> float:
-    """Linear decay from epsilon_start to epsilon_end over the first
-    decay_fraction of training."""
-    decay_steps = config.epsilon_decay_fraction * config.total_timesteps
+    """Linear decay from EPSILON_START to EPSILON_END over the first
+    EPSILON_DECAY_FRACTION of training."""
+    decay_steps = EPSILON_DECAY_FRACTION * config.total_timesteps
     frac = min(t / decay_steps, 1.0)
-    return config.epsilon_start + frac * (config.epsilon_end - config.epsilon_start)
+    return EPSILON_START + frac * (EPSILON_END - EPSILON_START)
 
 
 class ReplayBuffer:
@@ -98,8 +89,8 @@ def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
 
     q_net = init_mlp([env.obs_dim] + HIDDEN_DIMS + [action_count], rng)
     target_net = q_net.copy()
-    opt = init_adam(q_net, config.learning_rate)
-    buffer = ReplayBuffer(config.buffer_capacity, env.obs_dim)
+    opt = init_adam(q_net, DQN_LEARNING_RATE)
+    buffer = ReplayBuffer(BUFFER_CAPACITY, env.obs_dim)
 
     env.reset(seed=seed)
     recent_returns: list[float] = []
@@ -120,11 +111,11 @@ def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
                 recent_returns.append(float(env.episode_return[0]))
                 env.reset()
 
-            if t >= config.learning_starts and t % config.train_frequency == 0:
+            if t >= LEARNING_STARTS and t % TRAIN_FREQUENCY == 0:
                 b_obs, b_act, b_rew, b_next, b_term = buffer.sample(
-                    config.batch_size, rng)
+                    BATCH_SIZE, rng)
                 next_q = forward(target_net, b_next).max(axis=1)
-                target = b_rew + config.gamma * (1.0 - b_term) * next_q
+                target = b_rew + GAMMA * (1.0 - b_term) * next_q
                 activations = []
                 q = forward(q_net, b_obs, activations)
                 td_err = q[np.arange(len(b_act)), b_act] - target
@@ -133,7 +124,7 @@ def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
                 grads = backward(q_net, b_obs, dq, activations)
                 adam_update(q_net, opt, grads)
 
-            if t % config.target_update_interval == 0:
+            if t % TARGET_UPDATE_INTERVAL == 0:
                 target_net = q_net.copy()
 
             if (t + 1) % report_interval == 0 and recent_returns:

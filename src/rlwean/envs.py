@@ -8,6 +8,9 @@ forms.
   inside a 0.1 radius of the goal, "reach-fast" adds a velocity-toward-goal
   shaping bonus and a -0.01 living cost.
 
+Chain and windy-grid are entries of `TABLES`, which holds each of their rules
+once: `TableEnv` steps by it and `as_tabular` reads it.
+
 Every env is a bank of `num_envs` members held as arrays: row i of each
 state array is member i, which draws from its own generator exactly as a
 lone env seeded the same way would. One `step(actions)` advances every
@@ -22,6 +25,7 @@ variants without rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +46,24 @@ GOAL_SHAPING_COEF = 0.1
 GRID_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))  # action -> (dx, dy)
 
 
-def _grid_tables():
-    """Per grid state s = y * GRID_SIZE + x: its observation, its successor
-    under each move before any wind, and where a gust of wind takes it."""
+class Table(NamedTuple):
+    """The rules of a discrete-state env over its states 0..S-1 (start 0)."""
+
+    obs: np.ndarray  # (S, obs_dim): the observation of each state
+    next: np.ndarray  # (S, A): the successor under each action, before wind
+    gust: np.ndarray  # (S,): where a gust of wind takes each state
+    goal: int  # absorbing; a step that reaches it earns step_reward + 1
+    step_reward: float  # the reward of a step that does not reach the goal
+
+
+def _chain_table() -> Table:
+    s, top = np.arange(CHAIN_N), CHAIN_N - 1
+    nxt = np.stack([np.maximum(s - 1, 0), np.minimum(s + 1, top)], axis=1)
+    return Table(s[:, None] / top, nxt, s, top, 0.0)
+
+
+def _grid_table() -> Table:
+    """State s = y * GRID_SIZE + x; a gust pushes one cell in +x."""
     top = GRID_SIZE - 1
     obs, nxt, gust = [], [], []
     for s in range(GRID_SIZE * GRID_SIZE):
@@ -53,15 +72,11 @@ def _grid_tables():
         nxt.append([min(max(y + dy, 0), top) * GRID_SIZE
                     + min(max(x + dx, 0), top) for dx, dy in GRID_MOVES])
         gust.append(y * GRID_SIZE + min(x + 1, top))
-    return np.array(obs), np.array(nxt), np.array(gust)
+    return Table(np.array(obs), np.array(nxt), np.array(gust),
+                 GRID_SIZE * GRID_SIZE - 1, GRID_STEP_PENALTY)
 
 
-# Per chain state: its observation, and its successor under each action.
-CHAIN_OBS = np.arange(CHAIN_N)[:, None] / (CHAIN_N - 1)
-CHAIN_NEXT = np.array([[max(s - 1, 0), min(s + 1, CHAIN_N - 1)]
-                       for s in range(CHAIN_N)])
-GRID_OBS, GRID_NEXT, GRID_GUST = _grid_tables()
-GRID_GOAL = GRID_SIZE * GRID_SIZE - 1
+TABLES = {"chain": _chain_table(), "windy-grid": _grid_table()}
 
 
 @dataclass
@@ -92,17 +107,26 @@ class EnvConfig:
     wind_strength: float = 0.0
     reward_variant: str = "reach"
     horizon: int = 64
-    seed: int = 0
 
     def validate(self) -> None:
         if self.env_id not in ENV_IDS:
             raise ValueError(f"unknown env_id {self.env_id!r}")
         if not 0.0 <= self.wind_strength <= 1.0:
             raise ValueError("wind_strength must lie in [0, 1]")
+        if self.wind_enabled and self.env_id != "windy-grid":
+            raise ValueError(f"wind_enabled needs windy-grid, not {self.env_id}")
         if self.reward_variant not in ("reach", "reach-fast"):
             raise ValueError(f"unknown reward_variant {self.reward_variant!r}")
+        if self.reward_variant != "reach" and self.env_id != "goal-world":
+            raise ValueError(f"reward_variant {self.reward_variant!r} needs "
+                             f"goal-world, not {self.env_id}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+
+    @property
+    def wind_prob(self) -> float:
+        """The chance that a gust follows each move."""
+        return self.wind_strength if self.wind_enabled else 0.0
 
 
 @dataclass
@@ -138,8 +162,7 @@ class _BaseEnv:
         self.config = config
         self.horizon = config.horizon
         self.num_envs = num_envs
-        self.rngs = [np.random.default_rng(config.seed + i)
-                     for i in range(num_envs)]
+        self.rngs = [np.random.default_rng(i) for i in range(num_envs)]
         self._clock = 0  # bank steps taken
         # the clock reading at which each member's episode is truncated
         self._deadline = np.zeros(num_envs, dtype=np.int64)
@@ -187,9 +210,15 @@ class _BaseEnv:
         return StepResult(self.observations, reward, terminated, truncated)
 
 
-class _TableEnv(_BaseEnv):
-    """A discrete-state env: each member's state is a tabular state index,
-    starting at 0, and `_OBS` maps it to an observation."""
+class TableEnv(_BaseEnv):
+    """Chain or windy-grid: each member's state is a state of the env's
+    table, starting at 0, and a gust may follow each move."""
+
+    def __init__(self, config: EnvConfig, num_envs: int = 1):
+        self.table = TABLES[config.env_id]
+        self.obs_dim = self.table.obs.shape[1]
+        self.action_space = ActionSpace(count=self.table.next.shape[1])
+        super().__init__(config, num_envs)
 
     def _init_state(self):
         self._state = np.zeros(self.num_envs, dtype=np.int64)
@@ -198,42 +227,17 @@ class _TableEnv(_BaseEnv):
         self._state[rows] = 0
 
     def _obs(self, rows=slice(None)):
-        return self._OBS[self._state[rows]]
-
-
-class ChainEnv(_TableEnv):
-    """Deterministic 5-state chain; +1 on reaching the rightmost state."""
-
-    obs_dim = 1
-    action_space = ActionSpace(count=2)
-    _OBS = CHAIN_OBS
+        return self.table.obs[self._state[rows]]
 
     def _step_state(self, a):
-        self._state = CHAIN_NEXT[self._state, a]
-        reached = self._state == CHAIN_N - 1
-        return np.where(reached, 1.0, 0.0), reached
-
-
-class WindyGridEnv(_TableEnv):
-    """5x5 grid from (0,0) to goal (4,4); optional +x wind after each move."""
-
-    obs_dim = 2
-    action_space = ActionSpace(count=4)
-    _OBS = GRID_OBS
-
-    @property
-    def _wind_prob(self) -> float:
-        return self.config.wind_strength if self.config.wind_enabled else 0.0
-
-    def _step_state(self, a):
-        state = GRID_NEXT[self._state, a]
-        p = self._wind_prob
+        table, p = self.table, self.config.wind_prob
+        state = table.next[self._state, a]
         if p > 0.0:
             gust = np.array([rng.random() for rng in self.rngs]) < p
-            state = np.where(gust, GRID_GUST[state], state)
+            state = np.where(gust, table.gust[state], state)
         self._state = state
-        at_goal = state == GRID_GOAL
-        return np.where(at_goal, GRID_STEP_PENALTY + 1.0, GRID_STEP_PENALTY), \
+        at_goal = state == table.goal
+        return np.where(at_goal, table.step_reward + 1.0, table.step_reward), \
             at_goal
 
 
@@ -287,67 +291,37 @@ class GoalWorldEnv(_BaseEnv):
 def make_env(config: EnvConfig, num_envs: int = 1):
     """A bank of `num_envs` members of the configured env."""
     config.validate()
-    if config.env_id == "chain":
-        return ChainEnv(config, num_envs)
-    if config.env_id == "windy-grid":
-        return WindyGridEnv(config, num_envs)
+    if config.env_id in TABLES:
+        return TableEnv(config, num_envs)
     return GoalWorldEnv(config, num_envs)
 
 
 def env_observation(config: EnvConfig, state: int) -> np.ndarray:
     """Observation vector for a tabular state index of chain or windy-grid."""
-    if config.env_id == "chain":
-        return CHAIN_OBS[state].copy()
-    if config.env_id == "windy-grid":
-        return GRID_OBS[state].copy()
-    raise UnsupportedError(f"{config.env_id} has no tabular states")
+    if config.env_id not in TABLES:
+        raise UnsupportedError(f"{config.env_id} has no tabular states")
+    return TABLES[config.env_id].obs[state].copy()
 
 
 def as_tabular(config: EnvConfig) -> TabularModel:
-    """Exact transition/reward tensors matching step() semantics."""
+    """Exact transition/reward tensors of the table `TableEnv` steps by."""
     config.validate()
-    if config.env_id == "chain":
-        return _chain_tabular(config)
-    if config.env_id == "windy-grid":
-        return _grid_tabular(config)
-    raise UnsupportedError("goal-world has a continuous state space")
-
-
-def _chain_tabular(config: EnvConfig) -> TabularModel:
-    n, a_count = CHAIN_N, 2
+    if config.env_id not in TABLES:
+        raise UnsupportedError("goal-world has a continuous state space")
+    table, wind_p = TABLES[config.env_id], config.wind_prob
+    n, a_count = table.next.shape
     p = np.zeros((n, a_count, n))
     r = np.zeros((n, a_count))
-    terminal = np.zeros(n, dtype=bool)
-    terminal[n - 1] = True
+    terminal = np.arange(n) == table.goal
     for s in range(n):
         if terminal[s]:
             p[s, :, s] = 1.0
             continue
         for a in range(a_count):
-            p[s, a, CHAIN_NEXT[s, a]] = 1.0
-            r[s, a] = 1.0 if CHAIN_NEXT[s, a] == n - 1 else 0.0
-    init = np.zeros(n)
-    init[0] = 1.0
-    return TabularModel(n, a_count, p, r, init, config.horizon, terminal)
-
-
-def _grid_tabular(config: EnvConfig) -> TabularModel:
-    n = GRID_SIZE * GRID_SIZE
-    a_count = 4
-    wind_p = config.wind_strength if config.wind_enabled else 0.0
-    p = np.zeros((n, a_count, n))
-    r = np.zeros((n, a_count))
-    terminal = np.zeros(n, dtype=bool)
-    terminal[GRID_GOAL] = True
-    for s in range(n):
-        if terminal[s]:
-            p[s, :, s] = 1.0
-            continue
-        for a in range(a_count):
-            s_nowind = GRID_NEXT[s, a]
+            s_nowind = table.next[s, a]
             p[s, a, s_nowind] += 1.0 - wind_p
-            p[s, a, GRID_GUST[s_nowind]] += wind_p
-            r[s, a] = GRID_STEP_PENALTY + p[s, a, GRID_GOAL]
+            p[s, a, table.gust[s_nowind]] += wind_p
+            r[s, a] = table.step_reward + p[s, a, table.goal]
     init = np.zeros(n)
     init[0] = 1.0
     return TabularModel(n, a_count, p, r, init, config.horizon, terminal)

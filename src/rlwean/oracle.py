@@ -135,17 +135,11 @@ def expected_return(model: TabularModel, logits: np.ndarray, horizon: int,
     return total
 
 
-@dataclass
-class ExactGradient:
-    values: np.ndarray  # (S, A), gradient w.r.t. per-state softmax logits
-    horizon: int
-    gamma: float
-
-
 def exact_policy_gradient(model: TabularModel, logits: np.ndarray,
-                          horizon: int, gamma: float) -> ExactGradient:
+                          horizon: int, gamma: float) -> np.ndarray:
     """Exact score-function gradient: sum over all trajectories of
-    P(tau) * grad log P(tau) * R(tau)."""
+    P(tau) * grad log P(tau) * R(tau), as an (S, A) array with respect to
+    the per-state softmax logits."""
     _check_enum_guard(model, horizon)
     probs = softmax(logits)
     grad = np.zeros_like(probs)
@@ -171,7 +165,7 @@ def exact_policy_gradient(model: TabularModel, logits: np.ndarray,
 
     for s0 in np.flatnonzero(model.initial_distribution):
         rec(int(s0), 0, float(model.initial_distribution[s0]), 0.0, 1.0)
-    return ExactGradient(grad, horizon, gamma)
+    return grad
 
 
 def sample_trajectories(model: TabularModel, probs: np.ndarray, n: int,

@@ -23,8 +23,8 @@ from .errors import check_count
 from .nets import (MlpModel, adam_update, backward, clip_grad_norm, forward,
                    init_adam, init_mlp, single_blas_thread)
 from .policies import inverse_cdf, log_softmax
-from .priors import (PriorArtifact, WeaningSchedule, prior_value,
-                     q_to_value_from_probs, weaning_weight)
+from .priors import (PriorArtifact, WeaningSchedule, check_compatibility,
+                     prior_value, q_to_value_from_probs, weaning_weight)
 
 HIDDEN_DIMS = [64, 64]
 POLICY_OUTPUT_SCALE = 0.01
@@ -295,7 +295,9 @@ def train(env_config: EnvConfig, config: TrainConfig, total_timesteps: int,
 
     With a prior, iteration t's baseline blends it in with the weight
     w_t = weaning_weight(schedule, t); without one, w_t = 0 and the baseline
-    is the learned value network alone. Deterministic given seed.
+    is the learned value network alone. A prior that does not fit the env
+    raises CompatibilityError before the first rollout. Deterministic given
+    seed.
     """
     config.validate()
     check_count("total_timesteps", total_timesteps)
@@ -309,6 +311,8 @@ def train(env_config: EnvConfig, config: TrainConfig, total_timesteps: int,
                    for i in range(config.num_envs)]
 
     envs = make_env(env_config, config.num_envs)
+    if prior is not None:
+        check_compatibility(prior, envs.obs_dim, envs.action_space.count)
     envs.reset(seed=ENV_SEED_OFFSET + seed)
 
     policy = init_policy(envs, init_rng)

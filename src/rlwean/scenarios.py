@@ -16,10 +16,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dqn import DqnConfig, dqn_train, export_prior
-from .envs import EnvConfig, make_env
+from .envs import EnvConfig
 from .errors import check_count
-from .priors import (PriorArtifact, WeaningSchedule, check_compatibility,
-                     load_artifact, save_artifact)
+from .priors import (PriorArtifact, WeaningSchedule, load_artifact,
+                     save_artifact)
 from .ppo import TrainConfig, train
 
 CSV_HEADER = ["timestep", "episodic_return_mean", "episodic_return_std",
@@ -85,10 +85,7 @@ class ScenarioConfig:
                 self.source_env, wind_enabled=self.target_env.wind_enabled,
                 wind_strength=self.target_env.wind_strength)
             if same_but_wind != self.target_env or \
-                    (self.source_env.wind_enabled,
-                     self.source_env.wind_strength) == \
-                    (self.target_env.wind_enabled,
-                     self.target_env.wind_strength):
+                    self.source_env.wind_prob == self.target_env.wind_prob:
                 raise ValueError(
                     "setting 2 requires source/target differing by wind only")
             if self.schedule.kind != "step_decay":
@@ -219,8 +216,6 @@ def run_scenario(config: ScenarioConfig, out_dir,
         if prior.kind != expected_kind:
             raise ValueError(f"scenario expects a {expected_kind} prior, "
                              f"got {prior.kind}")
-        probe = make_env(config.target_env)
-        check_compatibility(prior, probe.obs_dim, probe.action_space.count)
 
     csv_paths = {}
     for seed in config.target_seeds:

@@ -126,6 +126,20 @@ def with_train(doc, **fields):
     return yaml.safe_dump(doc)
 
 
+def with_env_seed(doc, seed):
+    # not a field: runs seed their envs through reset
+    for block in ("source", "target"):
+        doc[block]["env"]["seed"] = seed
+    return yaml.safe_dump(doc)
+
+
+def with_envs(doc, setting, source_env, target_env, algorithm="dqn"):
+    doc["setting"] = setting
+    doc["source"].update(env=source_env, algorithm=algorithm)
+    doc["target"]["env"] = target_env
+    return yaml.safe_dump(doc)
+
+
 @pytest.mark.parametrize("text", [
     with_unknown_env_key(scenario_doc()),
     with_removed_train_option(scenario_doc()),
@@ -146,12 +160,23 @@ def with_train(doc, **fields):
                     "target": {**scenario_doc()["target"], "seeds": [-1]}}),
     # budgets live under source and target only
     with_train(scenario_doc(), total_timesteps=2048),
+    # fields the env would ignore: source and target would be one MDP
+    with_envs(scenario_doc(mode="rrl"), 2, {"env_id": "chain"},
+              {"env_id": "chain", "wind_enabled": True,
+               "wind_strength": 0.5}),
+    with_envs(scenario_doc(mode="rrl"), 3, {"env_id": "windy-grid"},
+              {"env_id": "windy-grid", "reward_variant": "reach-fast"},
+              algorithm="pg"),
+    with_envs(scenario_doc(mode="rrl"), 2, {"env_id": "windy-grid"},
+              {"env_id": "windy-grid", "wind_strength": 0.3}),
+    with_env_seed(scenario_doc(), 3),
 ], ids=["unknown-env-key", "removed-train-option", "wrongly-typed-value",
         "missing-source-block", "infinite-setting", "malformed-yaml",
         "not-a-mapping", "empty-source-seeds", "empty-target-seeds",
         "zero-num-envs", "zero-minibatch-size", "zero-steps-per-rollout",
         "negative-num-envs", "fractional-num-envs", "negative-target-seed",
-        "train-total-timesteps"])
+        "train-total-timesteps", "wind-on-chain", "reward-variant-on-grid",
+        "windless-target", "env-seed"])
 def test_bad_scenario_file_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "scenario.yaml"
     path.write_text(text)
@@ -200,6 +225,14 @@ def test_export_prior_bad_out_path_is_config_error_before_training(
                  "--total-timesteps", "3000", "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "missing").exists()
+
+
+def test_export_prior_wind_on_goal_world_is_config_error(tmp_path, capsys):
+    out = tmp_path / "q.json"
+    assert main(["export-prior", "--env", "goal-world", "--wind-enabled",
+                 "--total-timesteps", "3000", "--out", str(out)]) == 2
+    assert "wind_enabled" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_inspect_prior_directory_is_config_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,19 @@ def test_bad_action_and_bad_config():
         EnvConfig("chain", horizon=0).validate()
 
 
+@pytest.mark.parametrize("fields", [
+    {"env_id": "chain", "wind_enabled": True, "wind_strength": 0.5},
+    {"env_id": "goal-world", "wind_enabled": True},
+    {"env_id": "chain", "reward_variant": "reach-fast"},
+    {"env_id": "windy-grid", "reward_variant": "reach-fast"},
+], ids=["wind-chain", "wind-goal", "variant-chain", "variant-grid"])
+def test_config_rejects_fields_its_env_ignores(fields):
+    with pytest.raises(ValueError):
+        EnvConfig(**fields).validate()
+    with pytest.raises(ValueError):
+        make_env(EnvConfig(**fields))
+
+
 def test_chain_tabular_deterministic():
     model = as_tabular(EnvConfig("chain", horizon=20))
     assert model.state_count == 5 and model.action_count == 2
@@ -135,6 +150,38 @@ def test_windy_tabular_rows_normalized():
     model = as_tabular(EnvConfig("windy-grid", wind_enabled=True,
                                  wind_strength=0.3, horizon=20))
     np.testing.assert_allclose(model.transition.sum(axis=-1), 1.0, atol=1e-12)
+
+
+# SHA-256 of each model's arrays, dtypes, sizes and state observations,
+# recorded at e39c5a2, before chain and windy-grid shared one table env.
+GOLDEN_TABULAR = {
+    "chain-h20": (EnvConfig("chain", horizon=20),
+                  "83e0fad547268f53ff8363a05b4379fc798d92b3cc0043adf1d4ec329816edb1"),
+    "grid-h64": (EnvConfig("windy-grid", horizon=64),
+                 "f9dd1d4bd86c92806fad57761991a22e73e20b549010b615093e73c985c78d13"),
+    "grid-wind0.3-h64": (
+        EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.3,
+                  horizon=64),
+        "bde493e8826dfbe63b7457c15f361a5c8a6ebf356d55bbd267425b56d839d237"),
+    "grid-wind0.5-h12": (
+        EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.5,
+                  horizon=12),
+        "b3cd403b9590d15eea9c76612dcca3117bc077afc30627fe4e084451c7231d2e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TABULAR))
+def test_tabular_models_match_golden_digests(case):
+    cfg, expected = GOLDEN_TABULAR[case]
+    m = as_tabular(cfg)
+    h = hashlib.sha256()
+    for a in (m.transition, m.reward, m.initial_distribution, m.terminal):
+        h.update(a.tobytes())
+        h.update(str(a.dtype).encode())
+    h.update(repr((m.state_count, m.action_count, m.horizon)).encode())
+    for s in range(m.state_count):
+        h.update(env_observation(cfg, s).tobytes())
+    assert h.hexdigest() == expected
 
 
 def test_goal_world_not_tabularizable():

@@ -95,14 +95,14 @@ def test_constant_reward_gradient_is_zero():
     const = TabularModel(2, 2, model.transition,
                          np.full((2, 2), 0.7), model.initial_distribution,
                          model.horizon)
-    grad = exact_policy_gradient(const, demo_logits(), 3, 1.0).values
+    grad = exact_policy_gradient(const, demo_logits(), 3, 1.0)
     np.testing.assert_allclose(grad, 0.0, atol=1e-10)
 
 
 def test_exact_gradient_matches_finite_differences():
     model = demo_mdp(horizon=3)
     logits = demo_logits()
-    grad = exact_policy_gradient(model, logits, 3, 1.0).values
+    grad = exact_policy_gradient(model, logits, 3, 1.0)
     h = 1e-6
     for s in range(2):
         for a in range(2):
@@ -202,7 +202,7 @@ def test_exact_baseline_centers_advantages():
 def test_gradient_variance_mean_is_baseline_invariant():
     model = demo_mdp()
     logits = demo_logits()
-    exact = exact_policy_gradient(model, logits, model.horizon, 1.0).values
+    exact = exact_policy_gradient(model, logits, model.horizon, 1.0)
     v = exact_value(model, TabularPolicy(softmax(logits)), 1.0)
     for i, baseline in enumerate((None, v, np.array([5.0, -3.0]))):
         mean, trace, se = gradient_variance(model, logits, baseline, 40_000,

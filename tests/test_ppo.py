@@ -6,6 +6,7 @@ import pytest
 
 from rlwean.envs import (GRID_STEP_PENALTY, ActionSpace, EnvConfig, _BaseEnv,
                          make_env)
+from rlwean.errors import CompatibilityError
 from rlwean.nets import (MlpModel, _openblas_threads, adam_update,
                          clip_grad_norm, forward, init_adam, init_mlp)
 from rlwean.policies import action_probs, log_softmax
@@ -412,6 +413,17 @@ def test_train_config_validation():
     prior = PriorArtifact("value_function", constant_value_net(1), obs_dim=1)
     with pytest.raises(ValueError, match="schedule"):
         train(EnvConfig("chain"), TrainConfig(), 2048, 0, prior=prior)
+
+
+def test_train_checks_the_prior_before_the_first_rollout(monkeypatch):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("a rollout ran before the prior was checked")
+
+    monkeypatch.setattr("rlwean.ppo.collect_rollout", no_rollout)
+    prior = PriorArtifact("value_function", constant_value_net(2), obs_dim=2)
+    with pytest.raises(CompatibilityError, match="obs_dim"):
+        train(EnvConfig("chain", horizon=16), TrainConfig(), 2048, 0,
+              prior=prior, schedule=WeaningSchedule("fixed", 0.9))
 
 
 def test_train_chain_learns():
