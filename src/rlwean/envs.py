@@ -115,6 +115,8 @@ class EnvConfig:
             raise ValueError("wind_strength must lie in [0, 1]")
         if self.wind_enabled and self.env_id != "windy-grid":
             raise ValueError(f"wind_enabled needs windy-grid, not {self.env_id}")
+        if self.wind_strength > 0.0 and not self.wind_enabled:
+            raise ValueError("wind_strength above 0 needs wind_enabled")
         if self.reward_variant not in ("reach", "reach-fast"):
             raise ValueError(f"unknown reward_variant {self.reward_variant!r}")
         if self.reward_variant != "reach" and self.env_id != "goal-world":

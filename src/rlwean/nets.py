@@ -88,6 +88,10 @@ class MlpModel:
         return MlpModel(list(self.layer_dims), self.weights, self.biases,
                         self.flat.copy())
 
+    def __reduce__(self):
+        # deepcopy and pickle rebuild the views into the copied `flat`.
+        return MlpModel, (self.layer_dims, self.weights, self.biases, self.flat)
+
 
 @dataclass
 class GradientBuffer:
@@ -101,6 +105,9 @@ class GradientBuffer:
     def __post_init__(self, flat):
         self.flat, self.d_weights, self.d_biases = _flat_views(
             self.d_weights, self.d_biases, flat)
+
+    def __reduce__(self):
+        return GradientBuffer, (self.d_weights, self.d_biases, self.flat)
 
     def scale(self, c: float) -> None:
         self.flat *= c

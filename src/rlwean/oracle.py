@@ -1,10 +1,12 @@
 """Exact ground truth on tabular MDPs.
 
 Provides V^pi / Q^pi by linear solve or backward induction, Q* by value
-iteration, the exact finite-horizon policy gradient by full trajectory
-enumeration (softmax-parameterized tabular policy), and empirical
-gradient-variance estimation for score-function estimators. This is the
-verification backbone for the unbiasedness and variance-reduction checks.
+iteration, the exact finite-horizon return and policy gradient of a
+softmax-parameterized tabular policy by dynamic programming (one backward
+pass for Q_t, one forward pass for the occupancy d_t; O(H S^2 A), no size
+limit), and empirical gradient-variance estimation for score-function
+estimators. This is the verification backbone for the unbiasedness and
+variance-reduction checks.
 """
 
 from __future__ import annotations
@@ -14,11 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import TabularModel
-from .errors import UnsupportedError
 from .policies import inverse_cdf, softmax
 
-ENUM_MAX_STATE_ACTIONS = 32
-ENUM_MAX_HORIZON = 8
 PIVOT_EPS = 1e-12
 BLOCK = 8192  # trajectories per block in sampling and gradient statistics
 
@@ -62,29 +61,44 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _q_from_v(model: TabularModel, v: np.ndarray,
+              gamma: float) -> np.ndarray:
+    """One Bellman backup: r(s,a) + gamma * sum_s' P(s'|s,a) v(s'), and 0
+    at terminal states."""
+    q = model.reward + gamma * np.einsum("sat,t->sa", model.transition, v)
+    q[model.terminal] = 0.0
+    return q
+
+
+def _backward_pass(model: TabularModel, probs: np.ndarray, horizon: int,
+                   gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Q_t(s,a) for t < horizon, shape (horizon, S, A), by backward
+    induction from V_horizon = 0; and V_0."""
+    q = np.empty((horizon, model.state_count, model.action_count))
+    v = np.zeros(model.state_count)
+    for t in range(horizon - 1, -1, -1):
+        q[t] = _q_from_v(model, v, gamma)
+        v = np.sum(probs * q[t], axis=1)
+    return q, v
+
+
 def exact_value(model: TabularModel, policy: TabularPolicy,
                 gamma: float) -> np.ndarray:
-    """V^pi: linear solve for gamma < 1, backward induction at gamma = 1."""
+    """V^pi: linear solve for gamma < 1, backward induction over
+    model.horizon steps at gamma = 1."""
     pi = policy.probabilities
-    r_pi = np.sum(pi * model.reward, axis=1)
-    p_pi = np.einsum("sa,sat->st", pi, model.transition)
     if gamma < 1.0:
+        r_pi = np.sum(pi * model.reward, axis=1)
+        p_pi = np.einsum("sa,sat->st", pi, model.transition)
         eye = np.eye(model.state_count)
         return solve_linear(eye - gamma * p_pi, r_pi)
-    v = np.zeros(model.state_count)
-    for _ in range(model.horizon):
-        v = r_pi + p_pi @ v
-        v[model.terminal] = 0.0
-    return v
+    return _backward_pass(model, pi, model.horizon, 1.0)[1]
 
 
 def exact_q(model: TabularModel, policy: TabularPolicy,
             gamma: float) -> np.ndarray:
     """Q^pi(s,a) = r(s,a) + gamma * sum_s' P(s'|s,a) V^pi(s')."""
-    v = exact_value(model, policy, gamma)
-    q = model.reward + gamma * np.einsum("sat,t->sa", model.transition, v)
-    q[model.terminal] = 0.0
-    return q
+    return _q_from_v(model, exact_value(model, policy, gamma), gamma)
 
 
 def value_iteration(model: TabularModel, gamma: float, tol: float = 1e-12,
@@ -94,78 +108,36 @@ def value_iteration(model: TabularModel, gamma: float, tol: float = 1e-12,
     for _ in range(max_iters):
         v = q.max(axis=1)
         v[model.terminal] = 0.0
-        q_new = model.reward + gamma * np.einsum("sat,t->sa", model.transition, v)
-        q_new[model.terminal] = 0.0
+        q_new = _q_from_v(model, v, gamma)
         if np.max(np.abs(q_new - q)) < tol:
             return q_new
         q = q_new
     return q
 
 
-def _check_enum_guard(model: TabularModel, horizon: int) -> None:
-    if model.state_count * model.action_count > ENUM_MAX_STATE_ACTIONS:
-        raise UnsupportedError("MDP too large for trajectory enumeration")
-    if horizon > ENUM_MAX_HORIZON:
-        raise UnsupportedError("horizon too long for trajectory enumeration")
-
-
 def expected_return(model: TabularModel, logits: np.ndarray, horizon: int,
                     gamma: float) -> float:
-    """J(theta) by full trajectory enumeration."""
-    _check_enum_guard(model, horizon)
-    probs = softmax(logits)
-    total = 0.0
-
-    def rec(s: int, t: int, path_prob: float, ret: float, disc: float):
-        nonlocal total
-        if t == horizon or model.terminal[s]:
-            total += path_prob * ret
-            return
-        for a in range(model.action_count):
-            pa = probs[s, a]
-            if pa == 0.0:
-                continue
-            r = model.reward[s, a]
-            for s2 in np.flatnonzero(model.transition[s, a]):
-                rec(int(s2), t + 1, path_prob * pa * model.transition[s, a, s2],
-                    ret + disc * r, disc * gamma)
-
-    for s0 in np.flatnonzero(model.initial_distribution):
-        rec(int(s0), 0, float(model.initial_distribution[s0]), 0.0, 1.0)
-    return total
+    """J(theta) = init . V_0 over `horizon` steps."""
+    _, v0 = _backward_pass(model, softmax(logits), horizon, gamma)
+    return float(model.initial_distribution @ v0)
 
 
 def exact_policy_gradient(model: TabularModel, logits: np.ndarray,
                           horizon: int, gamma: float) -> np.ndarray:
-    """Exact score-function gradient: sum over all trajectories of
-    P(tau) * grad log P(tau) * R(tau), as an (S, A) array with respect to
-    the per-state softmax logits."""
-    _check_enum_guard(model, horizon)
+    """Exact gradient of expected_return with respect to the per-state
+    softmax logits, as an (S, A) array, by the finite-horizon policy-gradient
+    theorem: sum_t gamma^t d_t(s) pi(.|s) * (Q_t(s,.) - V_t(s)), where d_t is
+    the chance of being alive in s at step t. O(H S^2 A)."""
     probs = softmax(logits)
-    grad = np.zeros_like(probs)
-    score = np.zeros_like(probs)
-
-    def rec(s: int, t: int, path_prob: float, ret: float, disc: float):
-        if t == horizon or model.terminal[s]:
-            grad[...] += path_prob * ret * score
-            return
-        for a in range(model.action_count):
-            pa = probs[s, a]
-            if pa == 0.0:
-                continue
-            delta = -probs[s]
-            score[s] += delta
-            score[s, a] += 1.0
-            r = model.reward[s, a]
-            for s2 in np.flatnonzero(model.transition[s, a]):
-                rec(int(s2), t + 1, path_prob * pa * model.transition[s, a, s2],
-                    ret + disc * r, disc * gamma)
-            score[s, a] -= 1.0
-            score[s] -= delta
-
-    for s0 in np.flatnonzero(model.initial_distribution):
-        rec(int(s0), 0, float(model.initial_distribution[s0]), 0.0, 1.0)
-    return grad
+    q, _ = _backward_pass(model, probs, horizon, gamma)
+    advantage = q - np.sum(probs * q, axis=2, keepdims=True)
+    occupancy = np.empty((horizon, model.state_count))
+    d = model.initial_distribution.astype(np.float64)
+    for t in range(horizon):
+        d[model.terminal] = 0.0
+        occupancy[t] = gamma ** t * d
+        d = np.einsum("s,sa,sat->t", d, probs, model.transition)
+    return probs * np.einsum("ts,tsa->sa", occupancy, advantage)
 
 
 def sample_trajectories(model: TabularModel, probs: np.ndarray, n: int,

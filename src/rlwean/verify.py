@@ -38,7 +38,7 @@ class CheckResult:
 
 
 def demo_mdp(horizon: int = 2) -> TabularModel:
-    """2-state/2-action MDP small enough for full trajectory enumeration."""
+    """2-state/2-action MDP, small enough to check exact results by hand."""
     p = np.zeros((2, 2, 2))
     p[0, 0, 0] = 1.0  # action 0: stay
     p[1, 0, 1] = 1.0
@@ -65,8 +65,8 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def unbiasedness_checks(n_samples: int, seed: int = 0) -> list[CheckResult]:
-    """Sample mean of baseline-subtracted estimates vs the enumerated exact
-    gradient, for each baseline configuration."""
+    """Sample mean of baseline-subtracted estimates vs the exact gradient
+    by dynamic programming, for each baseline configuration."""
     model = demo_mdp()
     logits = demo_logits()
     exact = exact_policy_gradient(model, logits, model.horizon, 1.0)
@@ -117,9 +117,9 @@ def q_to_value_identity_check(n_policies: int = 20, seed: int = 3) -> CheckResul
     """sum_a pi(a|s) Q^pi(s,a) == V^pi per state, within 1e-10."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for env_id in ("chain", "windy-grid"):
-        cfg = EnvConfig(env_id=env_id, wind_enabled=(env_id == "windy-grid"),
-                        wind_strength=0.3, horizon=64)
+    for cfg in (EnvConfig("chain", horizon=64),
+                EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.3,
+                          horizon=64)):
         model = as_tabular(cfg)
         for _ in range(n_policies):
             policy = random_tabular_policy(model.state_count,

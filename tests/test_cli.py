@@ -235,6 +235,15 @@ def test_export_prior_wind_on_goal_world_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_export_prior_wind_strength_without_wind_is_config_error(tmp_path,
+                                                               capsys):
+    out = tmp_path / "q.json"
+    assert main(["export-prior", "--env", "chain", "--wind-strength", "0.5",
+                 "--total-timesteps", "3000", "--out", str(out)]) == 2
+    assert "wind_strength" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_inspect_prior_directory_is_config_error(tmp_path, capsys):
     assert main(["inspect-prior", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err

@@ -131,7 +131,9 @@ def test_bad_action_and_bad_config():
     {"env_id": "goal-world", "wind_enabled": True},
     {"env_id": "chain", "reward_variant": "reach-fast"},
     {"env_id": "windy-grid", "reward_variant": "reach-fast"},
-], ids=["wind-chain", "wind-goal", "variant-chain", "variant-grid"])
+    {"env_id": "chain", "wind_strength": 0.5},
+], ids=["wind-chain", "wind-goal", "variant-chain", "variant-grid",
+        "strength-without-wind"])
 def test_config_rejects_fields_its_env_ignores(fields):
     with pytest.raises(ValueError):
         EnvConfig(**fields).validate()

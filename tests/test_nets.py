@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -358,6 +361,29 @@ def test_parameters_are_views_of_one_flat_vector(tmp_path):
     # a write to flat is a write to the net forward evaluates
     model.flat[:] = 0.0
     np.testing.assert_array_equal(forward(model, np.ones(3)), np.zeros(2))
+
+
+@pytest.mark.parametrize("clone", [
+    copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["deepcopy", "pickle"])
+def test_copies_keep_their_parameter_views(clone):
+    rng = np.random.default_rng(10)
+    model = init_mlp([3, 5, 2], rng)
+    x = rng.standard_normal((4, 3))
+    grads = backward(model, x, rng.standard_normal((4, 2)))
+    copied, copied_grads = clone(model), clone(grads)
+    assert_params_share_flat(copied)
+    assert not np.shares_memory(copied.flat, model.flat)
+    assert copied.flat.tobytes() == model.flat.tobytes()
+    for a in copied_grads.d_weights + copied_grads.d_biases:
+        assert np.shares_memory(a, copied_grads.flat)
+    assert copied_grads.flat.tobytes() == grads.flat.tobytes()
+    before = copied.weights[0].copy()
+    adam_update(copied, init_adam(copied, 1e-2), copied_grads)
+    assert not np.array_equal(copied.weights[0], before)
+    np.testing.assert_array_equal(
+        copied.flat, np.concatenate([a.ravel() for a in
+                                     copied.weights + copied.biases]))
 
 
 def test_backward_results_never_alias():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rlwean.envs import EnvConfig, TabularModel, as_tabular
-from rlwean.errors import UnsupportedError
 from rlwean.oracle import (BLOCK, TabularPolicy, exact_policy_gradient,
                            exact_q, exact_value, expected_return,
                            gradient_variance, random_tabular_policy,
@@ -115,13 +114,108 @@ def test_exact_gradient_matches_finite_differences():
             assert abs(fd - grad[s, a]) <= 1e-6 * max(1.0, abs(fd))
 
 
-def test_enumeration_guards():
-    big = TabularModel(8, 8, np.ones((8, 8, 8)) / 8, np.zeros((8, 8)),
-                       np.ones(8) / 8, horizon=2)
-    with pytest.raises(UnsupportedError):
-        expected_return(big, np.zeros((8, 8)), 2, 1.0)
-    with pytest.raises(UnsupportedError):
-        exact_policy_gradient(demo_mdp(), demo_logits(), 9, 1.0)
+def enumerated_return_and_gradient(model, logits, horizon, gamma):
+    """J(theta) and its score-function gradient, sum over every trajectory
+    tau of P(tau) * R(tau) and of P(tau) * grad log P(tau) * R(tau): the
+    recursive enumerator the dynamic program replaced, kept as a reference.
+    Its cost grows as (S A)^horizon."""
+    probs = softmax(logits)
+    total = 0.0
+    grad = np.zeros_like(probs)
+    score = np.zeros_like(probs)
+
+    def rec(s, t, path_prob, ret, disc):
+        nonlocal total
+        if t == horizon or model.terminal[s]:
+            total += path_prob * ret
+            grad[...] += path_prob * ret * score
+            return
+        for a in range(model.action_count):
+            pa = probs[s, a]
+            if pa == 0.0:
+                continue
+            delta = -probs[s]
+            score[s] += delta
+            score[s, a] += 1.0
+            r = model.reward[s, a]
+            for s2 in np.flatnonzero(model.transition[s, a]):
+                rec(int(s2), t + 1, path_prob * pa * model.transition[s, a, s2],
+                    ret + disc * r, disc * gamma)
+            score[s, a] -= 1.0
+            score[s] -= delta
+
+    for s0 in np.flatnonzero(model.initial_distribution):
+        rec(int(s0), 0, float(model.initial_distribution[s0]), 0.0, 1.0)
+    return total, grad
+
+
+def assert_matches_enumeration(model, logits, horizon, gamma):
+    want_j, want_grad = enumerated_return_and_gradient(model, logits,
+                                                       horizon, gamma)
+    assert abs(expected_return(model, logits, horizon, gamma) - want_j) <= 1e-12
+    np.testing.assert_allclose(
+        exact_policy_gradient(model, logits, horizon, gamma), want_grad,
+        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 5, 8])
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+def test_dynamic_program_matches_enumeration_on_demo_mdp(horizon, gamma):
+    model = demo_mdp(horizon=horizon)
+    logits = np.random.default_rng(horizon).standard_normal((2, 2))
+    assert_matches_enumeration(model, logits, horizon, gamma)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+def test_dynamic_program_matches_enumeration_on_chain(gamma):
+    # the chain has a terminal state, reached within 6 steps
+    model = as_tabular(EnvConfig("chain", horizon=6))
+    logits = np.random.default_rng(6).standard_normal(
+        (model.state_count, model.action_count))
+    assert_matches_enumeration(model, logits, 6, gamma)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+def test_dynamic_program_ignores_terminal_rows(gamma):
+    # state 1 is terminal, yet its row pays 2 and leads back to state 0:
+    # an episode that reaches it must end there, as the enumerator has it
+    demo = demo_mdp(horizon=5)
+    model = TabularModel(2, 2, demo.transition, demo.reward,
+                         np.array([0.5, 0.5]), 5, np.array([False, True]))
+    logits = np.random.default_rng(5).standard_normal((2, 2))
+    assert_matches_enumeration(model, logits, 5, gamma)
+
+
+def test_exact_gradient_matches_finite_differences_on_windy_grid():
+    # 25 states x 4 actions at H = 64: far past what enumeration can reach
+    model = as_tabular(EnvConfig("windy-grid", wind_enabled=True,
+                                 wind_strength=0.3, horizon=64))
+    logits = np.random.default_rng(4).standard_normal(
+        (model.state_count, model.action_count))
+    grad = exact_policy_gradient(model, logits, 64, 1.0)
+    h = 1e-6
+    fd = np.empty_like(grad)
+    for s in range(model.state_count):
+        for a in range(model.action_count):
+            up = logits.copy()
+            up[s, a] += h
+            down = logits.copy()
+            down[s, a] -= h
+            fd[s, a] = (expected_return(model, up, 64, 1.0)
+                        - expected_return(model, down, 64, 1.0)) / (2 * h)
+    assert np.abs(grad).max() > 1e-2  # the check is not vacuous
+    np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("model", [
+    as_tabular(EnvConfig("chain", horizon=20)), demo_mdp(horizon=5)],
+    ids=["chain", "demo"])
+def test_expected_return_is_initial_value_at_gamma_one(model):
+    logits = np.random.default_rng(7).standard_normal(
+        (model.state_count, model.action_count))
+    v = exact_value(model, TabularPolicy(softmax(logits)), 1.0)
+    assert (expected_return(model, logits, model.horizon, 1.0)
+            == model.initial_distribution @ v)
 
 
 def test_sampled_return_matches_enumeration():
