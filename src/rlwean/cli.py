@@ -13,14 +13,16 @@ from dataclasses import replace
 
 import yaml
 
-from .dqn import DqnConfig, dqn_train, export_prior
-from .envs import EnvConfig
+# dqn_train, export_prior, train and save_artifact are not called here;
+# bench/spans.py times them under these names.
+from .dqn import dqn_train, export_prior
+from .envs import ENV_IDS, EnvConfig
 from .ppo import TrainConfig, train
-from .priors import (PriorArtifact, WeaningSchedule, load_artifact,
-                     save_artifact)
+from .priors import PRIOR_KIND, WeaningSchedule, load_artifact, save_artifact
 from .scenarios import (DEFAULT_BUDGET, DEFAULT_SOURCE_SEEDS,
-                        DEFAULT_TARGET_SEEDS, ScenarioConfig, compare,
-                        default_scenario, run_scenario)
+                        DEFAULT_TARGET_SEEDS, SETTINGS, ScenarioConfig,
+                        compare, default_scenario, run_scenario,
+                        train_source_prior)
 from .verify import run_verification
 
 
@@ -45,17 +47,17 @@ def load_scenario_file(path) -> ScenarioConfig:
     try:
         source, target = doc["source"], doc["target"]
         config = ScenarioConfig(
-            setting=int(doc["setting"]),
+            setting=doc["setting"],
             mode=doc.get("mode", "rrl"),
             source_env=block("source env", EnvConfig, source["env"]),
             source_algorithm=source.get("algorithm", "dqn"),
             source_seeds=tuple(source.get("seeds", DEFAULT_SOURCE_SEEDS)),
-            source_total_timesteps=int(source.get("total_timesteps",
-                                                  DEFAULT_BUDGET)),
+            source_total_timesteps=source.get("total_timesteps",
+                                              DEFAULT_BUDGET),
             target_env=block("target env", EnvConfig, target["env"]),
             target_seeds=tuple(target.get("seeds", DEFAULT_TARGET_SEEDS)),
-            target_total_timesteps=int(target.get("total_timesteps",
-                                                  DEFAULT_BUDGET)),
+            target_total_timesteps=target.get("total_timesteps",
+                                              DEFAULT_BUDGET),
             schedule=block("schedule", WeaningSchedule, doc["schedule"]),
             train_config=block("train", TrainConfig, doc.get("train", {})),
         )
@@ -144,21 +146,8 @@ def cmd_export_prior(args) -> int:
                            wind_strength=args.wind_strength,
                            reward_variant=args.reward_variant,
                            horizon=args.horizon)
-    metadata = {"source_env_id": args.env, "source_seed": args.seed}
-    if args.algorithm == "dqn":
-        q_net, _ = dqn_train(env_config,
-                             DqnConfig(total_timesteps=args.total_timesteps),
-                             args.seed)
-        export_prior(q_net, {**metadata, "source_algorithm": "dqn"}, args.out)
-    else:
-        result = train(env_config, TrainConfig(), args.total_timesteps,
-                       args.seed)
-        artifact = PriorArtifact(
-            kind="value_function", network=result.value_net,
-            obs_dim=result.value_net.input_dim,
-            source_env_id=args.env, source_algorithm="pg",
-            source_seed=args.seed)
-        save_artifact(artifact, args.out)
+    train_source_prior(env_config, args.algorithm, (args.seed,),
+                       args.total_timesteps, TrainConfig(), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -187,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario (source + target arms)")
     p_run.add_argument("--config", help="YAML scenario file")
-    p_run.add_argument("--setting", type=int, choices=(1, 2, 3, 4))
+    p_run.add_argument("--setting", type=int, choices=sorted(SETTINGS))
     p_run.add_argument("--mode", choices=("rrl", "tbr"))
     p_run.add_argument("--seed", type=int, help="single target seed")
     p_run.add_argument("--seeds", help="comma-separated target seeds")
@@ -211,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("export-prior",
                            help="train a source agent and export its prior")
-    p_exp.add_argument("--env", required=True,
-                       choices=("chain", "windy-grid", "goal-world"))
-    p_exp.add_argument("--algorithm", choices=("dqn", "pg"), default="dqn")
+    p_exp.add_argument("--env", required=True, choices=ENV_IDS)
+    p_exp.add_argument("--algorithm", choices=sorted(PRIOR_KIND),
+                       default="dqn")
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--total-timesteps", type=int, default=100_000)
     p_exp.add_argument("--wind-enabled", action="store_true")

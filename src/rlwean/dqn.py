@@ -1,4 +1,5 @@
-"""Plain DQN used to produce Q-function prior artifacts.
+"""Plain DQN used to produce Q-function prior artifacts, and the export of
+any trained source network as a prior artifact.
 
 Single-threaded, epsilon-greedy behavior with linear epsilon decay, uniform
 replay sampling, hard target-network copies, and squared TD error. No
@@ -15,7 +16,7 @@ from .envs import EnvConfig, make_env
 from .errors import check_count
 from .nets import (MlpModel, adam_update, backward, forward, init_adam,
                    init_mlp, single_blas_thread)
-from .priors import PriorArtifact, save_artifact
+from .priors import PRIOR_KIND, PriorArtifact, save_artifact
 
 HIDDEN_DIMS = [64, 64]
 DQN_LEARNING_RATE = 1e-3
@@ -150,15 +151,20 @@ def greedy_return(q_net: MlpModel, env_config: EnvConfig, seed: int = 0,
     return float(np.mean(totals))
 
 
-def export_prior(q_network: MlpModel, metadata: dict, path) -> PriorArtifact:
-    """Write a kind="q" prior artifact; load->evaluate is bit-exact."""
+def export_prior(network: MlpModel, metadata: dict, path) -> PriorArtifact:
+    """Write a trained source network as the prior artifact of its
+    metadata's source_algorithm (default dqn): a Q-network as a q_function
+    prior, a value net as a value_function prior. load->evaluate is
+    bit-exact."""
+    algorithm = metadata.get("source_algorithm", "dqn")
+    kind = PRIOR_KIND[algorithm]
     artifact = PriorArtifact(
-        kind="q_function",
-        network=q_network.copy(),
-        obs_dim=q_network.input_dim,
-        action_count=q_network.output_dim,
+        kind=kind,
+        network=network.copy(),
+        obs_dim=network.input_dim,
+        action_count=network.output_dim if kind == "q_function" else 0,
         source_env_id=metadata.get("source_env_id", ""),
-        source_algorithm=metadata.get("source_algorithm", "dqn"),
+        source_algorithm=algorithm,
         source_seed=int(metadata.get("source_seed", 0)),
         created_at=metadata.get("created_at", ""),
     )

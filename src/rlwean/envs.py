@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedError
+from .errors import UnsupportedError, check_count
 
 ENV_IDS = ("chain", "windy-grid", "goal-world")
 
@@ -122,8 +122,7 @@ class EnvConfig:
         if self.reward_variant != "reach" and self.env_id != "goal-world":
             raise ValueError(f"reward_variant {self.reward_variant!r} needs "
                              f"goal-world, not {self.env_id}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        check_count("horizon", self.horizon)
 
     @property
     def wind_prob(self) -> float:

@@ -12,6 +12,7 @@ class CompatibilityError(ValueError):
 
 
 def check_count(name: str, value) -> None:
-    """Raise ValueError unless value is an integer >= 1."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    """Raise ValueError unless value is an integer >= 1 (bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 1:
         raise ValueError(f"{name} must be an integer >= 1")

@@ -61,10 +61,10 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _q_from_v(model: TabularModel, v: np.ndarray,
-              gamma: float) -> np.ndarray:
+def q_from_v(model: TabularModel, v: np.ndarray,
+             gamma: float) -> np.ndarray:
     """One Bellman backup: r(s,a) + gamma * sum_s' P(s'|s,a) v(s'), and 0
-    at terminal states."""
+    at terminal states. Backing up v = V^pi gives Q^pi."""
     q = model.reward + gamma * np.einsum("sat,t->sa", model.transition, v)
     q[model.terminal] = 0.0
     return q
@@ -77,7 +77,7 @@ def _backward_pass(model: TabularModel, probs: np.ndarray, horizon: int,
     q = np.empty((horizon, model.state_count, model.action_count))
     v = np.zeros(model.state_count)
     for t in range(horizon - 1, -1, -1):
-        q[t] = _q_from_v(model, v, gamma)
+        q[t] = q_from_v(model, v, gamma)
         v = np.sum(probs * q[t], axis=1)
     return q, v
 
@@ -95,12 +95,6 @@ def exact_value(model: TabularModel, policy: TabularPolicy,
     return _backward_pass(model, pi, model.horizon, 1.0)[1]
 
 
-def exact_q(model: TabularModel, policy: TabularPolicy,
-            gamma: float) -> np.ndarray:
-    """Q^pi(s,a) = r(s,a) + gamma * sum_s' P(s'|s,a) V^pi(s')."""
-    return _q_from_v(model, exact_value(model, policy, gamma), gamma)
-
-
 def value_iteration(model: TabularModel, gamma: float, tol: float = 1e-12,
                     max_iters: int = 100_000) -> np.ndarray:
     """Optimal Q* by value iteration."""
@@ -108,7 +102,7 @@ def value_iteration(model: TabularModel, gamma: float, tol: float = 1e-12,
     for _ in range(max_iters):
         v = q.max(axis=1)
         v[model.terminal] = 0.0
-        q_new = _q_from_v(model, v, gamma)
+        q_new = q_from_v(model, v, gamma)
         if np.max(np.abs(q_new - q)) < tol:
             return q_new
         q = q_new

@@ -14,16 +14,20 @@ schedule that decreases over training.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
 
-from .errors import CompatibilityError
+from .errors import CompatibilityError, check_count
 from .nets import MlpModel, forward
 
 FORMAT_VERSION = 1
+# The prior each source algorithm leaves: DQN's Q-network, PPO's value net.
+PRIOR_KIND = {"dqn": "q_function", "pg": "value_function"}
 _KIND_TO_FILE = {"q_function": "q", "value_function": "v"}
 _FILE_TO_KIND = {v: k for k, v in _KIND_TO_FILE.items()}
 
@@ -40,12 +44,17 @@ class WeaningSchedule:
     def __post_init__(self):
         if self.kind not in ("fixed", "step_decay"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name in ("w0", "decrement"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number")
         if not 0.0 <= self.w0 <= 1.0:
             raise ValueError("w0 must lie in [0, 1]")
         if self.decrement < 0.0:
             raise ValueError("decrement must be non-negative")
-        if self.kind == "step_decay" and self.interval_steps < 1:
-            raise ValueError("interval_steps must be >= 1")
+        if self.kind == "step_decay":
+            check_count("interval_steps", self.interval_steps)
 
 
 def weaning_weight(schedule: WeaningSchedule, t: int) -> float:

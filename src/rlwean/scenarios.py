@@ -12,14 +12,16 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .dqn import DqnConfig, dqn_train, export_prior
 from .envs import EnvConfig
 from .errors import check_count
-from .priors import (PriorArtifact, WeaningSchedule, load_artifact,
-                     save_artifact)
+# save_artifact is not called here; bench/spans.py times it under this name.
+from .priors import (PRIOR_KIND, PriorArtifact, WeaningSchedule,
+                     load_artifact, save_artifact)
 from .ppo import TrainConfig, train
 
 CSV_HEADER = ["timestep", "episodic_return_mean", "episodic_return_std",
@@ -28,6 +30,40 @@ CSV_HEADER = ["timestep", "episodic_return_mean", "episodic_return_std",
 DEFAULT_TARGET_SEEDS = tuple(range(10))
 DEFAULT_SOURCE_SEEDS = (0, 1, 2)
 DEFAULT_BUDGET = 100_000
+
+
+class Setting(NamedTuple):
+    """What one of the paper's settings fixes about a scenario."""
+
+    algorithm: str  # the source algorithm
+    schedule_kind: str | None  # the one schedule kind allowed; None for any
+    shift: str | None  # the EnvConfig property source and target differ in
+    shift_fields: tuple  # the EnvConfig fields that may differ
+    source_env: EnvConfig  # the default source and target envs
+    target_env: EnvConfig
+
+
+_GRID = EnvConfig("windy-grid", wind_enabled=False, horizon=64)
+_REACH = EnvConfig("goal-world", reward_variant="reach", horizon=100)
+
+SETTINGS = {
+    1: Setting("dqn", "fixed", None, (), _GRID, _GRID),
+    2: Setting("dqn", "step_decay", "wind_prob",
+               ("wind_enabled", "wind_strength"), _GRID,
+               replace(_GRID, wind_enabled=True, wind_strength=0.3)),
+    3: Setting("pg", None, "reward_variant", ("reward_variant",), _REACH,
+               replace(_REACH, reward_variant="reach-fast")),
+    4: Setting("pg", None, None, (), _REACH, _REACH),
+}
+
+
+def _setting(number) -> Setting:
+    """The SETTINGS entry for `number`; ValueError for anything else."""
+    check_count("setting", number)
+    if number not in SETTINGS:
+        raise ValueError(f"setting must be one of {sorted(SETTINGS)}, "
+                         f"got {number}")
+    return SETTINGS[number]
 
 
 def optimal_return(env_config: EnvConfig) -> float:
@@ -56,8 +92,7 @@ class ScenarioConfig:
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> None:
-        if self.setting not in (1, 2, 3, 4):
-            raise ValueError(f"setting must be 1-4, got {self.setting}")
+        spec = _setting(self.setting)
         if self.mode not in ("rrl", "tbr"):
             raise ValueError(f"mode must be rrl or tbr, got {self.mode!r}")
         self.source_env.validate()
@@ -71,40 +106,18 @@ class ScenarioConfig:
         for name in ("source_total_timesteps", "target_total_timesteps"):
             check_count(name, getattr(self, name))
         self.train_config.validate()
-        if self.setting == 1:
-            if self.source_env != self.target_env:
-                raise ValueError("setting 1 requires source env == target env")
-            if self.source_algorithm != "dqn":
-                raise ValueError("setting 1 requires a DQN source")
-            if self.schedule.kind != "fixed":
-                raise ValueError("setting 1 uses a fixed weaning schedule")
-        elif self.setting == 2:
-            if self.source_algorithm != "dqn":
-                raise ValueError("setting 2 requires a DQN source")
-            same_but_wind = replace(
-                self.source_env, wind_enabled=self.target_env.wind_enabled,
-                wind_strength=self.target_env.wind_strength)
-            if same_but_wind != self.target_env or \
-                    self.source_env.wind_prob == self.target_env.wind_prob:
-                raise ValueError(
-                    "setting 2 requires source/target differing by wind only")
-            if self.schedule.kind != "step_decay":
-                raise ValueError("setting 2 uses a step_decay schedule")
-        elif self.setting == 3:
-            if self.source_algorithm != "pg":
-                raise ValueError("setting 3 requires a policy-gradient source")
-            if replace(self.source_env,
-                       reward_variant=self.target_env.reward_variant) \
-                    != self.target_env or \
-                    self.source_env.reward_variant == \
-                    self.target_env.reward_variant:
-                raise ValueError("setting 3 requires source/target differing "
-                                 "by reward_variant only")
-        else:
-            if self.source_env != self.target_env:
-                raise ValueError("setting 4 requires source env == target env")
-            if self.source_algorithm != "pg":
-                raise ValueError("setting 4 requires a policy-gradient source")
+        name = f"setting {self.setting}"
+        if self.source_algorithm != spec.algorithm:
+            raise ValueError(f"{name} requires a {spec.algorithm} source")
+        if spec.schedule_kind not in (None, self.schedule.kind):
+            raise ValueError(f"{name} uses a {spec.schedule_kind} schedule")
+        src, tgt, shift = self.source_env, self.target_env, spec.shift
+        rest = replace(src, **{f: getattr(tgt, f) for f in spec.shift_fields})
+        shifted = shift is None or getattr(src, shift) != getattr(tgt, shift)
+        if rest != tgt or not shifted:
+            what = f"source/target differing by {shift} only" if shift \
+                else "source env == target env"
+            raise ValueError(f"{name} requires {what}")
 
 
 def default_scenario(setting: int, mode: str = "rrl",
@@ -113,35 +126,21 @@ def default_scenario(setting: int, mode: str = "rrl",
                      target_seeds=DEFAULT_TARGET_SEEDS,
                      source_seeds=DEFAULT_SOURCE_SEEDS,
                      schedule: WeaningSchedule | None = None) -> ScenarioConfig:
-    """Desk-scale defaults for each of the four settings."""
-    interval = max(target_total_timesteps // 10, 1)
-    if setting == 1:
-        env = EnvConfig("windy-grid", wind_enabled=False, horizon=64)
-        src, tgt, algo = env, env, "dqn"
-        sched = schedule or WeaningSchedule("fixed", 0.9)
-    elif setting == 2:
-        src = EnvConfig("windy-grid", wind_enabled=False, horizon=64)
-        tgt = EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.3,
-                        horizon=64)
-        algo = "dqn"
-        sched = schedule or WeaningSchedule("step_decay", 0.5, 0.1, interval)
-    elif setting == 3:
-        src = EnvConfig("goal-world", reward_variant="reach", horizon=100)
-        tgt = EnvConfig("goal-world", reward_variant="reach-fast", horizon=100)
-        algo = "pg"
-        sched = schedule or WeaningSchedule("step_decay", 0.5, 0.1, interval)
-    elif setting == 4:
-        env = EnvConfig("goal-world", reward_variant="reach", horizon=100)
-        src, tgt, algo = env, env, "pg"
-        sched = schedule or WeaningSchedule("step_decay", 0.5, 0.1, interval)
-    else:
-        raise ValueError(f"setting must be 1-4, got {setting}")
+    """Desk-scale defaults for each setting: its SETTINGS envs, w = 0.9
+    fixed where the setting fixes w, else w0 = 0.5 less 0.1 every tenth of
+    the target budget."""
+    spec = _setting(setting)
+    if schedule is None and spec.schedule_kind == "fixed":
+        schedule = WeaningSchedule("fixed", 0.9)
+    elif schedule is None:
+        schedule = WeaningSchedule("step_decay", 0.5, 0.1,
+                                   max(target_total_timesteps // 10, 1))
     config = ScenarioConfig(
-        setting=setting, mode=mode, source_env=src, source_algorithm=algo,
-        source_seeds=tuple(source_seeds),
+        setting=setting, mode=mode, source_env=replace(spec.source_env),
+        source_algorithm=spec.algorithm, source_seeds=tuple(source_seeds),
         source_total_timesteps=source_total_timesteps,
-        target_env=tgt, target_seeds=tuple(target_seeds),
-        target_total_timesteps=target_total_timesteps, schedule=sched)
+        target_env=replace(spec.target_env), target_seeds=tuple(target_seeds),
+        target_total_timesteps=target_total_timesteps, schedule=schedule)
     config.validate()
     return config
 
@@ -161,38 +160,31 @@ def read_curve_csv(path) -> list[dict]:
         return [{k: float(v) for k, v in row.items()} for row in reader]
 
 
-def train_source_prior(config: ScenarioConfig, artifact_path) -> PriorArtifact:
-    """Train the source over its seeds and export the best-final-return
-    seed's network as the prior artifact. Ties go to the earlier seed, also
-    between DQN seeds that never finished an episode (return -inf)."""
-    best_perf, best_net, best_seed = -np.inf, None, None
-    if config.source_algorithm == "dqn":
-        dqn_config = DqnConfig(total_timesteps=config.source_total_timesteps)
-        for seed in config.source_seeds:
-            q_net, curve = dqn_train(config.source_env, dqn_config, seed)
-            perf = curve[-1][1] if curve else -np.inf
-            if best_net is None or perf > best_perf:
-                best_perf, best_net, best_seed = perf, q_net, seed
-        return export_prior(best_net, {
-            "source_env_id": config.source_env.env_id,
-            "source_algorithm": "dqn",
-            "source_seed": best_seed,
-        }, artifact_path)
+def _train_source(env: EnvConfig, algorithm: str, seed: int, budget: int,
+                  train_config: TrainConfig):
+    """One source run: its network and its final performance, the last DQN
+    curve row (-inf if no episode finished) or the mean of PPO's last tenth
+    of rows."""
+    if algorithm == "dqn":
+        q_net, curve = dqn_train(env, DqnConfig(total_timesteps=budget), seed)
+        return q_net, curve[-1][1] if curve else -np.inf
+    result = train(env, train_config, budget, seed)
+    tail = result.curve[-max(len(result.curve) // 10, 1):]
+    return result.value_net, float(np.mean([row[1] for row in tail]))
 
-    for seed in config.source_seeds:
-        result = train(config.source_env, config.train_config,
-                       config.source_total_timesteps, seed)
-        tail = result.curve[-max(len(result.curve) // 10, 1):]
-        perf = float(np.mean([row[1] for row in tail]))
-        if perf > best_perf:
-            best_perf, best_net, best_seed = perf, result.value_net, seed
-    artifact = PriorArtifact(
-        kind="value_function", network=best_net.copy(),
-        obs_dim=best_net.input_dim,
-        source_env_id=config.source_env.env_id,
-        source_algorithm="pg", source_seed=best_seed)
-    save_artifact(artifact, artifact_path)
-    return artifact
+
+def train_source_prior(env: EnvConfig, algorithm: str, seeds, budget: int,
+                       train_config: TrainConfig, path) -> PriorArtifact:
+    """Train the source once per seed and export the best-performing seed's
+    network (DQN's Q-network or PPO's value net) as the prior artifact.
+    Ties go to the earlier seed, also between DQN seeds that never finished
+    an episode (return -inf)."""
+    runs = ((seed, *_train_source(env, algorithm, seed, budget, train_config))
+            for seed in seeds)
+    seed, net, _ = max(runs, key=lambda run: run[2])
+    return export_prior(net, {"source_env_id": env.env_id,
+                              "source_algorithm": algorithm,
+                              "source_seed": seed}, path)
 
 
 def run_scenario(config: ScenarioConfig, out_dir,
@@ -209,10 +201,12 @@ def run_scenario(config: ScenarioConfig, out_dir,
             artifact_path = prior_path
         else:
             artifact_path = prior_path or os.path.join(out_dir, "prior.json")
-            prior = train_source_prior(config, artifact_path)
+            prior = train_source_prior(
+                config.source_env, config.source_algorithm,
+                config.source_seeds, config.source_total_timesteps,
+                config.train_config, artifact_path)
         # Fail fast, before any target training starts.
-        expected_kind = "q_function" if config.source_algorithm == "dqn" \
-            else "value_function"
+        expected_kind = PRIOR_KIND[config.source_algorithm]
         if prior.kind != expected_kind:
             raise ValueError(f"scenario expects a {expected_kind} prior, "
                              f"got {prior.kind}")

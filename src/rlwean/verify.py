@@ -12,8 +12,8 @@ import numpy as np
 
 from .envs import EnvConfig, TabularModel, as_tabular
 from .nets import MlpModel, backward, forward, init_mlp
-from .oracle import (TabularPolicy, exact_policy_gradient, exact_q,
-                     exact_value, gradient_variance, random_tabular_policy)
+from .oracle import (TabularPolicy, exact_policy_gradient, exact_value,
+                     gradient_variance, q_from_v, random_tabular_policy)
 from .policies import softmax
 from .priors import WeaningSchedule, weaning_weight
 
@@ -125,7 +125,7 @@ def q_to_value_identity_check(n_policies: int = 20, seed: int = 3) -> CheckResul
             policy = random_tabular_policy(model.state_count,
                                            model.action_count, rng)
             v = exact_value(model, policy, 0.99)
-            q = exact_q(model, policy, 0.99)
+            q = q_from_v(model, v, 0.99)
             err = float(np.max(np.abs(
                 np.sum(policy.probabilities * q, axis=1) - v)))
             worst = max(worst, err)

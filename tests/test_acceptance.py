@@ -42,11 +42,18 @@ def work_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("acceptance")
 
 
+def default_source_prior(setting: int, path) -> None:
+    config = default_scenario(setting)
+    train_source_prior(config.source_env, config.source_algorithm,
+                       config.source_seeds, config.source_total_timesteps,
+                       config.train_config, path)
+
+
 @pytest.fixture(scope="session")
 def dqn_prior_path(work_dir):
     # settings 1 and 2 share the same source task (windy-grid, no wind)
     path = work_dir / "dqn_prior.json"
-    train_source_prior(default_scenario(1), path)
+    default_source_prior(1, path)
     return str(path)
 
 
@@ -54,7 +61,7 @@ def dqn_prior_path(work_dir):
 def pg_prior_path(work_dir):
     # settings 3 and 4 share the same source task (goal-world, reach)
     path = work_dir / "pg_prior.json"
-    train_source_prior(default_scenario(4), path)
+    default_source_prior(4, path)
     return str(path)
 
 

@@ -116,6 +116,15 @@ def with_infinite_setting(doc):
     return yaml.safe_dump(doc)
 
 
+def with_value(doc, keys, value):
+    *blocks, key = keys
+    inner = doc
+    for block in blocks:
+        inner = inner[block]
+    inner[key] = value
+    return yaml.safe_dump(doc)
+
+
 def with_no_seeds(doc, block):
     doc[block]["seeds"] = []
     return yaml.safe_dump(doc)
@@ -170,13 +179,22 @@ def with_envs(doc, setting, source_env, target_env, algorithm="dqn"):
     with_envs(scenario_doc(mode="rrl"), 2, {"env_id": "windy-grid"},
               {"env_id": "windy-grid", "wind_strength": 0.3}),
     with_env_seed(scenario_doc(), 3),
+    # counts are integers, not truncated floats or bools
+    with_value(scenario_doc(), ["setting"], 2.9),
+    with_value(scenario_doc(), ["target", "total_timesteps"], 4096.9),
+    with_value(scenario_doc(), ["target", "total_timesteps"], True),
+    with_value(scenario_doc(mode="rrl"), ["schedule", "interval_steps"], 2.5),
+    with_value(scenario_doc(mode="rrl"), ["schedule", "w0"], True),
+    with_value(scenario_doc(), ["target", "env", "horizon"], 64.5),
 ], ids=["unknown-env-key", "removed-train-option", "wrongly-typed-value",
         "missing-source-block", "infinite-setting", "malformed-yaml",
         "not-a-mapping", "empty-source-seeds", "empty-target-seeds",
         "zero-num-envs", "zero-minibatch-size", "zero-steps-per-rollout",
         "negative-num-envs", "fractional-num-envs", "negative-target-seed",
         "train-total-timesteps", "wind-on-chain", "reward-variant-on-grid",
-        "windless-target", "env-seed"])
+        "windless-target", "env-seed", "fractional-setting",
+        "fractional-budget", "bool-budget", "fractional-interval", "bool-w0",
+        "fractional-horizon"])
 def test_bad_scenario_file_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "scenario.yaml"
     path.write_text(text)
@@ -217,8 +235,8 @@ def fail_if_called(*args, **kwargs):
 @pytest.mark.parametrize("target", ["existing-dir", "missing-parent"])
 def test_export_prior_bad_out_path_is_config_error_before_training(
         tmp_path, monkeypatch, capsys, algorithm, target):
-    monkeypatch.setattr("rlwean.cli.dqn_train", fail_if_called)
-    monkeypatch.setattr("rlwean.cli.train", fail_if_called)
+    monkeypatch.setattr("rlwean.scenarios.dqn_train", fail_if_called)
+    monkeypatch.setattr("rlwean.scenarios.train", fail_if_called)
     out = tmp_path if target == "existing-dir" \
         else tmp_path / "missing" / "q.json"
     assert main(["export-prior", "--env", "chain", "--algorithm", algorithm,
@@ -303,7 +321,9 @@ def test_export_pg_prior_is_the_trained_value_net(tmp_path):
                  "--out", str(out)]) == 0
     prior = load_artifact(out)
     assert prior.kind == "value_function"
-    assert (prior.source_algorithm, prior.source_seed) == ("pg", 5)
+    assert (prior.obs_dim, prior.action_count) == (1, 0)
+    assert (prior.source_env_id, prior.source_algorithm,
+            prior.source_seed) == ("chain", "pg", 5)
     trained = train(EnvConfig("chain", horizon=16), TrainConfig(), 4096,
                     5).value_net
     assert prior.network.layer_dims == trained.layer_dims

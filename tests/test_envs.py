@@ -122,8 +122,9 @@ def test_bad_action_and_bad_config():
         env.step(2)
     with pytest.raises(ValueError):
         EnvConfig("lunar-lander").validate()
-    with pytest.raises(ValueError):
-        EnvConfig("chain", horizon=0).validate()
+    for horizon in (0, 64.5, True):
+        with pytest.raises(ValueError):
+            EnvConfig("chain", horizon=horizon).validate()
 
 
 @pytest.mark.parametrize("fields", [

@@ -5,8 +5,8 @@ import pytest
 
 from rlwean.envs import EnvConfig, TabularModel, as_tabular
 from rlwean.oracle import (BLOCK, TabularPolicy, exact_policy_gradient,
-                           exact_q, exact_value, expected_return,
-                           gradient_variance, random_tabular_policy,
+                           exact_value, expected_return, gradient_variance,
+                           q_from_v, random_tabular_policy,
                            sample_trajectories, solve_linear, value_iteration)
 from rlwean.policies import inverse_cdf, softmax
 from rlwean.verify import demo_logits, demo_mdp
@@ -35,7 +35,8 @@ def test_zero_reward_mdp_has_zero_values():
                         model.terminal)
     policy = uniform_policy(model)
     np.testing.assert_allclose(exact_value(zero, policy, 0.9), 0.0, atol=1e-12)
-    np.testing.assert_allclose(exact_q(zero, policy, 0.9), 0.0, atol=1e-12)
+    q = q_from_v(zero, exact_value(zero, policy, 0.9), 0.9)
+    np.testing.assert_allclose(q, 0.0, atol=1e-12)
 
 
 def test_self_loop_geometric_series():
@@ -66,7 +67,7 @@ def test_linear_solve_matches_iterative_fixed_point():
 def test_q_next_to_terminal_equals_immediate_reward():
     model = as_tabular(EnvConfig("chain", horizon=64))
     policy = uniform_policy(model)
-    q = exact_q(model, policy, 0.99)
+    q = q_from_v(model, exact_value(model, policy, 0.99), 0.99)
     # state 3, move right: lands in the terminal state, so Q = r = 1
     assert q[3, 1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(q[model.terminal] == 0.0)

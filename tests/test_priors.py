@@ -6,7 +6,7 @@ import pytest
 from rlwean.envs import EnvConfig, as_tabular
 from rlwean.errors import CompatibilityError
 from rlwean.nets import MlpModel, forward, init_mlp
-from rlwean.oracle import TabularPolicy, exact_q, exact_value, random_tabular_policy
+from rlwean.oracle import TabularPolicy, exact_value, q_from_v, random_tabular_policy
 from rlwean.policies import action_probs
 from rlwean.ppo import combined_baseline
 from rlwean.priors import (PriorArtifact, WeaningSchedule,
@@ -45,6 +45,14 @@ def test_schedule_validation():
         WeaningSchedule("step_decay", 0.5, -0.1, 10)
     with pytest.raises(ValueError):
         WeaningSchedule("step_decay", 0.5, 0.1, 0)
+    for bad in (dict(w0=True), dict(w0="0.5"), dict(decrement=True),
+                dict(decrement=float("inf")), dict(interval_steps=2.5),
+                dict(interval_steps=True)):
+        with pytest.raises(ValueError):
+            WeaningSchedule(**{"kind": "step_decay", "w0": 0.5,
+                               "decrement": 0.1, "interval_steps": 10, **bad})
+    with pytest.raises(ValueError):
+        WeaningSchedule("fixed", True)
     with pytest.raises(ValueError):
         weaning_weight(WeaningSchedule("fixed", 0.5), -1)
 
@@ -76,7 +84,7 @@ def test_q_to_value_identity_on_tabular_chain():
     for _ in range(5):
         policy = random_tabular_policy(model.state_count, model.action_count, rng)
         v = exact_value(model, policy, 0.99)
-        q = exact_q(model, policy, 0.99)
+        q = q_from_v(model, v, 0.99)
         np.testing.assert_allclose(np.sum(policy.probabilities * q, axis=1),
                                    v, atol=1e-10)
 

@@ -37,25 +37,60 @@ def test_default_scenarios_validate():
         ("step_decay", 0.5, 0.1, 10_000)
 
 
+@pytest.mark.parametrize("mode", ["rrl", "tbr"])
+def test_default_scenarios_are_the_paper_settings(mode):
+    grid = EnvConfig("windy-grid", wind_enabled=False, horizon=64)
+    windy = EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.3,
+                      horizon=64)
+    reach = EnvConfig("goal-world", reward_variant="reach", horizon=100)
+    fast = EnvConfig("goal-world", reward_variant="reach-fast", horizon=100)
+    decay = WeaningSchedule("step_decay", 0.5, 0.1, 409)
+    expected = {1: (grid, "dqn", grid, WeaningSchedule("fixed", 0.9)),
+                2: (grid, "dqn", windy, decay),
+                3: (reach, "pg", fast, decay),
+                4: (reach, "pg", reach, decay)}
+    for setting, (source, algorithm, target, schedule) in expected.items():
+        config = default_scenario(setting, mode, target_total_timesteps=4096,
+                                  source_total_timesteps=3000)
+        assert (config.setting, config.mode) == (setting, mode)
+        assert (config.source_env, config.source_algorithm,
+                config.target_env, config.schedule) == \
+            (source, algorithm, target, schedule)
+        assert (config.source_seeds, config.source_total_timesteps,
+                config.target_total_timesteps) == ((0, 1, 2), 3000, 4096)
+        assert config.train_config == TrainConfig()
+
+
 def test_scenario_validation_rejects_mismatches():
     base = default_scenario(1)
-    with pytest.raises(ValueError):
-        replace(base, mode="greedy").validate()
-    with pytest.raises(ValueError):
-        replace(base, setting=5).validate()
-    with pytest.raises(ValueError):
-        replace(base, source_algorithm="pg").validate()
-    with pytest.raises(ValueError):
-        replace(base, target_env=EnvConfig("chain")).validate()
-    s2 = default_scenario(2)
-    with pytest.raises(ValueError):  # source and target must differ by wind
-        replace(s2, target_env=s2.source_env).validate()
-    s3 = default_scenario(3)
-    with pytest.raises(ValueError):  # must differ by reward variant only
-        replace(s3, target_env=s3.source_env).validate()
-    s4 = default_scenario(4)
-    with pytest.raises(ValueError):
-        replace(s4, source_algorithm="dqn").validate()
+    s2, s3, s4 = default_scenario(2), default_scenario(3), default_scenario(4)
+    fixed = WeaningSchedule("fixed", 0.9)
+    calm = EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.0,
+                     horizon=64)
+    bad = [
+        replace(base, mode="greedy"),
+        replace(base, setting=5),
+        replace(base, setting=True),
+        replace(base, setting=1.5),
+        replace(base, source_algorithm="pg"),
+        replace(base, target_env=EnvConfig("chain")),
+        replace(base, schedule=s2.schedule),
+        # source and target must differ by wind
+        replace(s2, target_env=s2.source_env),
+        replace(s2, schedule=fixed),
+        replace(s2, target_env=replace(s2.target_env, horizon=32)),
+        # wind on at strength 0 is the same windless MDP
+        replace(s2, source_env=calm, target_env=s2.source_env),
+        # must differ by reward variant only
+        replace(s3, target_env=s3.source_env),
+        replace(s3, target_env=replace(s3.target_env, horizon=50)),
+        replace(s4, source_algorithm="dqn"),
+    ]
+    for config in bad:
+        with pytest.raises(ValueError):
+            config.validate()
+    for config in (s3, s4):  # settings 3 and 4 take any schedule kind
+        replace(config, schedule=fixed).validate()
 
 
 def test_optimal_returns():
