@@ -18,7 +18,8 @@ import yaml
 from .dqn import dqn_train, export_prior
 from .envs import ENV_IDS, EnvConfig
 from .ppo import TrainConfig, train
-from .priors import PRIOR_KIND, WeaningSchedule, load_artifact, save_artifact
+from .priors import (FORMAT_VERSION, PRIOR_KIND, WeaningSchedule,
+                     load_artifact, save_artifact)
 from .scenarios import (DEFAULT_BUDGET, DEFAULT_SOURCE_SEEDS,
                         DEFAULT_TARGET_SEEDS, SETTINGS, ScenarioConfig,
                         compare, default_scenario, run_scenario,
@@ -28,8 +29,9 @@ from .verify import run_verification
 
 def load_scenario_file(path) -> ScenarioConfig:
     """Parse and validate a YAML scenario file. Malformed YAML, a missing
-    key, unknown or missing fields in a block and values of the wrong type
-    raise ValueError naming the file (and the key or block, where known)."""
+    or unknown key, unknown or missing fields in a block, values of the
+    wrong type and a source `algorithm` other than the setting's raise
+    ValueError naming the file (and the key or block, where known)."""
     try:
         with open(path) as f:
             doc = yaml.safe_load(f)
@@ -50,7 +52,6 @@ def load_scenario_file(path) -> ScenarioConfig:
             setting=doc["setting"],
             mode=doc.get("mode", "rrl"),
             source_env=block("source env", EnvConfig, source["env"]),
-            source_algorithm=source.get("algorithm", "dqn"),
             source_seeds=tuple(source.get("seeds", DEFAULT_SOURCE_SEEDS)),
             source_total_timesteps=source.get("total_timesteps",
                                               DEFAULT_BUDGET),
@@ -61,7 +62,18 @@ def load_scenario_file(path) -> ScenarioConfig:
             schedule=block("schedule", WeaningSchedule, doc["schedule"]),
             train_config=block("train", TrainConfig, doc.get("train", {})),
         )
+        for name, keys, allowed in (
+                ("the file", doc, "setting mode source target schedule train"),
+                ("source", source, "env algorithm seeds total_timesteps"),
+                ("target", target, "env seeds total_timesteps")):
+            unknown = [key for key in keys if key not in allowed.split()]
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r} in {name}")
         config.validate()
+        algorithm = SETTINGS[config.setting].algorithm
+        if source.get("algorithm", algorithm) != algorithm:
+            raise ValueError(f"setting {config.setting} requires a "
+                             f"{algorithm} source")
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (TypeError, AttributeError, OverflowError) as exc:
@@ -72,8 +84,6 @@ def load_scenario_file(path) -> ScenarioConfig:
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    if args.mode:
-        config = replace(config, mode=args.mode)
     if args.seed is not None:
         config = replace(config, target_seeds=(args.seed,))
     if args.seeds is not None:
@@ -81,14 +91,11 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
         config = replace(config, target_seeds=seeds)
     if args.total_timesteps is not None:
         config = replace(config, target_total_timesteps=args.total_timesteps)
-    schedule = config.schedule
-    if args.w0 is not None:
-        schedule = replace(schedule, w0=args.w0)
-    if args.w_decrement is not None:
-        schedule = replace(schedule, decrement=args.w_decrement)
-    if args.w_interval is not None:
-        schedule = replace(schedule, interval_steps=args.w_interval)
-    config = replace(config, schedule=schedule)
+    schedule = {name: value for name, value in (
+        ("w0", args.w0), ("decrement", args.w_decrement),
+        ("interval_steps", args.w_interval)) if value is not None}
+    config = replace(config, mode=args.mode or config.mode,
+                     schedule=replace(config.schedule, **schedule))
     config.validate()
     return config
 
@@ -99,8 +106,7 @@ def cmd_run(args) -> int:
         if args.setting and args.setting != config.setting:
             raise ValueError("--setting conflicts with the config file")
     elif args.setting:
-        config = default_scenario(args.setting,
-                                  mode=args.mode or "rrl")
+        config = default_scenario(args.setting)
     else:
         raise ValueError("run requires --config or --setting")
     config = _apply_overrides(config, args)
@@ -163,7 +169,7 @@ def cmd_inspect_prior(args) -> int:
     print(f"source_algorithm: {prior.source_algorithm}")
     print(f"source_seed: {prior.source_seed}")
     print(f"created_at: {prior.created_at}")
-    print(f"format_version: {prior.format_version}")
+    print(f"format_version: {FORMAT_VERSION}")
     return 0
 
 

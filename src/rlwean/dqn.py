@@ -154,19 +154,11 @@ def greedy_return(q_net: MlpModel, env_config: EnvConfig, seed: int = 0,
 def export_prior(network: MlpModel, metadata: dict, path) -> PriorArtifact:
     """Write a trained source network as the prior artifact of its
     metadata's source_algorithm (default dqn): a Q-network as a q_function
-    prior, a value net as a value_function prior. load->evaluate is
+    prior, a value net as a value_function prior. `metadata` holds
+    PriorArtifact's source_* and created_at fields. load->evaluate is
     bit-exact."""
-    algorithm = metadata.get("source_algorithm", "dqn")
-    kind = PRIOR_KIND[algorithm]
-    artifact = PriorArtifact(
-        kind=kind,
-        network=network.copy(),
-        obs_dim=network.input_dim,
-        action_count=network.output_dim if kind == "q_function" else 0,
-        source_env_id=metadata.get("source_env_id", ""),
-        source_algorithm=algorithm,
-        source_seed=int(metadata.get("source_seed", 0)),
-        created_at=metadata.get("created_at", ""),
-    )
+    metadata = {"source_algorithm": "dqn", **metadata}
+    artifact = PriorArtifact(PRIOR_KIND[metadata["source_algorithm"]],
+                             network.copy(), **metadata)
     save_artifact(artifact, path)
     return artifact

@@ -111,6 +111,8 @@ class EnvConfig:
     def validate(self) -> None:
         if self.env_id not in ENV_IDS:
             raise ValueError(f"unknown env_id {self.env_id!r}")
+        if not isinstance(self.wind_enabled, bool):
+            raise ValueError("wind_enabled must be true or false")
         if not 0.0 <= self.wind_strength <= 1.0:
             raise ValueError("wind_strength must lie in [0, 1]")
         if self.wind_enabled and self.env_id != "windy-grid":
@@ -132,10 +134,9 @@ class EnvConfig:
 
 @dataclass
 class TabularModel:
-    """Explicit finite MDP: P(s'|s,a) tensor and expected rewards r(s,a)."""
+    """Explicit finite MDP: P(s'|s,a) tensor and expected rewards r(s,a).
+    S and A are read from the transition tensor."""
 
-    state_count: int
-    action_count: int
     transition: np.ndarray  # (S, A, S)
     reward: np.ndarray  # (S, A)
     initial_distribution: np.ndarray  # (S,)
@@ -151,6 +152,14 @@ class TabularModel:
         if self.terminal is None:
             self.terminal = np.zeros(self.state_count, dtype=bool)
 
+    @property
+    def state_count(self) -> int:
+        return self.transition.shape[0]
+
+    @property
+    def action_count(self) -> int:
+        return self.transition.shape[1]
+
 
 class _BaseEnv:
     """Bank bookkeeping: per-member generators, horizon truncation,
@@ -161,7 +170,6 @@ class _BaseEnv:
         if num_envs < 1:
             raise ValueError("num_envs must be >= 1")
         self.config = config
-        self.horizon = config.horizon
         self.num_envs = num_envs
         self.rngs = [np.random.default_rng(i) for i in range(num_envs)]
         self._clock = 0  # bank steps taken
@@ -182,7 +190,7 @@ class _BaseEnv:
         if seed is not None:
             for i in rows:
                 self.rngs[i] = np.random.default_rng(seed + i)
-        self._deadline[rows] = self._clock + self.horizon
+        self._deadline[rows] = self._clock + self.config.horizon
         self._done[rows] = False
         self.episode_return[rows] = 0.0
         self._reset_state(rows)
@@ -325,4 +333,4 @@ def as_tabular(config: EnvConfig) -> TabularModel:
             r[s, a] = table.step_reward + p[s, a, table.goal]
     init = np.zeros(n)
     init[0] = 1.0
-    return TabularModel(n, a_count, p, r, init, config.horizon, terminal)
+    return TabularModel(p, r, init, config.horizon, terminal)

@@ -64,10 +64,10 @@ def _flat_views(weights: list, biases: list, flat: np.ndarray | None):
 
 @dataclass
 class MlpModel:
-    """Feed-forward network: weights[l] has shape (out_dim, in_dim).
+    """Feed-forward network: weights[l] has shape (out_dim, in_dim), or
+    (K, out_dim, in_dim) in a stacked model; the widths are read from it.
     Weights and biases are views into the parameter vector `flat`."""
 
-    layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     flat: InitVar[np.ndarray | None] = None
@@ -77,20 +77,23 @@ class MlpModel:
             self.weights, self.biases, flat)
 
     @property
+    def layer_dims(self) -> list[int]:
+        return [self.input_dim] + [w.shape[-2] for w in self.weights]
+
+    @property
     def input_dim(self) -> int:
-        return self.layer_dims[0]
+        return self.weights[0].shape[-1]
 
     @property
     def output_dim(self) -> int:
-        return self.layer_dims[-1]
+        return self.weights[-1].shape[-2]
 
     def copy(self) -> "MlpModel":
-        return MlpModel(list(self.layer_dims), self.weights, self.biases,
-                        self.flat.copy())
+        return MlpModel(self.weights, self.biases, self.flat.copy())
 
     def __reduce__(self):
         # deepcopy and pickle rebuild the views into the copied `flat`.
-        return MlpModel, (self.layer_dims, self.weights, self.biases, self.flat)
+        return MlpModel, (self.weights, self.biases, self.flat)
 
 
 @dataclass
@@ -141,7 +144,7 @@ def init_mlp(layer_dims: list[int], rng: np.random.Generator,
             b *= output_scale
         weights.append(w)
         biases.append(b)
-    return MlpModel(list(layer_dims), weights, biases)
+    return MlpModel(weights, biases)
 
 
 def _forward_cached(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:

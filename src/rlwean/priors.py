@@ -73,31 +73,30 @@ def weaning_weight(schedule: WeaningSchedule, t: int) -> float:
 
 @dataclass
 class PriorArtifact:
-    """Frozen prior computation plus compatibility metadata."""
+    """Frozen prior computation plus where it came from. Its spaces are the
+    network's: obs_dim is its input width and action_count a Q-network's
+    output width (0 for a value prior)."""
 
     kind: str  # "q_function" | "value_function"
     network: MlpModel
-    obs_dim: int
-    action_count: int = 0
     source_env_id: str = ""
     source_algorithm: str = ""
     source_seed: int = 0
     created_at: str = ""
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if self.kind not in _KIND_TO_FILE:
             raise ValueError(f"unknown prior kind {self.kind!r}")
-        if self.network.input_dim != self.obs_dim:
-            raise CompatibilityError(
-                f"network input dim {self.network.input_dim} != obs_dim {self.obs_dim}")
-        if self.kind == "q_function":
-            if self.network.output_dim != self.action_count:
-                raise CompatibilityError(
-                    f"q-network outputs {self.network.output_dim} values, "
-                    f"expected action_count {self.action_count}")
-        elif self.network.output_dim != 1:
+        if self.kind == "value_function" and self.network.output_dim != 1:
             raise CompatibilityError("value network must output a single value")
+
+    @property
+    def obs_dim(self) -> int:
+        return self.network.input_dim
+
+    @property
+    def action_count(self) -> int:
+        return self.network.output_dim if self.kind == "q_function" else 0
 
 
 def check_compatibility(prior: PriorArtifact, obs_dim: int,
@@ -114,16 +113,12 @@ def check_compatibility(prior: PriorArtifact, obs_dim: int,
 
 def save_artifact(prior: PriorArtifact, path) -> None:
     """Write the artifact as a JSON document with full round-trip decimals."""
-    layers = []
-    for w, b in zip(prior.network.weights, prior.network.biases):
-        layers.append({
-            "rows": int(w.shape[0]),
-            "cols": int(w.shape[1]),
-            "weights": [float(v) for v in w.reshape(-1)],
-            "biases": [float(v) for v in b],
-        })
+    layers = [{"rows": int(w.shape[0]), "cols": int(w.shape[1]),
+               "weights": [float(v) for v in w.reshape(-1)],
+               "biases": [float(v) for v in b]}
+              for w, b in zip(prior.network.weights, prior.network.biases)]
     doc = {
-        "format_version": prior.format_version,
+        "format_version": FORMAT_VERSION,
         "kind": _KIND_TO_FILE[prior.kind],
         "obs_dim": prior.obs_dim,
         "action_count": prior.action_count,
@@ -132,7 +127,7 @@ def save_artifact(prior: PriorArtifact, path) -> None:
         "metadata": {
             "source_env_id": prior.source_env_id,
             "source_algorithm": prior.source_algorithm,
-            "source_seed": prior.source_seed,
+            "source_seed": int(prior.source_seed),
             "created_at": prior.created_at or time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                                             time.gmtime()),
         },
@@ -161,7 +156,7 @@ def _artifact_from_doc(doc) -> PriorArtifact:
         raise ValueError(f"unknown artifact kind {doc.get('kind')!r}")
     if not doc.get("layers"):
         raise ValueError("artifact has no layers")
-    weights, biases, dims = [], [], None
+    weights, biases = [], []
     for layer in doc["layers"]:
         rows, cols = layer["rows"], layer["cols"]
         w = np.array(layer["weights"], dtype=np.float64).reshape(rows, cols)
@@ -170,25 +165,34 @@ def _artifact_from_doc(doc) -> PriorArtifact:
             raise ValueError("bias length does not match layer rows")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError("artifact weights and biases must be finite")
-        if dims is None:
-            dims = [cols]
-        elif dims[-1] != cols:
+        if weights and weights[-1].shape[0] != cols:
             raise ValueError("inconsistent layer dimensions")
-        dims.append(rows)
         weights.append(w)
         biases.append(b)
     meta = doc.get("metadata", {})
-    return PriorArtifact(
+    prior = PriorArtifact(
         kind=_FILE_TO_KIND[doc["kind"]],
-        network=MlpModel(dims, weights, biases),
-        obs_dim=int(doc["obs_dim"]),
-        action_count=int(doc.get("action_count", 0)),
+        network=MlpModel(weights, biases),
         source_env_id=meta.get("source_env_id", ""),
         source_algorithm=meta.get("source_algorithm", ""),
         source_seed=int(meta.get("source_seed", 0)),
         created_at=meta.get("created_at", ""),
-        format_version=int(doc["format_version"]),
     )
+    # A value prior's action_count is 0, so a save writes this document.
+    stated = (doc["obs_dim"], doc.get("action_count", 0))
+    derived = (prior.obs_dim, prior.action_count)
+    if stated != derived:
+        raise CompatibilityError(f"obs_dim, action_count {stated} != "
+                                 f"{derived} of the layers")
+    return prior
+
+
+def _observations(prior: PriorArtifact, observation) -> np.ndarray:
+    obs = np.asarray(observation, dtype=np.float64)
+    if obs.shape[-1] != prior.obs_dim:
+        raise CompatibilityError(
+            f"observation dim {obs.shape[-1]} != prior obs_dim {prior.obs_dim}")
+    return obs
 
 
 def q_to_value_from_probs(prior: PriorArtifact, probs: np.ndarray,
@@ -202,12 +206,8 @@ def q_to_value_from_probs(prior: PriorArtifact, probs: np.ndarray,
         raise CompatibilityError(
             f"{probs.shape[-1]} action probabilities != prior action count "
             f"{prior.action_count}")
-    obs = np.asarray(observation, dtype=np.float64)
-    if obs.shape[-1] != prior.obs_dim:
-        raise CompatibilityError(
-            f"observation dim {obs.shape[-1]} != prior obs_dim {prior.obs_dim}")
-    q = forward(prior.network, obs)
-    out = np.sum(probs * q, axis=-1)
+    obs = _observations(prior, observation)
+    out = np.sum(probs * forward(prior.network, obs), axis=-1)
     return float(out) if obs.ndim == 1 else out
 
 
@@ -215,10 +215,6 @@ def prior_value(prior: PriorArtifact, observation: np.ndarray):
     """Frozen value network's scalar output (value-to-value passthrough)."""
     if prior.kind != "value_function":
         raise ValueError("prior_value requires a value_function prior")
-    obs = np.asarray(observation, dtype=np.float64)
-    if obs.shape[-1] != prior.obs_dim:
-        raise CompatibilityError(
-            f"observation dim {obs.shape[-1]} != prior obs_dim {prior.obs_dim}")
+    obs = _observations(prior, observation)
     out = forward(prior.network, obs)[..., 0]
     return float(out) if obs.ndim == 1 else out
-

@@ -81,8 +81,7 @@ def optimal_return(env_config: EnvConfig) -> float:
 class ScenarioConfig:
     setting: int
     mode: str  # "rrl" | "tbr"
-    source_env: EnvConfig
-    source_algorithm: str  # "dqn" | "pg"
+    source_env: EnvConfig  # trained by SETTINGS[setting].algorithm
     source_seeds: tuple
     source_total_timesteps: int
     target_env: EnvConfig
@@ -99,6 +98,7 @@ class ScenarioConfig:
         self.target_env.validate()
         for seeds in (self.source_seeds, self.target_seeds):
             if not seeds or not all(isinstance(s, (int, np.integer))
+                                    and not isinstance(s, bool)
                                     and s >= 0 for s in seeds):
                 raise ValueError("seeds must be non-empty lists of "
                                  "integers >= 0")
@@ -107,8 +107,6 @@ class ScenarioConfig:
             check_count(name, getattr(self, name))
         self.train_config.validate()
         name = f"setting {self.setting}"
-        if self.source_algorithm != spec.algorithm:
-            raise ValueError(f"{name} requires a {spec.algorithm} source")
         if spec.schedule_kind not in (None, self.schedule.kind):
             raise ValueError(f"{name} uses a {spec.schedule_kind} schedule")
         src, tgt, shift = self.source_env, self.target_env, spec.shift
@@ -137,7 +135,7 @@ def default_scenario(setting: int, mode: str = "rrl",
                                    max(target_total_timesteps // 10, 1))
     config = ScenarioConfig(
         setting=setting, mode=mode, source_env=replace(spec.source_env),
-        source_algorithm=spec.algorithm, source_seeds=tuple(source_seeds),
+        source_seeds=tuple(source_seeds),
         source_total_timesteps=source_total_timesteps,
         target_env=replace(spec.target_env), target_seeds=tuple(target_seeds),
         target_total_timesteps=target_total_timesteps, schedule=schedule)
@@ -196,17 +194,18 @@ def run_scenario(config: ScenarioConfig, out_dir,
     prior = None
     artifact_path = None
     if config.mode == "rrl":
+        algorithm = SETTINGS[config.setting].algorithm
         if prior_path is not None and os.path.exists(prior_path):
             prior = load_artifact(prior_path)
             artifact_path = prior_path
         else:
             artifact_path = prior_path or os.path.join(out_dir, "prior.json")
             prior = train_source_prior(
-                config.source_env, config.source_algorithm,
-                config.source_seeds, config.source_total_timesteps,
-                config.train_config, artifact_path)
+                config.source_env, algorithm, config.source_seeds,
+                config.source_total_timesteps, config.train_config,
+                artifact_path)
         # Fail fast, before any target training starts.
-        expected_kind = PRIOR_KIND[config.source_algorithm]
+        expected_kind = PRIOR_KIND[algorithm]
         if prior.kind != expected_kind:
             raise ValueError(f"scenario expects a {expected_kind} prior, "
                              f"got {prior.kind}")
@@ -264,23 +263,17 @@ def compare(rrl_dir, tbr_dir, threshold: float) -> ComparisonSummary:
     if set(rrl) != set(tbr) or not rrl:
         raise ValueError(f"seed sets differ or empty: rrl={sorted(rrl)} "
                          f"tbr={sorted(tbr)}")
-    per_seed, wins, ties, losses = {}, 0, 0, 0
-    for seed in sorted(rrl):
-        a = steps_to_threshold(rrl[seed], threshold)
-        b = steps_to_threshold(tbr[seed], threshold)
-        per_seed[seed] = (a, b)
-        if a < b:
-            wins += 1
-        elif a == b:
-            ties += 1
-        else:
-            losses += 1
-    rrl_steps = [v[0] for v in per_seed.values()]
-    tbr_steps = [v[1] for v in per_seed.values()]
+    per_seed = {seed: (steps_to_threshold(rrl[seed], threshold),
+                       steps_to_threshold(tbr[seed], threshold))
+                for seed in sorted(rrl)}
+    pairs = per_seed.values()
+    rrl_steps, tbr_steps = zip(*pairs)
     return ComparisonSummary(
         threshold=threshold, per_seed=per_seed,
         rrl_median=float(np.median(rrl_steps)),
         tbr_median=float(np.median(tbr_steps)),
-        rrl_wins=wins, ties=ties, tbr_wins=losses,
+        rrl_wins=sum(a < b for a, b in pairs),
+        ties=sum(a == b for a, b in pairs),
+        tbr_wins=sum(a > b for a, b in pairs),
         rrl_mean_final=float(np.mean([final_return(rrl[s]) for s in rrl])),
         tbr_mean_final=float(np.mean([final_return(tbr[s]) for s in tbr])))

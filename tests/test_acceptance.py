@@ -19,8 +19,9 @@ from rlwean.nets import forward, init_mlp
 from rlwean.oracle import value_iteration
 from rlwean.priors import (PriorArtifact, WeaningSchedule, load_artifact,
                            save_artifact)
-from rlwean.scenarios import (compare, default_scenario, optimal_return,
-                              run_scenario, train_source_prior)
+from rlwean.scenarios import (SETTINGS, compare, default_scenario,
+                              optimal_return, run_scenario,
+                              train_source_prior)
 from rlwean.verify import (mlp_gradient_check, q_to_value_identity_check,
                            schedule_checks, unbiasedness_checks,
                            variance_reduction_check)
@@ -44,7 +45,7 @@ def work_dir(tmp_path_factory):
 
 def default_source_prior(setting: int, path) -> None:
     config = default_scenario(setting)
-    train_source_prior(config.source_env, config.source_algorithm,
+    train_source_prior(config.source_env, SETTINGS[setting].algorithm,
                        config.source_seeds, config.source_total_timesteps,
                        config.train_config, path)
 
@@ -199,13 +200,12 @@ def test_criterion_10_tbr_equivalence(work_dir, dqn_prior_path):
 
 def test_criterion_11_artifact_round_trip(work_dir):
     rng = np.random.default_rng(0)
-    cases = [("q_function", [2, 64, 64, 4], 4),
-             ("value_function", [4, 64, 64, 1], 0)]
+    cases = [("q_function", [2, 64, 64, 4]),
+             ("value_function", [4, 64, 64, 1])]
     exact = True
-    for kind, dims, action_count in cases:
+    for kind, dims in cases:
         net = init_mlp(dims, rng)
-        prior = PriorArtifact(kind, net, obs_dim=dims[0],
-                              action_count=action_count)
+        prior = PriorArtifact(kind, net)
         path = work_dir / f"roundtrip_{kind}.json"
         save_artifact(prior, path)
         loaded = load_artifact(path)

@@ -7,10 +7,10 @@ import yaml
 from rlwean.cli import load_scenario_file, main
 from rlwean.dqn import DqnConfig, dqn_train
 from rlwean.envs import EnvConfig
-from rlwean.nets import forward
+from rlwean.nets import forward, init_mlp
 from rlwean.ppo import TrainConfig, train
-from rlwean.priors import load_artifact
-from rlwean.scenarios import read_curve_csv
+from rlwean.priors import PriorArtifact, load_artifact, save_artifact
+from rlwean.scenarios import SETTINGS, read_curve_csv
 
 RUN_SMALL = ["--total-timesteps", "4096", "--seeds", "0,1"]
 TRAIN_SMALL = {"num_envs": 4, "steps_per_rollout": 1024,
@@ -68,6 +68,45 @@ def test_run_with_config_file_and_overrides(tmp_path):
     assert code == 0
     rows = read_curve_csv(out / "rrl_seed0.csv")
     assert [rec["w_t"] for rec in rows] == [0.4, 0.3, 0.2, 0.1]
+
+
+def test_run_w_decrement_override(tmp_path):
+    # a stored prior, so no source is trained
+    prior = tmp_path / "q.json"
+    net = init_mlp([2, 64, 64, 4], np.random.default_rng(0))
+    save_artifact(PriorArtifact("q_function", net), prior)
+    out = tmp_path / "rrl"
+    assert main(["run", "--config",
+                 write_config(tmp_path, scenario_doc(mode="rrl")),
+                 "--prior", str(prior), "--out", str(out), "--seed", "0",
+                 "--w-decrement", "0.2"]) == 0
+    rows = read_curve_csv(out / "rrl_seed0.csv")
+    # w0 0.5 less 0.2 per 400 steps, at t = 0, 1024, 2048 and 3072
+    assert [rec["w_t"] for rec in rows] == [0.5, 0.1, 0.0, 0.0]
+
+
+class SourceTrained(Exception):
+    pass
+
+
+@pytest.mark.parametrize("setting", [3, 4])
+def test_pg_settings_need_no_algorithm_key(tmp_path, monkeypatch, setting):
+    doc = scenario_doc(mode="rrl")
+    reach = {"env_id": "goal-world", "reward_variant": "reach",
+             "horizon": 100}
+    doc["setting"] = setting
+    doc["source"] = {"env": reach, "seeds": [0], "total_timesteps": 2048}
+    doc["target"]["env"] = {**reach, "reward_variant": "reach-fast"} \
+        if setting == 3 else reach
+    path = write_config(tmp_path, doc)
+    assert SETTINGS[load_scenario_file(path).setting].algorithm == "pg"
+
+    def record(env, algorithm, *args):
+        raise SourceTrained(algorithm)
+
+    monkeypatch.setattr("rlwean.scenarios.train_source_prior", record)
+    with pytest.raises(SourceTrained, match="^pg$"):
+        main(["run", "--config", path, "--out", str(tmp_path / "x")])
 
 
 def test_run_conflicting_setting_is_config_error(tmp_path):
@@ -186,6 +225,9 @@ def with_envs(doc, setting, source_env, target_env, algorithm="dqn"):
     with_value(scenario_doc(mode="rrl"), ["schedule", "interval_steps"], 2.5),
     with_value(scenario_doc(mode="rrl"), ["schedule", "w0"], True),
     with_value(scenario_doc(), ["target", "env", "horizon"], 64.5),
+    with_value(scenario_doc(), ["target", "env", "wind_enabled"], "no"),
+    with_value(scenario_doc(), ["target", "seeds"], [True]),
+    with_value(scenario_doc(mode="rrl"), ["source", "algorithm"], "pg"),
 ], ids=["unknown-env-key", "removed-train-option", "wrongly-typed-value",
         "missing-source-block", "infinite-setting", "malformed-yaml",
         "not-a-mapping", "empty-source-seeds", "empty-target-seeds",
@@ -194,7 +236,8 @@ def with_envs(doc, setting, source_env, target_env, algorithm="dqn"):
         "train-total-timesteps", "wind-on-chain", "reward-variant-on-grid",
         "windless-target", "env-seed", "fractional-setting",
         "fractional-budget", "bool-budget", "fractional-interval", "bool-w0",
-        "fractional-horizon"])
+        "fractional-horizon", "string-wind-enabled", "bool-seed",
+        "contradicting-algorithm"])
 def test_bad_scenario_file_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "scenario.yaml"
     path.write_text(text)
@@ -203,6 +246,19 @@ def test_bad_scenario_file_is_config_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert "error:" in err and str(path) in err
     assert not (tmp_path / "x").exists()  # rejected before any training
+
+
+@pytest.mark.parametrize("keys", [["trian"], ["source", "seed"],
+                                  ["target", "total_timestep"]],
+                         ids=["top-level", "source", "target"])
+def test_unknown_scenario_key_is_named(tmp_path, capsys, keys):
+    # typos that used to be ignored, leaving the defaults in force
+    path = tmp_path / "scenario.yaml"
+    path.write_text(with_value(scenario_doc(mode="rrl"), keys, 0))
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"unknown key {keys[-1]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("flags", [

@@ -125,6 +125,10 @@ def test_bad_action_and_bad_config():
     for horizon in (0, 64.5, True):
         with pytest.raises(ValueError):
             EnvConfig("chain", horizon=horizon).validate()
+    for wind in ("no", 1, None):
+        with pytest.raises(ValueError, match="wind_enabled"):
+            EnvConfig("windy-grid", wind_enabled=wind,
+                      wind_strength=0.3).validate()
 
 
 @pytest.mark.parametrize("fields", [

@@ -11,8 +11,7 @@ from rlwean.nets import (AdamState, GradientBuffer, MlpModel, adam_update,
 
 
 def test_zero_network_outputs_zero():
-    model = MlpModel([3, 4, 2],
-                     [np.zeros((4, 3)), np.zeros((2, 4))],
+    model = MlpModel([np.zeros((4, 3)), np.zeros((2, 4))],
                      [np.zeros(4), np.zeros(2)])
     np.testing.assert_array_equal(forward(model, np.ones(3)), np.zeros(2))
 
@@ -20,7 +19,7 @@ def test_zero_network_outputs_zero():
 def test_single_linear_layer_is_affine():
     w = np.array([[2.0, -1.0], [0.5, 3.0]])
     b = np.array([1.0, -2.0])
-    model = MlpModel([2, 2], [w], [b])
+    model = MlpModel([w], [b])
     x = np.array([3.0, 4.0])
     np.testing.assert_allclose(forward(model, x), w @ x + b)
 
@@ -30,7 +29,7 @@ def test_two_layer_hand_computation():
     b1 = np.array([0.5, -0.5])
     w2 = np.array([[1.0, 2.0]])
     b2 = np.array([0.25])
-    model = MlpModel([2, 2, 1], [w1, w2], [b1, b2])
+    model = MlpModel([w1, w2], [b1, b2])
     x = np.array([0.2, 0.8])
     h = np.tanh(w1 @ x + b1)
     expected = w2 @ h + b2
@@ -51,7 +50,7 @@ def test_stacked_forward_matches_each_net():
     dims = [3, 7, 5, 2]
     nets = [init_mlp(dims, rng) for _ in range(4)]
     stacked = MlpModel(
-        dims, [np.stack([m.weights[l] for m in nets]) for l in range(3)],
+        [np.stack([m.weights[l] for m in nets]) for l in range(3)],
         [np.stack([m.biases[l] for m in nets])[:, None, :] for l in range(3)])
     for rows in (1, 6):
         xs = rng.standard_normal((4, rows, 3))
@@ -60,6 +59,18 @@ def test_stacked_forward_matches_each_net():
         for k, net in enumerate(nets):
             np.testing.assert_array_equal(out[k], forward(net, xs[k]))
             np.testing.assert_array_equal(shared[k], forward(net, xs[0]))
+    assert stacked.layer_dims == dims
+
+
+def test_widths_come_from_the_weights():
+    model = MlpModel([np.zeros((7, 5)), np.zeros((3, 7))],
+                     [np.zeros(7), np.zeros(3)])
+    assert model.layer_dims == [5, 7, 3]
+    assert type(model.layer_dims) is list
+    assert all(type(d) is int for d in model.layer_dims)
+    assert (model.input_dim, model.output_dim) == (5, 3)
+    assert init_mlp([2, 64, 64, 4], np.random.default_rng(0)).layer_dims \
+        == [2, 64, 64, 4]
 
 
 def test_backward_matches_finite_differences():
@@ -162,7 +173,7 @@ def test_adam_zero_gradient_leaves_params():
 
 def test_adam_first_step_size():
     # with bias correction, the first step has magnitude ~lr in -sign(g)
-    model = MlpModel([1, 1], [np.array([[1.0]])], [np.array([0.0])])
+    model = MlpModel([np.array([[1.0]])], [np.array([0.0])])
     state = init_adam(model, 0.01)
     grads = GradientBuffer([np.array([[2.5]])], [np.array([0.0])])
     adam_update(model, state, grads)
@@ -171,7 +182,7 @@ def test_adam_first_step_size():
 
 def test_adam_minimizes_quadratic():
     # loss = 0.5 (w - 3)^2 on a single scalar weight
-    model = MlpModel([1, 1], [np.array([[0.0]])], [np.array([0.0])])
+    model = MlpModel([np.array([[0.0]])], [np.array([0.0])])
     state = init_adam(model, 0.05)
     losses = []
     for _ in range(500):
@@ -350,8 +361,7 @@ def test_parameters_are_views_of_one_flat_vector(tmp_path):
     np.testing.assert_array_equal(model.flat, before)
 
     path = tmp_path / "v.json"
-    save_artifact(PriorArtifact("q_function", model, obs_dim=3,
-                                action_count=2), path)
+    save_artifact(PriorArtifact("q_function", model), path)
     loaded = load_artifact(path).network
     assert_params_share_flat(loaded)
     assert loaded.flat.tobytes() == model.flat.tobytes()

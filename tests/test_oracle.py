@@ -29,8 +29,7 @@ def test_solve_linear_small_systems():
 
 def test_zero_reward_mdp_has_zero_values():
     model = as_tabular(EnvConfig("chain", horizon=64))
-    zero = TabularModel(model.state_count, model.action_count,
-                        model.transition, np.zeros_like(model.reward),
+    zero = TabularModel(model.transition, np.zeros_like(model.reward),
                         model.initial_distribution, model.horizon,
                         model.terminal)
     policy = uniform_policy(model)
@@ -41,8 +40,8 @@ def test_zero_reward_mdp_has_zero_values():
 
 def test_self_loop_geometric_series():
     # one state, one action, r = 1, gamma = 0.5 -> V = 1 / (1 - 0.5) = 2
-    model = TabularModel(1, 1, np.ones((1, 1, 1)), np.ones((1, 1)),
-                         np.ones(1), horizon=10)
+    model = TabularModel(np.ones((1, 1, 1)), np.ones((1, 1)), np.ones(1),
+                         horizon=10)
     v = exact_value(model, TabularPolicy(np.ones((1, 1))), 0.5)
     assert v[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -92,9 +91,8 @@ def test_expected_return_hand_enumeration():
 
 def test_constant_reward_gradient_is_zero():
     model = demo_mdp(horizon=3)
-    const = TabularModel(2, 2, model.transition,
-                         np.full((2, 2), 0.7), model.initial_distribution,
-                         model.horizon)
+    const = TabularModel(model.transition, np.full((2, 2), 0.7),
+                         model.initial_distribution, model.horizon)
     grad = exact_policy_gradient(const, demo_logits(), 3, 1.0)
     np.testing.assert_allclose(grad, 0.0, atol=1e-10)
 
@@ -181,7 +179,7 @@ def test_dynamic_program_ignores_terminal_rows(gamma):
     # state 1 is terminal, yet its row pays 2 and leads back to state 0:
     # an episode that reaches it must end there, as the enumerator has it
     demo = demo_mdp(horizon=5)
-    model = TabularModel(2, 2, demo.transition, demo.reward,
+    model = TabularModel(demo.transition, demo.reward,
                          np.array([0.5, 0.5]), 5, np.array([False, True]))
     logits = np.random.default_rng(5).standard_normal((2, 2))
     assert_matches_enumeration(model, logits, 5, gamma)
@@ -259,7 +257,7 @@ def test_zero_draws_skip_zero_probability_outcomes():
     # action 0 and the 0 -> 0 transition have probability zero
     transition = np.zeros((2, 2, 2))
     transition[:, :, 1] = 1.0
-    model = TabularModel(2, 2, transition, np.zeros((2, 2)),
+    model = TabularModel(transition, np.zeros((2, 2)),
                          np.array([1.0, 0.0]), horizon=3)
     probs = np.array([[0.0, 1.0], [0.0, 1.0]])
     states, actions, _, alive = sample_trajectories(model, probs, 4,
@@ -427,6 +425,25 @@ def test_sample_trajectories_matches_reference():
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+def test_gradient_variance_when_every_trajectory_ends_early():
+    # state 1 is terminal and every action leads there, so each trajectory
+    # ends after one step and the time loop stops long before H = 6
+    transition = np.zeros((2, 2, 2))
+    transition[:, :, 1] = 1.0
+    model = TabularModel(transition, np.array([[1.0, 2.0], [0.0, 0.0]]),
+                         np.array([1.0, 0.0]), 6, np.array([False, True]))
+    logits = np.array([[0.2, -0.3], [0.0, 0.0]])
+    for baseline in (None, np.array([1.5, 0.0])):
+        got = gradient_variance(model, logits, baseline, BLOCK + 5,
+                                np.random.default_rng(4))
+        want = reference_gradient_variance(model, logits, baseline,
+                                           BLOCK + 5, np.random.default_rng(4))
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1] and got[2] == want[2]
+        np.testing.assert_allclose(
+            got[0], exact_policy_gradient(model, logits, 6, 1.0), atol=0.05)
 
 
 def test_gradient_variance_matches_reference():

@@ -9,7 +9,7 @@ def fixed_logit_policy(logits):
     """Single-layer net with zero weights so the bias is the logit vector."""
     logits = np.asarray(logits, dtype=np.float64)
     n = len(logits)
-    return MlpModel([1, n], [np.zeros((n, 1))], [logits.copy()])
+    return MlpModel([np.zeros((n, 1))], [logits.copy()])
 
 
 def test_uniform_logits_give_uniform_probs():

@@ -17,16 +17,14 @@ from rlwean.priors import PriorArtifact, WeaningSchedule
 
 
 def constant_value_net(obs_dim, value=0.0):
-    return MlpModel([obs_dim, 1], [np.zeros((1, obs_dim))],
-                    [np.full(1, value)])
+    return MlpModel([np.zeros((1, obs_dim))], [np.full(1, value)])
 
 
 def forced_action_policy(obs_dim, action_count, action):
     """Logits network that picks `action` with probability 1."""
     bias = np.full(action_count, -1e4)
     bias[action] = 1e4
-    return MlpModel([obs_dim, action_count],
-                    [np.zeros((action_count, obs_dim))], [bias])
+    return MlpModel([np.zeros((action_count, obs_dim))], [bias])
 
 
 def test_compute_returns_hand_examples():
@@ -187,9 +185,8 @@ def test_zero_baseline_gives_raw_returns():
 
 def test_q_prior_baseline_uses_stored_probs():
     batch, policy, value_net = make_batch()
-    q_net = MlpModel([1, 2], [np.array([[0.5], [-0.25]])],
-                     [np.array([0.1, 0.7])])
-    prior = PriorArtifact("q_function", q_net, obs_dim=1, action_count=2)
+    q_net = MlpModel([np.array([[0.5], [-0.25]])], [np.array([0.1, 0.7])])
+    prior = PriorArtifact("q_function", q_net)
     baselines = batch.returns_to_go - compute_advantages(batch, value_net,
                                                          prior, 1.0)
     q = forward(q_net, batch.observations)
@@ -199,8 +196,8 @@ def test_q_prior_baseline_uses_stored_probs():
 
 def test_combined_baseline_mixes_current_and_prior():
     batch, policy, value_net = make_batch()
-    v_prior_net = MlpModel([1, 1], [np.array([[2.0]])], [np.array([0.5])])
-    prior = PriorArtifact("value_function", v_prior_net, obs_dim=1)
+    v_prior_net = MlpModel([np.array([[2.0]])], [np.array([0.5])])
+    prior = PriorArtifact("value_function", v_prior_net)
     baselines = batch.returns_to_go - compute_advantages(batch, value_net,
                                                          prior, 0.3)
     vc = forward(value_net, batch.observations)[:, 0]
@@ -290,8 +287,7 @@ def test_nonfinite_value_gradient_leaves_both_nets_unchanged():
     # loss is finite; backpropagating through W1 = 1e308 overflows, and only
     # the value gradient goes non-finite
     batch, policy, _ = make_batch()
-    value_net = MlpModel([1, 8, 8, 1],
-                         [np.zeros((8, 1)), np.full((8, 8), 1e308),
+    value_net = MlpModel([np.zeros((8, 1)), np.full((8, 8), 1e308),
                           np.full((1, 8), 10.0)],
                          [np.zeros(8), np.ones(8), np.zeros(1)])
     advantages = compute_advantages(batch, constant_value_net(1), None, 0.0)
@@ -410,7 +406,7 @@ def test_train_config_validation():
     for budget in (0, -1, 2.5):
         with pytest.raises(ValueError, match="total_timesteps"):
             train(EnvConfig("chain"), TrainConfig(), budget, seed=0)
-    prior = PriorArtifact("value_function", constant_value_net(1), obs_dim=1)
+    prior = PriorArtifact("value_function", constant_value_net(1))
     with pytest.raises(ValueError, match="schedule"):
         train(EnvConfig("chain"), TrainConfig(), 2048, 0, prior=prior)
 
@@ -420,7 +416,7 @@ def test_train_checks_the_prior_before_the_first_rollout(monkeypatch):
         raise AssertionError("a rollout ran before the prior was checked")
 
     monkeypatch.setattr("rlwean.ppo.collect_rollout", no_rollout)
-    prior = PriorArtifact("value_function", constant_value_net(2), obs_dim=2)
+    prior = PriorArtifact("value_function", constant_value_net(2))
     with pytest.raises(CompatibilityError, match="obs_dim"):
         train(EnvConfig("chain", horizon=16), TrainConfig(), 2048, 0,
               prior=prior, schedule=WeaningSchedule("fixed", 0.9))
@@ -442,11 +438,9 @@ GOLDEN_BUDGET = 2048
 def golden_cases():
     """(env, schedule, prior) per case; priors are fixed-seed random nets."""
     q_prior = PriorArtifact("q_function",
-                            init_mlp([2, 64, 64, 4], np.random.default_rng(100)),
-                            obs_dim=2, action_count=4)
+                            init_mlp([2, 64, 64, 4], np.random.default_rng(100)))
     v_prior = PriorArtifact("value_function",
-                            init_mlp([4, 64, 64, 1], np.random.default_rng(101)),
-                            obs_dim=4)
+                            init_mlp([4, 64, 64, 1], np.random.default_rng(101)))
     return {
         "grid-q-fixed": (EnvConfig("windy-grid", horizon=64),
                          WeaningSchedule("fixed", 0.9), q_prior),

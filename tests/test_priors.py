@@ -17,8 +17,7 @@ from rlwean.priors import (PriorArtifact, WeaningSchedule,
 
 def const_net(outputs, obs_dim=1):
     outputs = np.asarray(outputs, dtype=np.float64)
-    return MlpModel([obs_dim, len(outputs)],
-                    [np.zeros((len(outputs), obs_dim))], [outputs.copy()])
+    return MlpModel([np.zeros((len(outputs), obs_dim))], [outputs.copy()])
 
 
 def test_fixed_schedule_is_constant():
@@ -60,16 +59,14 @@ def test_schedule_validation():
 def test_q_to_value_hand_example():
     # pi = (0.5, 0.5), Q = (1, 3) -> V = 2
     policy = const_net([0.0, 0.0])
-    prior = PriorArtifact("q_function", const_net([1.0, 3.0]),
-                          obs_dim=1, action_count=2)
+    prior = PriorArtifact("q_function", const_net([1.0, 3.0]))
     obs = np.zeros(1)
     assert q_to_value_from_probs(prior, action_probs(policy, obs),
                                  obs) == pytest.approx(2.0)
 
 
 def test_q_to_value_deterministic_policy():
-    prior = PriorArtifact("q_function", const_net([1.0, 3.0]),
-                          obs_dim=1, action_count=2)
+    prior = PriorArtifact("q_function", const_net([1.0, 3.0]))
     v = q_to_value_from_probs(prior, np.array([1.0, 0.0]), np.zeros(1))
     assert v == 1.0
     # batch form
@@ -90,20 +87,18 @@ def test_q_to_value_identity_on_tabular_chain():
 
 
 def test_kind_guards():
-    q_prior = PriorArtifact("q_function", const_net([1.0, 3.0]),
-                            obs_dim=1, action_count=2)
-    v_prior = PriorArtifact("value_function", const_net([0.7]), obs_dim=1)
+    q_prior = PriorArtifact("q_function", const_net([1.0, 3.0]))
+    v_prior = PriorArtifact("value_function", const_net([0.7]))
     with pytest.raises(ValueError):
         prior_value(q_prior, np.zeros(1))
     with pytest.raises(ValueError):
         q_to_value_from_probs(v_prior, np.array([0.5, 0.5]), np.zeros(1))
     with pytest.raises(ValueError):
-        PriorArtifact("advantage", const_net([0.0]), obs_dim=1)
+        PriorArtifact("advantage", const_net([0.0]))
 
 
 def test_compatibility_checks():
-    prior = PriorArtifact("q_function", const_net([1.0, 3.0]),
-                          obs_dim=1, action_count=2)
+    prior = PriorArtifact("q_function", const_net([1.0, 3.0]))
     with pytest.raises(CompatibilityError):
         check_compatibility(prior, obs_dim=4)
     with pytest.raises(CompatibilityError):
@@ -114,15 +109,23 @@ def test_compatibility_checks():
     with pytest.raises(CompatibilityError):
         q_to_value_from_probs(prior, np.full((2, 3), 1 / 3), np.zeros((2, 1)))
     with pytest.raises(CompatibilityError):
-        PriorArtifact("q_function", const_net([1.0, 3.0]), obs_dim=1,
-                      action_count=4)
-    with pytest.raises(CompatibilityError):
-        PriorArtifact("value_function", const_net([1.0, 3.0]), obs_dim=1)
+        PriorArtifact("value_function", const_net([1.0, 3.0]))
+
+
+def test_priors_reject_observations_of_the_wrong_dim():
+    q_prior = PriorArtifact("q_function", const_net([1.0, 3.0]))
+    v_prior = PriorArtifact("value_function", const_net([0.7]))
+    for obs in (np.zeros(2), np.zeros((3, 2))):
+        probs = np.full(obs.shape[:-1] + (2,), 0.5)
+        with pytest.raises(CompatibilityError, match="observation dim 2"):
+            q_to_value_from_probs(q_prior, probs, obs)
+        with pytest.raises(CompatibilityError, match="observation dim 2"):
+            prior_value(v_prior, obs)
 
 
 def test_combined_baseline_endpoints_and_interpolation():
     value_net = const_net([2.0])
-    prior = PriorArtifact("value_function", const_net([10.0]), obs_dim=1)
+    prior = PriorArtifact("value_function", const_net([10.0]))
     obs = np.zeros((3, 1))
     probs = np.full((3, 2), 0.5)
 
@@ -141,7 +144,7 @@ def test_combined_baseline_endpoints_and_interpolation():
 def test_combined_baseline_convexity():
     rng = np.random.default_rng(1)
     value_net = init_mlp([3, 8, 1], rng)
-    prior = PriorArtifact("value_function", init_mlp([3, 8, 1], rng), obs_dim=3)
+    prior = PriorArtifact("value_function", init_mlp([3, 8, 1], rng))
     policy = init_mlp([3, 8, 2], rng)
     for _ in range(20):
         obs = rng.standard_normal((5, 3))
@@ -159,10 +162,8 @@ def test_combined_baseline_convexity():
 def test_artifact_round_trip_bit_exact(tmp_path, kind, dims):
     rng = np.random.default_rng(9)
     net = init_mlp(dims, rng)
-    prior = PriorArtifact(kind, net, obs_dim=dims[0],
-                          action_count=dims[-1] if kind == "q_function" else 0,
-                          source_env_id="windy-grid", source_algorithm="dqn",
-                          source_seed=7)
+    prior = PriorArtifact(kind, net, source_env_id="windy-grid",
+                          source_algorithm="dqn", source_seed=7)
     path = tmp_path / "prior.json"
     save_artifact(prior, path)
     loaded = load_artifact(path)
@@ -177,7 +178,7 @@ def test_artifact_round_trip_bit_exact(tmp_path, kind, dims):
 
 def test_artifact_file_schema(tmp_path):
     net = init_mlp([2, 4, 3], np.random.default_rng(0))
-    prior = PriorArtifact("q_function", net, obs_dim=2, action_count=3)
+    prior = PriorArtifact("q_function", net)
     path = tmp_path / "p.json"
     save_artifact(prior, path)
     doc = json.loads(path.read_text())
@@ -192,7 +193,7 @@ def test_artifact_file_schema(tmp_path):
 
 def test_artifact_rejects_bad_documents(tmp_path):
     net = init_mlp([2, 3], np.random.default_rng(0))
-    prior = PriorArtifact("q_function", net, obs_dim=2, action_count=3)
+    prior = PriorArtifact("q_function", net)
     path = tmp_path / "p.json"
     save_artifact(prior, path)
     doc = json.loads(path.read_text())
@@ -212,9 +213,49 @@ def test_artifact_rejects_bad_documents(tmp_path):
             load_artifact(bad_path)
 
 
+def two_layer_docs(tmp_path):
+    """The saved documents of a [2, 4, 3] q prior and a [2, 4, 1] value
+    prior."""
+    docs = []
+    for kind, dims in (("q_function", [2, 4, 3]),
+                       ("value_function", [2, 4, 1])):
+        path = tmp_path / f"{kind}.json"
+        net = init_mlp(dims, np.random.default_rng(0))
+        save_artifact(PriorArtifact(kind, net), path)
+        docs.append(json.loads(path.read_text()))
+    return docs
+
+
+def test_load_refuses_documents_that_disagree_with_their_layers(tmp_path):
+    q_doc, v_doc = two_layer_docs(tmp_path)
+    first = q_doc["layers"][0]
+    for doc, corrupt, message in (
+            (q_doc, {"obs_dim": 3}, "obs_dim"),
+            (q_doc, {"action_count": 2}, "action_count"),
+            (q_doc, {"action_count": 0}, "action_count"),
+            (q_doc, {"obs_dim": 2.9}, "obs_dim"),
+            (q_doc, {"action_count": 3.5}, "action_count"),
+            (v_doc, {"obs_dim": 4}, "obs_dim"),
+            (v_doc, {"action_count": 1}, "action_count"),
+            (q_doc, {"layers": [first, first]},
+             "inconsistent layer dimensions")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, **corrupt}))
+        with pytest.raises(ValueError, match=message):
+            load_artifact(path)
+
+
+def test_save_after_load_gives_back_the_document(tmp_path):
+    for doc in two_layer_docs(tmp_path):
+        path, again = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(json.dumps(doc))
+        save_artifact(load_artifact(path), again)
+        assert json.loads(again.read_text()) == doc
+
+
 def test_loaded_prior_is_frozen_copy(tmp_path):
     net = init_mlp([2, 4, 1], np.random.default_rng(3))
-    prior = PriorArtifact("value_function", net, obs_dim=2)
+    prior = PriorArtifact("value_function", net)
     path = tmp_path / "v.json"
     save_artifact(prior, path)
     loaded = load_artifact(path)

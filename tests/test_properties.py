@@ -36,7 +36,7 @@ def artifact_doc():
     net = init_mlp([2, 3, 4], np.random.default_rng(0))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prior.json"
-        save_artifact(PriorArtifact("q_function", net, 2, 4,
+        save_artifact(PriorArtifact("q_function", net,
                                     created_at="2024-01-01T00:00:00Z"), path)
         return json.loads(path.read_text())
 

@@ -7,7 +7,8 @@ import pytest
 from rlwean.envs import EnvConfig
 from rlwean.priors import WeaningSchedule, weaning_weight
 from rlwean.ppo import TrainConfig
-from rlwean.scenarios import (CSV_HEADER, ComparisonSummary, ScenarioConfig,
+from rlwean.scenarios import (CSV_HEADER, SETTINGS, ComparisonSummary,
+                              ScenarioConfig,
                               compare, default_scenario, final_return,
                               optimal_return, read_curve_csv, run_scenario,
                               steps_to_threshold, write_curve_csv)
@@ -53,7 +54,7 @@ def test_default_scenarios_are_the_paper_settings(mode):
         config = default_scenario(setting, mode, target_total_timesteps=4096,
                                   source_total_timesteps=3000)
         assert (config.setting, config.mode) == (setting, mode)
-        assert (config.source_env, config.source_algorithm,
+        assert (config.source_env, SETTINGS[setting].algorithm,
                 config.target_env, config.schedule) == \
             (source, algorithm, target, schedule)
         assert (config.source_seeds, config.source_total_timesteps,
@@ -72,7 +73,8 @@ def test_scenario_validation_rejects_mismatches():
         replace(base, setting=5),
         replace(base, setting=True),
         replace(base, setting=1.5),
-        replace(base, source_algorithm="pg"),
+        replace(base, target_seeds=(True,)),
+        replace(base, source_seeds=(0, False)),
         replace(base, target_env=EnvConfig("chain")),
         replace(base, schedule=s2.schedule),
         # source and target must differ by wind
@@ -84,7 +86,6 @@ def test_scenario_validation_rejects_mismatches():
         # must differ by reward variant only
         replace(s3, target_env=s3.source_env),
         replace(s3, target_env=replace(s3.target_env, horizon=50)),
-        replace(s4, source_algorithm="dqn"),
     ]
     for config in bad:
         with pytest.raises(ValueError):
