@@ -48,6 +48,15 @@ def load_scenario_file(path) -> ScenarioConfig:
 
     try:
         source, target = doc["source"], doc["target"]
+        for name, keys, allowed in (
+                ("the file", doc, "setting mode source target schedule train"),
+                ("source", source, "env algorithm seeds total_timesteps"),
+                ("target", target, "env seeds total_timesteps")):
+            if not isinstance(keys, dict):
+                raise ValueError(f"{name} must be a mapping")
+            unknown = [key for key in keys if key not in allowed.split()]
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r} in {name}")
         config = ScenarioConfig(
             setting=doc["setting"],
             mode=doc.get("mode", "rrl"),
@@ -62,14 +71,6 @@ def load_scenario_file(path) -> ScenarioConfig:
             schedule=block("schedule", WeaningSchedule, doc["schedule"]),
             train_config=block("train", TrainConfig, doc.get("train", {})),
         )
-        for name, keys, allowed in (
-                ("the file", doc, "setting mode source target schedule train"),
-                ("source", source, "env algorithm seeds total_timesteps"),
-                ("target", target, "env seeds total_timesteps")):
-            unknown = [key for key in keys if key not in allowed.split()]
-            if unknown:
-                raise ValueError(f"unknown key {unknown[0]!r} in {name}")
-        config.validate()
         algorithm = SETTINGS[config.setting].algorithm
         if source.get("algorithm", algorithm) != algorithm:
             raise ValueError(f"setting {config.setting} requires a "
@@ -84,20 +85,21 @@ def load_scenario_file(path) -> ScenarioConfig:
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
+    if args.seed is not None and args.seeds is not None:
+        raise ValueError("give --seed or --seeds, not both")
+    seeds = config.target_seeds
     if args.seed is not None:
-        config = replace(config, target_seeds=(args.seed,))
-    if args.seeds is not None:
+        seeds = (args.seed,)
+    elif args.seeds is not None:
         seeds = tuple(int(s) for s in args.seeds.split(","))
-        config = replace(config, target_seeds=seeds)
-    if args.total_timesteps is not None:
-        config = replace(config, target_total_timesteps=args.total_timesteps)
+    budget = config.target_total_timesteps if args.total_timesteps is None \
+        else args.total_timesteps
     schedule = {name: value for name, value in (
         ("w0", args.w0), ("decrement", args.w_decrement),
         ("interval_steps", args.w_interval)) if value is not None}
-    config = replace(config, mode=args.mode or config.mode,
-                     schedule=replace(config.schedule, **schedule))
-    config.validate()
-    return config
+    return replace(config, mode=args.mode or config.mode, target_seeds=seeds,
+                   target_total_timesteps=budget,
+                   schedule=replace(config.schedule, **schedule))
 
 
 def cmd_run(args) -> int:

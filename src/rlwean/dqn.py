@@ -31,11 +31,11 @@ LEARNING_STARTS = 1000
 TRAIN_FREQUENCY = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class DqnConfig:
     total_timesteps: int = 100_000
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_count("total_timesteps", self.total_timesteps)
 
 
@@ -83,7 +83,6 @@ class ReplayBuffer:
 def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
     """Train DQN; returns (q_network, learning curve of
     (timestep, episodic_return_mean) rows). Deterministic given seed."""
-    config.validate()
     env = make_env(env_config)  # a bank of one
     action_count = env.action_space.count
     rng = np.random.default_rng(seed)

@@ -100,7 +100,7 @@ class StepResult:
     truncated: np.ndarray  # (num_envs,) bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvConfig:
     env_id: str
     wind_enabled: bool = False
@@ -108,7 +108,7 @@ class EnvConfig:
     reward_variant: str = "reach"
     horizon: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.env_id not in ENV_IDS:
             raise ValueError(f"unknown env_id {self.env_id!r}")
         if not isinstance(self.wind_enabled, bool):
@@ -166,9 +166,7 @@ class _BaseEnv:
     terminal-step guarding, current observations and episode returns."""
 
     def __init__(self, config: EnvConfig, num_envs: int = 1):
-        config.validate()
-        if num_envs < 1:
-            raise ValueError("num_envs must be >= 1")
+        check_count("num_envs", num_envs)
         self.config = config
         self.num_envs = num_envs
         self.rngs = [np.random.default_rng(i) for i in range(num_envs)]
@@ -299,7 +297,6 @@ class GoalWorldEnv(_BaseEnv):
 
 def make_env(config: EnvConfig, num_envs: int = 1):
     """A bank of `num_envs` members of the configured env."""
-    config.validate()
     if config.env_id in TABLES:
         return TableEnv(config, num_envs)
     return GoalWorldEnv(config, num_envs)
@@ -314,7 +311,6 @@ def env_observation(config: EnvConfig, state: int) -> np.ndarray:
 
 def as_tabular(config: EnvConfig) -> TabularModel:
     """Exact transition/reward tensors of the table `TableEnv` steps by."""
-    config.validate()
     if config.env_id not in TABLES:
         raise UnsupportedError("goal-world has a continuous state space")
     table, wind_p = TABLES[config.env_id], config.wind_prob

@@ -70,13 +70,13 @@ def q_from_v(model: TabularModel, v: np.ndarray,
     return q
 
 
-def _backward_pass(model: TabularModel, probs: np.ndarray, horizon: int,
+def _backward_pass(model: TabularModel, probs: np.ndarray,
                    gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Q_t(s,a) for t < horizon, shape (horizon, S, A), by backward
-    induction from V_horizon = 0; and V_0."""
-    q = np.empty((horizon, model.state_count, model.action_count))
+    """Q_t(s,a) for t < H = model.horizon, shape (H, S, A), by backward
+    induction from V_H = 0; and V_0."""
+    q = np.empty((model.horizon, model.state_count, model.action_count))
     v = np.zeros(model.state_count)
-    for t in range(horizon - 1, -1, -1):
+    for t in range(model.horizon - 1, -1, -1):
         q[t] = q_from_v(model, v, gamma)
         v = np.sum(probs * q[t], axis=1)
     return q, v
@@ -92,7 +92,7 @@ def exact_value(model: TabularModel, policy: TabularPolicy,
         p_pi = np.einsum("sa,sat->st", pi, model.transition)
         eye = np.eye(model.state_count)
         return solve_linear(eye - gamma * p_pi, r_pi)
-    return _backward_pass(model, pi, model.horizon, 1.0)[1]
+    return _backward_pass(model, pi, 1.0)[1]
 
 
 def value_iteration(model: TabularModel, gamma: float, tol: float = 1e-12,
@@ -109,25 +109,25 @@ def value_iteration(model: TabularModel, gamma: float, tol: float = 1e-12,
     return q
 
 
-def expected_return(model: TabularModel, logits: np.ndarray, horizon: int,
+def expected_return(model: TabularModel, logits: np.ndarray,
                     gamma: float) -> float:
-    """J(theta) = init . V_0 over `horizon` steps."""
-    _, v0 = _backward_pass(model, softmax(logits), horizon, gamma)
+    """J(theta) = init . V_0 over model.horizon steps."""
+    _, v0 = _backward_pass(model, softmax(logits), gamma)
     return float(model.initial_distribution @ v0)
 
 
 def exact_policy_gradient(model: TabularModel, logits: np.ndarray,
-                          horizon: int, gamma: float) -> np.ndarray:
+                          gamma: float) -> np.ndarray:
     """Exact gradient of expected_return with respect to the per-state
     softmax logits, as an (S, A) array, by the finite-horizon policy-gradient
     theorem: sum_t gamma^t d_t(s) pi(.|s) * (Q_t(s,.) - V_t(s)), where d_t is
     the chance of being alive in s at step t. O(H S^2 A)."""
     probs = softmax(logits)
-    q, _ = _backward_pass(model, probs, horizon, gamma)
+    q, _ = _backward_pass(model, probs, gamma)
     advantage = q - np.sum(probs * q, axis=2, keepdims=True)
-    occupancy = np.empty((horizon, model.state_count))
+    occupancy = np.empty((model.horizon, model.state_count))
     d = model.initial_distribution.astype(np.float64)
-    for t in range(horizon):
+    for t in range(model.horizon):
         d[model.terminal] = 0.0
         occupancy[t] = gamma ** t * d
         d = np.einsum("s,sa,sat->t", d, probs, model.transition)

@@ -31,7 +31,7 @@ POLICY_OUTPUT_SCALE = 0.01
 ENV_SEED_OFFSET = 1_000_003
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     num_envs: int = 16
     steps_per_rollout: int = 2048
@@ -45,7 +45,7 @@ class TrainConfig:
     advantage_normalization: bool = True
     learning_rate: float = 2.5e-4
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("num_envs", "steps_per_rollout", "minibatch_size",
                      "update_epochs"):
             check_count(name, getattr(self, name))
@@ -299,7 +299,6 @@ def train(env_config: EnvConfig, config: TrainConfig, total_timesteps: int,
     raises CompatibilityError before the first rollout. Deterministic given
     seed.
     """
-    config.validate()
     check_count("total_timesteps", total_timesteps)
     if prior is not None and schedule is None:
         raise ValueError("a prior needs a weaning schedule")

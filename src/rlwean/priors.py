@@ -32,7 +32,7 @@ _KIND_TO_FILE = {"q_function": "q", "value_function": "v"}
 _FILE_TO_KIND = {v: k for k, v in _KIND_TO_FILE.items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeaningSchedule:
     """Rule producing the prior weight w_t in [0, 1] over training timesteps."""
 
@@ -53,8 +53,9 @@ class WeaningSchedule:
             raise ValueError("w0 must lie in [0, 1]")
         if self.decrement < 0.0:
             raise ValueError("decrement must be non-negative")
-        if self.kind == "step_decay":
-            check_count("interval_steps", self.interval_steps)
+        if self.kind == "fixed" and self.decrement != 0.0:
+            raise ValueError("a fixed schedule takes no decrement")
+        check_count("interval_steps", self.interval_steps)
 
 
 def weaning_weight(schedule: WeaningSchedule, t: int) -> float:
@@ -148,8 +149,14 @@ def load_artifact(path) -> PriorArtifact:
 
 
 def _artifact_from_doc(doc) -> PriorArtifact:
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
+    # ints, not floats, nor bools: True == 1 would pass every check below
+    for name, default in (("format_version", None), ("obs_dim", None),
+                          ("action_count", 0)):
+        value = doc.get(name, default)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if doc["format_version"] != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {doc['format_version']}")
     if doc.get("activation") != "tanh":
         raise ValueError(f"unsupported activation {doc.get('activation')!r}")
     if doc.get("kind") not in _FILE_TO_KIND:

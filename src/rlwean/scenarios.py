@@ -77,7 +77,7 @@ def optimal_return(env_config: EnvConfig) -> float:
     return 0.96  # ~9 steps of living cost partially offset by shaping
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     setting: int
     mode: str  # "rrl" | "tbr"
@@ -90,12 +90,10 @@ class ScenarioConfig:
     schedule: WeaningSchedule
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         spec = _setting(self.setting)
         if self.mode not in ("rrl", "tbr"):
             raise ValueError(f"mode must be rrl or tbr, got {self.mode!r}")
-        self.source_env.validate()
-        self.target_env.validate()
         for seeds in (self.source_seeds, self.target_seeds):
             if not seeds or not all(isinstance(s, (int, np.integer))
                                     and not isinstance(s, bool)
@@ -105,7 +103,6 @@ class ScenarioConfig:
         # Checked here so that nothing fails after training starts.
         for name in ("source_total_timesteps", "target_total_timesteps"):
             check_count(name, getattr(self, name))
-        self.train_config.validate()
         name = f"setting {self.setting}"
         if spec.schedule_kind not in (None, self.schedule.kind):
             raise ValueError(f"{name} uses a {spec.schedule_kind} schedule")
@@ -133,14 +130,12 @@ def default_scenario(setting: int, mode: str = "rrl",
     elif schedule is None:
         schedule = WeaningSchedule("step_decay", 0.5, 0.1,
                                    max(target_total_timesteps // 10, 1))
-    config = ScenarioConfig(
-        setting=setting, mode=mode, source_env=replace(spec.source_env),
+    return ScenarioConfig(
+        setting=setting, mode=mode, source_env=spec.source_env,
         source_seeds=tuple(source_seeds),
         source_total_timesteps=source_total_timesteps,
-        target_env=replace(spec.target_env), target_seeds=tuple(target_seeds),
+        target_env=spec.target_env, target_seeds=tuple(target_seeds),
         target_total_timesteps=target_total_timesteps, schedule=schedule)
-    config.validate()
-    return config
 
 
 def write_curve_csv(path, rows) -> None:
@@ -161,14 +156,14 @@ def read_curve_csv(path) -> list[dict]:
 def _train_source(env: EnvConfig, algorithm: str, seed: int, budget: int,
                   train_config: TrainConfig):
     """One source run: its network and its final performance, the last DQN
-    curve row (-inf if no episode finished) or the mean of PPO's last tenth
-    of rows."""
+    curve row (-inf if no episode finished) or the final_return of PPO's
+    curve."""
     if algorithm == "dqn":
         q_net, curve = dqn_train(env, DqnConfig(total_timesteps=budget), seed)
         return q_net, curve[-1][1] if curve else -np.inf
     result = train(env, train_config, budget, seed)
-    tail = result.curve[-max(len(result.curve) // 10, 1):]
-    return result.value_net, float(np.mean([row[1] for row in tail]))
+    rows = [dict(zip(CSV_HEADER, row)) for row in result.curve]
+    return result.value_net, final_return(rows)
 
 
 def train_source_prior(env: EnvConfig, algorithm: str, seeds, budget: int,
@@ -189,7 +184,6 @@ def run_scenario(config: ScenarioConfig, out_dir,
                  prior_path=None) -> dict:
     """Train (or load) the prior, then run all target seeds; one CSV per
     (scenario, seed). Returns paths of everything written."""
-    config.validate()
     os.makedirs(out_dir, exist_ok=True)
     prior = None
     artifact_path = None
@@ -229,8 +223,10 @@ def steps_to_threshold(rows: list[dict], threshold: float) -> float:
     return float("inf")
 
 
-def final_return(rows: list[dict], tail_fraction: float = 0.1) -> float:
-    tail = rows[-max(int(len(rows) * tail_fraction), 1):]
+def final_return(rows: list[dict]) -> float:
+    """Mean episodic_return_mean of the last tenth of the rows (at least
+    the last row)."""
+    tail = rows[-max(len(rows) // 10, 1):]
     return float(np.mean([row["episodic_return_mean"] for row in tail]))
 
 

@@ -69,7 +69,7 @@ def unbiasedness_checks(n_samples: int, seed: int = 0) -> list[CheckResult]:
     by dynamic programming, for each baseline configuration."""
     model = demo_mdp()
     logits = demo_logits()
-    exact = exact_policy_gradient(model, logits, model.horizon, 1.0)
+    exact = exact_policy_gradient(model, logits, 1.0)
 
     policy = softmax(logits)
     v_current = exact_value(model, TabularPolicy(policy), 1.0)

@@ -265,7 +265,11 @@ def test_unknown_scenario_key_is_named(tmp_path, capsys, keys):
     ["--seed", "0", "--total-timesteps", "0"],
     ["--seed", "0", "--total-timesteps", "-10"],
     ["--seeds", "", "--total-timesteps", "4096"],
-], ids=["zero-budget", "negative-budget", "empty-seeds"])
+    # flags that were dropped without a word
+    ["--seed", "0", "--seeds", "0,1", "--total-timesteps", "4096"],
+    ["--seed", "0", "--w-decrement", "0.2", "--total-timesteps", "4096"],
+], ids=["zero-budget", "negative-budget", "empty-seeds", "seed-and-seeds",
+        "fixed-schedule-decrement"])
 def test_run_bad_override_is_config_error(tmp_path, flags):
     out = tmp_path / "x"
     assert main(["run", "--setting", "1", "--mode", "tbr", *flags,

@@ -21,7 +21,7 @@ def test_epsilon_schedule_endpoints():
 
 def test_dqn_config_validation():
     with pytest.raises(ValueError, match="total_timesteps"):
-        DqnConfig(total_timesteps=0).validate()
+        DqnConfig(total_timesteps=0)
 
 
 def test_replay_buffer_ring_eviction():

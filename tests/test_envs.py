@@ -121,14 +121,14 @@ def test_bad_action_and_bad_config():
     with pytest.raises(ValueError):
         env.step(2)
     with pytest.raises(ValueError):
-        EnvConfig("lunar-lander").validate()
+        EnvConfig("lunar-lander")
     for horizon in (0, 64.5, True):
         with pytest.raises(ValueError):
-            EnvConfig("chain", horizon=horizon).validate()
+            EnvConfig("chain", horizon=horizon)
     for wind in ("no", 1, None):
         with pytest.raises(ValueError, match="wind_enabled"):
             EnvConfig("windy-grid", wind_enabled=wind,
-                      wind_strength=0.3).validate()
+                      wind_strength=0.3)
 
 
 @pytest.mark.parametrize("fields", [
@@ -141,9 +141,16 @@ def test_bad_action_and_bad_config():
         "strength-without-wind"])
 def test_config_rejects_fields_its_env_ignores(fields):
     with pytest.raises(ValueError):
-        EnvConfig(**fields).validate()
+        EnvConfig(**fields)
     with pytest.raises(ValueError):
         make_env(EnvConfig(**fields))
+
+
+@pytest.mark.parametrize("num_envs", [True, 0, 2.5])
+def test_bank_size_must_be_a_count(num_envs):
+    for env_id in ("chain", "goal-world"):
+        with pytest.raises(ValueError, match="num_envs"):
+            make_env(EnvConfig(env_id), num_envs)
 
 
 def test_chain_tabular_deterministic():

@@ -86,21 +86,21 @@ def test_expected_return_hand_enumeration():
     logits = np.zeros((2, 2))  # uniform policy
     # from s0: a0 (r=0, stay) or a1 (r=1, go to s1); then another action.
     # E[R] = 0.25*(0+0) + 0.25*(0+1) + 0.25*(1+2) + 0.25*(1+0) = 1.25
-    assert expected_return(model, logits, 2, 1.0) == pytest.approx(1.25)
+    assert expected_return(model, logits, 1.0) == pytest.approx(1.25)
 
 
 def test_constant_reward_gradient_is_zero():
     model = demo_mdp(horizon=3)
     const = TabularModel(model.transition, np.full((2, 2), 0.7),
                          model.initial_distribution, model.horizon)
-    grad = exact_policy_gradient(const, demo_logits(), 3, 1.0)
+    grad = exact_policy_gradient(const, demo_logits(), 1.0)
     np.testing.assert_allclose(grad, 0.0, atol=1e-10)
 
 
 def test_exact_gradient_matches_finite_differences():
     model = demo_mdp(horizon=3)
     logits = demo_logits()
-    grad = exact_policy_gradient(model, logits, 3, 1.0)
+    grad = exact_policy_gradient(model, logits, 1.0)
     h = 1e-6
     for s in range(2):
         for a in range(2):
@@ -108,8 +108,8 @@ def test_exact_gradient_matches_finite_differences():
             up[s, a] += h
             down = logits.copy()
             down[s, a] -= h
-            fd = (expected_return(model, up, 3, 1.0)
-                  - expected_return(model, down, 3, 1.0)) / (2 * h)
+            fd = (expected_return(model, up, 1.0)
+                  - expected_return(model, down, 1.0)) / (2 * h)
             assert abs(fd - grad[s, a]) <= 1e-6 * max(1.0, abs(fd))
 
 
@@ -148,13 +148,12 @@ def enumerated_return_and_gradient(model, logits, horizon, gamma):
     return total, grad
 
 
-def assert_matches_enumeration(model, logits, horizon, gamma):
+def assert_matches_enumeration(model, logits, gamma):
     want_j, want_grad = enumerated_return_and_gradient(model, logits,
-                                                       horizon, gamma)
-    assert abs(expected_return(model, logits, horizon, gamma) - want_j) <= 1e-12
-    np.testing.assert_allclose(
-        exact_policy_gradient(model, logits, horizon, gamma), want_grad,
-        rtol=0, atol=1e-12)
+                                                       model.horizon, gamma)
+    assert abs(expected_return(model, logits, gamma) - want_j) <= 1e-12
+    np.testing.assert_allclose(exact_policy_gradient(model, logits, gamma),
+                               want_grad, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 5, 8])
@@ -162,7 +161,7 @@ def assert_matches_enumeration(model, logits, horizon, gamma):
 def test_dynamic_program_matches_enumeration_on_demo_mdp(horizon, gamma):
     model = demo_mdp(horizon=horizon)
     logits = np.random.default_rng(horizon).standard_normal((2, 2))
-    assert_matches_enumeration(model, logits, horizon, gamma)
+    assert_matches_enumeration(model, logits, gamma)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.9])
@@ -171,7 +170,7 @@ def test_dynamic_program_matches_enumeration_on_chain(gamma):
     model = as_tabular(EnvConfig("chain", horizon=6))
     logits = np.random.default_rng(6).standard_normal(
         (model.state_count, model.action_count))
-    assert_matches_enumeration(model, logits, 6, gamma)
+    assert_matches_enumeration(model, logits, gamma)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.9])
@@ -182,7 +181,7 @@ def test_dynamic_program_ignores_terminal_rows(gamma):
     model = TabularModel(demo.transition, demo.reward,
                          np.array([0.5, 0.5]), 5, np.array([False, True]))
     logits = np.random.default_rng(5).standard_normal((2, 2))
-    assert_matches_enumeration(model, logits, 5, gamma)
+    assert_matches_enumeration(model, logits, gamma)
 
 
 def test_exact_gradient_matches_finite_differences_on_windy_grid():
@@ -191,7 +190,7 @@ def test_exact_gradient_matches_finite_differences_on_windy_grid():
                                  wind_strength=0.3, horizon=64))
     logits = np.random.default_rng(4).standard_normal(
         (model.state_count, model.action_count))
-    grad = exact_policy_gradient(model, logits, 64, 1.0)
+    grad = exact_policy_gradient(model, logits, 1.0)
     h = 1e-6
     fd = np.empty_like(grad)
     for s in range(model.state_count):
@@ -200,8 +199,8 @@ def test_exact_gradient_matches_finite_differences_on_windy_grid():
             up[s, a] += h
             down = logits.copy()
             down[s, a] -= h
-            fd[s, a] = (expected_return(model, up, 64, 1.0)
-                        - expected_return(model, down, 64, 1.0)) / (2 * h)
+            fd[s, a] = (expected_return(model, up, 1.0)
+                        - expected_return(model, down, 1.0)) / (2 * h)
     assert np.abs(grad).max() > 1e-2  # the check is not vacuous
     np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
 
@@ -213,14 +212,14 @@ def test_expected_return_is_initial_value_at_gamma_one(model):
     logits = np.random.default_rng(7).standard_normal(
         (model.state_count, model.action_count))
     v = exact_value(model, TabularPolicy(softmax(logits)), 1.0)
-    assert (expected_return(model, logits, model.horizon, 1.0)
+    assert (expected_return(model, logits, 1.0)
             == model.initial_distribution @ v)
 
 
 def test_sampled_return_matches_enumeration():
     model = demo_mdp(horizon=2)
     logits = demo_logits()
-    exact = expected_return(model, logits, 2, 1.0)
+    exact = expected_return(model, logits, 1.0)
     probs = softmax(logits)
     _, _, rewards, _ = sample_trajectories(model, probs, 50_000,
                                            np.random.default_rng(0))
@@ -295,7 +294,7 @@ def test_exact_baseline_centers_advantages():
 def test_gradient_variance_mean_is_baseline_invariant():
     model = demo_mdp()
     logits = demo_logits()
-    exact = exact_policy_gradient(model, logits, model.horizon, 1.0)
+    exact = exact_policy_gradient(model, logits, 1.0)
     v = exact_value(model, TabularPolicy(softmax(logits)), 1.0)
     for i, baseline in enumerate((None, v, np.array([5.0, -3.0]))):
         mean, trace, se = gradient_variance(model, logits, baseline, 40_000,
@@ -443,7 +442,7 @@ def test_gradient_variance_when_every_trajectory_ends_early():
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1] and got[2] == want[2]
         np.testing.assert_allclose(
-            got[0], exact_policy_gradient(model, logits, 6, 1.0), atol=0.05)
+            got[0], exact_policy_gradient(model, logits, 1.0), atol=0.05)
 
 
 def test_gradient_variance_matches_reference():

@@ -391,18 +391,18 @@ def test_train_records_phase_times():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(gamma=0.0).validate()
+        TrainConfig(gamma=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(steps_per_rollout=100, num_envs=16).validate()
+        TrainConfig(steps_per_rollout=100, num_envs=16)
     with pytest.raises(ValueError):
-        TrainConfig(steps_per_rollout=2048, minibatch_size=100).validate()
+        TrainConfig(steps_per_rollout=2048, minibatch_size=100)
     with pytest.raises(ValueError):
-        TrainConfig(clip_coefficient=0.0).validate()
+        TrainConfig(clip_coefficient=0.0)
     for name in ("num_envs", "steps_per_rollout", "minibatch_size",
                  "update_epochs"):
         for count in (0, -1):
             with pytest.raises(ValueError, match=name):
-                TrainConfig(**{name: count}).validate()
+                TrainConfig(**{name: count})
     for budget in (0, -1, 2.5):
         with pytest.raises(ValueError, match="total_timesteps"):
             train(EnvConfig("chain"), TrainConfig(), budget, seed=0)

@@ -52,6 +52,12 @@ def test_schedule_validation():
                                "decrement": 0.1, "interval_steps": 10, **bad})
     with pytest.raises(ValueError):
         WeaningSchedule("fixed", True)
+    # a fixed schedule has no decrement for `run --w-decrement` to set
+    with pytest.raises(ValueError, match="decrement"):
+        WeaningSchedule("fixed", 0.9, 0.2)
+    for interval in (0, 2.5, True):
+        with pytest.raises(ValueError, match="interval_steps"):
+            WeaningSchedule("fixed", 0.9, 0.0, interval)
     with pytest.raises(ValueError):
         weaning_weight(WeaningSchedule("fixed", 0.5), -1)
 
@@ -237,6 +243,10 @@ def test_load_refuses_documents_that_disagree_with_their_layers(tmp_path):
             (q_doc, {"action_count": 3.5}, "action_count"),
             (v_doc, {"obs_dim": 4}, "obs_dim"),
             (v_doc, {"action_count": 1}, "action_count"),
+            # 2.0 == 2, True == 1, False == 0: only a type check refuses these
+            (q_doc, {"format_version": True}, "format_version"),
+            (v_doc, {"action_count": False}, "action_count"),
+            (q_doc, {"obs_dim": 2.0}, "obs_dim"),
             (q_doc, {"layers": [first, first]},
              "inconsistent layer dimensions")):
         path = tmp_path / "bad.json"

@@ -1,9 +1,10 @@
 import os
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from rlwean.dqn import DqnConfig
 from rlwean.envs import EnvConfig
 from rlwean.priors import WeaningSchedule, weaning_weight
 from rlwean.ppo import TrainConfig
@@ -26,10 +27,9 @@ def small_scenario(setting=1, mode="tbr", **kwargs):
     return replace(config, train_config=SMALL_TRAIN)
 
 
-def test_default_scenarios_validate():
+def test_default_scenarios_are_valid():
     for setting in (1, 2, 3, 4):
         config = default_scenario(setting)
-        config.validate()
         assert config.target_seeds == tuple(range(10))
         assert config.target_total_timesteps == 100_000
     assert default_scenario(1).schedule == WeaningSchedule("fixed", 0.9)
@@ -69,29 +69,39 @@ def test_scenario_validation_rejects_mismatches():
     calm = EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.0,
                      horizon=64)
     bad = [
-        replace(base, mode="greedy"),
-        replace(base, setting=5),
-        replace(base, setting=True),
-        replace(base, setting=1.5),
-        replace(base, target_seeds=(True,)),
-        replace(base, source_seeds=(0, False)),
-        replace(base, target_env=EnvConfig("chain")),
-        replace(base, schedule=s2.schedule),
+        (base, dict(mode="greedy")),
+        (base, dict(setting=5)),
+        (base, dict(setting=True)),
+        (base, dict(setting=1.5)),
+        (base, dict(target_seeds=(True,))),
+        (base, dict(source_seeds=(0, False))),
+        (base, dict(target_env=EnvConfig("chain"))),
+        (base, dict(schedule=s2.schedule)),
         # source and target must differ by wind
-        replace(s2, target_env=s2.source_env),
-        replace(s2, schedule=fixed),
-        replace(s2, target_env=replace(s2.target_env, horizon=32)),
+        (s2, dict(target_env=s2.source_env)),
+        (s2, dict(schedule=fixed)),
+        (s2, dict(target_env=replace(s2.target_env, horizon=32))),
         # wind on at strength 0 is the same windless MDP
-        replace(s2, source_env=calm, target_env=s2.source_env),
+        (s2, dict(source_env=calm, target_env=s2.source_env)),
         # must differ by reward variant only
-        replace(s3, target_env=s3.source_env),
-        replace(s3, target_env=replace(s3.target_env, horizon=50)),
+        (s3, dict(target_env=s3.source_env)),
+        (s3, dict(target_env=replace(s3.target_env, horizon=50))),
     ]
-    for config in bad:
+    for config, changes in bad:
         with pytest.raises(ValueError):
-            config.validate()
+            replace(config, **changes)
     for config in (s3, s4):  # settings 3 and 4 take any schedule kind
-        replace(config, schedule=fixed).validate()
+        replace(config, schedule=fixed)
+
+
+def test_configs_cannot_change_after_their_check():
+    config = default_scenario(2)
+    for record, name in ((config, "mode"), (config.target_env, "horizon"),
+                         (config.train_config, "gamma"),
+                         (config.schedule, "w0"),
+                         (DqnConfig(), "total_timesteps")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
 
 
 def test_optimal_returns():
@@ -122,8 +132,9 @@ def test_steps_to_threshold_and_final_return():
     assert steps_to_threshold(rows, 0.4) == 100
     assert steps_to_threshold(rows, 0.85) == 300
     assert steps_to_threshold(rows, 2.0) == float("inf")
-    assert final_return(rows, tail_fraction=0.5) == pytest.approx(0.85)
-    assert final_return(rows, tail_fraction=0.01) == 0.9
+    # the mean of the last tenth of the rows, and at least of the last row
+    assert final_return(rows) == 0.9
+    assert final_return(rows * 5) == pytest.approx(0.85)
 
 
 def test_run_scenario_tbr_deterministic(tmp_path):
