@@ -10,8 +10,8 @@ from .priors import (PriorArtifact, WeaningSchedule, load_artifact,
                      weaning_weight)
 from .ppo import RolloutBatch, TrainConfig, collect_rollout, combined_baseline, compute_advantages, compute_returns, ppo_update, train
 from .dqn import DqnConfig, ReplayBuffer, dqn_train, export_prior
-from .oracle import (TabularPolicy, exact_policy_gradient, exact_value,
-                     gradient_variance, q_from_v, value_iteration)
+from .oracle import (exact_policy_gradient, exact_value, gradient_variance,
+                     q_from_v, value_iteration)
 from .scenarios import ScenarioConfig, compare, default_scenario, run_scenario
 from .verify import run_verification
 

@@ -108,7 +108,10 @@ def cmd_run(args) -> int:
         if args.setting and args.setting != config.setting:
             raise ValueError("--setting conflicts with the config file")
     elif args.setting:
-        config = default_scenario(args.setting)
+        # The default schedule is cut into tenths of the target budget.
+        budget = DEFAULT_BUDGET if args.total_timesteps is None \
+            else args.total_timesteps
+        config = default_scenario(args.setting, target_total_timesteps=budget)
     else:
         raise ValueError("run requires --config or --setting")
     config = _apply_overrides(config, args)

@@ -16,7 +16,7 @@ from .envs import EnvConfig, make_env
 from .errors import check_count
 from .nets import (MlpModel, adam_update, backward, forward, init_adam,
                    init_mlp, single_blas_thread)
-from .priors import PRIOR_KIND, PriorArtifact, save_artifact
+from .priors import PriorArtifact, save_artifact
 
 HIDDEN_DIMS = [64, 64]
 DQN_LEARNING_RATE = 1e-3
@@ -151,13 +151,10 @@ def greedy_return(q_net: MlpModel, env_config: EnvConfig, seed: int = 0,
 
 
 def export_prior(network: MlpModel, metadata: dict, path) -> PriorArtifact:
-    """Write a trained source network as the prior artifact of its
-    metadata's source_algorithm (default dqn): a Q-network as a q_function
-    prior, a value net as a value_function prior. `metadata` holds
-    PriorArtifact's source_* and created_at fields. load->evaluate is
+    """Write a trained source network as a prior artifact: a Q-network as
+    a q_function prior, a value net as a value_function prior. `metadata`
+    holds PriorArtifact's source_* and created_at fields. load->evaluate is
     bit-exact."""
-    metadata = {"source_algorithm": "dqn", **metadata}
-    artifact = PriorArtifact(PRIOR_KIND[metadata["source_algorithm"]],
-                             network.copy(), **metadata)
+    artifact = PriorArtifact(network.copy(), **metadata)
     save_artifact(artifact, path)
     return artifact

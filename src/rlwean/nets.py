@@ -22,6 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @functools.cache
 def _openblas_threads():
@@ -50,31 +54,27 @@ def single_blas_thread():
         set_(before)
 
 
-def _flat_views(weights: list, biases: list, flat: np.ndarray | None):
-    """One float64 vector holding `weights` then `biases` end to end (a copy
-    of them, unless `flat` is given) and views into it shaped like them."""
-    if flat is None:
-        flat = np.concatenate(weights + biases, axis=None, dtype=np.float64)
-    views, start = [], 0
-    for a in weights + biases:
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
-    return flat, views[:len(weights)], views[len(weights):]
-
-
 @dataclass
 class MlpModel:
     """Feed-forward network: weights[l] has shape (out_dim, in_dim), or
     (K, out_dim, in_dim) in a stacked model; the widths are read from it.
-    Weights and biases are views into the parameter vector `flat`."""
+    Weights and biases are views into the parameter vector `flat`, which
+    holds them end to end (a copy of them, unless `flat` is given)."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     flat: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, flat):
-        self.flat, self.weights, self.biases = _flat_views(
-            self.weights, self.biases, flat)
+        params = self.weights + self.biases
+        if flat is None:
+            flat = np.concatenate(params, axis=None, dtype=np.float64)
+        views, start = [], 0
+        for a in params:
+            views.append(flat[start:start + a.size].reshape(a.shape))
+            start += a.size
+        n = len(self.weights)
+        self.flat, self.weights, self.biases = flat, views[:n], views[n:]
 
     @property
     def layer_dims(self) -> list[int]:
@@ -89,28 +89,16 @@ class MlpModel:
         return self.weights[-1].shape[-2]
 
     def copy(self) -> "MlpModel":
-        return MlpModel(self.weights, self.biases, self.flat.copy())
+        return type(self)(self.weights, self.biases, self.flat.copy())
 
     def __reduce__(self):
         # deepcopy and pickle rebuild the views into the copied `flat`.
-        return MlpModel, (self.weights, self.biases, self.flat)
+        return type(self), (self.weights, self.biases, self.flat)
 
 
-@dataclass
-class GradientBuffer:
-    """Parameter gradients, shape-congruent with an MlpModel and laid out
-    like its `flat`; d_weights and d_biases are views into `flat`."""
-
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-    flat: InitVar[np.ndarray | None] = None
-
-    def __post_init__(self, flat):
-        self.flat, self.d_weights, self.d_biases = _flat_views(
-            self.d_weights, self.d_biases, flat)
-
-    def __reduce__(self):
-        return GradientBuffer, (self.d_weights, self.d_biases, self.flat)
+class GradientBuffer(MlpModel):
+    """Parameter gradients, stored as an MlpModel's parameters are: weights
+    and biases are views into `flat`, in the same layout."""
 
     def scale(self, c: float) -> None:
         self.flat *= c
@@ -118,7 +106,7 @@ class GradientBuffer:
     def global_norm(self) -> float:
         # Summed array by array: the clip scale depends on these exact bits.
         squares, total, start = self.flat * self.flat, 0.0, 0
-        for a in self.d_weights + self.d_biases:
+        for a in self.weights + self.biases:
             total += float(np.add.reduce(squares[start:start + a.size]))
             start += a.size
         return float(np.sqrt(total))
@@ -205,8 +193,8 @@ def backward(model: MlpModel, x: np.ndarray, output_gradient: np.ndarray,
     grads = GradientBuffer(model.weights, model.biases, np.empty_like(model.flat))
     delta = g
     for l in range(len(model.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[l], out=grads.d_weights[l])
-        np.add.reduce(delta, axis=0, out=grads.d_biases[l])  # np.sum's bits
+        np.matmul(delta.T, acts[l], out=grads.weights[l])
+        np.add.reduce(delta, axis=0, out=grads.biases[l])  # np.sum's bits
         if l > 0:
             # acts[l] is post-tanh; d tanh(z)/dz = 1 - tanh(z)^2. np.dot: @
             # takes a loop without BLAS on the value head's (N, 1) @ (1, out).
@@ -237,9 +225,6 @@ class AdamState:
     learning_rate: float
     first_moment: np.ndarray
     second_moment: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
 
     def __post_init__(self):
@@ -257,7 +242,7 @@ def adam_update(model: MlpModel, state: AdamState, grads: GradientBuffer) -> Non
         raise FloatingPointError("non-finite gradient entries")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     g, m, v = grads.flat, state.first_moment, state.second_moment
@@ -270,6 +255,6 @@ def adam_update(model: MlpModel, state: AdamState, grads: GradientBuffer) -> Non
     np.divide(m, c1, out=step)
     step *= state.learning_rate
     np.sqrt(np.divide(v, c2, out=denom), out=denom)
-    denom += state.epsilon
+    denom += ADAM_EPSILON
     step /= denom
     model.flat -= step

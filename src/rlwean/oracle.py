@@ -11,8 +11,6 @@ variance-reduction checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .envs import TabularModel
@@ -22,22 +20,11 @@ PIVOT_EPS = 1e-12
 BLOCK = 8192  # trajectories per block in sampling and gradient statistics
 
 
-@dataclass
-class TabularPolicy:
-    """Explicit pi(a|s) matrix with rows summing to 1."""
-
-    probabilities: np.ndarray  # (S, A)
-
-    def __post_init__(self):
-        p = self.probabilities
-        if np.any(p < 0) or not np.allclose(p.sum(axis=1), 1.0, atol=1e-12):
-            raise ValueError("policy rows must be non-negative and sum to 1")
-
-
 def random_tabular_policy(state_count: int, action_count: int,
-                          rng: np.random.Generator) -> TabularPolicy:
+                          rng: np.random.Generator) -> np.ndarray:
+    """A random (S, A) table pi(a|s) with every entry positive."""
     p = rng.random((state_count, action_count)) + 0.1
-    return TabularPolicy(p / p.sum(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,11 +69,10 @@ def _backward_pass(model: TabularModel, probs: np.ndarray,
     return q, v
 
 
-def exact_value(model: TabularModel, policy: TabularPolicy,
+def exact_value(model: TabularModel, pi: np.ndarray,
                 gamma: float) -> np.ndarray:
-    """V^pi: linear solve for gamma < 1, backward induction over
-    model.horizon steps at gamma = 1."""
-    pi = policy.probabilities
+    """V^pi of the (S, A) policy table pi: linear solve for gamma < 1,
+    backward induction over model.horizon steps at gamma = 1."""
     if gamma < 1.0:
         r_pi = np.sum(pi * model.reward, axis=1)
         p_pi = np.einsum("sa,sat->st", pi, model.transition)

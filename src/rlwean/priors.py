@@ -29,7 +29,6 @@ FORMAT_VERSION = 1
 # The prior each source algorithm leaves: DQN's Q-network, PPO's value net.
 PRIOR_KIND = {"dqn": "q_function", "pg": "value_function"}
 _KIND_TO_FILE = {"q_function": "q", "value_function": "v"}
-_FILE_TO_KIND = {v: k for k, v in _KIND_TO_FILE.items()}
 
 
 @dataclass(frozen=True)
@@ -74,22 +73,22 @@ def weaning_weight(schedule: WeaningSchedule, t: int) -> float:
 
 @dataclass
 class PriorArtifact:
-    """Frozen prior computation plus where it came from. Its spaces are the
-    network's: obs_dim is its input width and action_count a Q-network's
-    output width (0 for a value prior)."""
+    """Frozen prior computation plus where it came from. Its kind and spaces
+    are the network's: a one-output net is a value prior and a wider one a
+    Q-network (every action space has at least two actions); obs_dim is its
+    input width and action_count a Q-network's output width (0 for a value
+    prior)."""
 
-    kind: str  # "q_function" | "value_function"
     network: MlpModel
     source_env_id: str = ""
     source_algorithm: str = ""
     source_seed: int = 0
     created_at: str = ""
 
-    def __post_init__(self):
-        if self.kind not in _KIND_TO_FILE:
-            raise ValueError(f"unknown prior kind {self.kind!r}")
-        if self.kind == "value_function" and self.network.output_dim != 1:
-            raise CompatibilityError("value network must output a single value")
+    @property
+    def kind(self) -> str:
+        return "value_function" if self.network.output_dim == 1 \
+            else "q_function"
 
     @property
     def obs_dim(self) -> int:
@@ -101,13 +100,12 @@ class PriorArtifact:
 
 
 def check_compatibility(prior: PriorArtifact, obs_dim: int,
-                        action_count: int | None = None) -> None:
+                        action_count: int) -> None:
     """Fail fast on mismatched source/target spaces."""
     if prior.obs_dim != obs_dim:
         raise CompatibilityError(
             f"prior obs_dim {prior.obs_dim} != target obs_dim {obs_dim}")
-    if prior.kind == "q_function" and action_count is not None \
-            and prior.action_count != action_count:
+    if prior.kind == "q_function" and prior.action_count != action_count:
         raise CompatibilityError(
             f"prior action_count {prior.action_count} != target {action_count}")
 
@@ -159,8 +157,6 @@ def _artifact_from_doc(doc) -> PriorArtifact:
         raise ValueError(f"unsupported format_version {doc['format_version']}")
     if doc.get("activation") != "tanh":
         raise ValueError(f"unsupported activation {doc.get('activation')!r}")
-    if doc.get("kind") not in _FILE_TO_KIND:
-        raise ValueError(f"unknown artifact kind {doc.get('kind')!r}")
     if not doc.get("layers"):
         raise ValueError("artifact has no layers")
     weights, biases = [], []
@@ -178,7 +174,6 @@ def _artifact_from_doc(doc) -> PriorArtifact:
         biases.append(b)
     meta = doc.get("metadata", {})
     prior = PriorArtifact(
-        kind=_FILE_TO_KIND[doc["kind"]],
         network=MlpModel(weights, biases),
         source_env_id=meta.get("source_env_id", ""),
         source_algorithm=meta.get("source_algorithm", ""),
@@ -186,10 +181,10 @@ def _artifact_from_doc(doc) -> PriorArtifact:
         created_at=meta.get("created_at", ""),
     )
     # A value prior's action_count is 0, so a save writes this document.
-    stated = (doc["obs_dim"], doc.get("action_count", 0))
-    derived = (prior.obs_dim, prior.action_count)
+    stated = (doc.get("kind"), doc["obs_dim"], doc.get("action_count", 0))
+    derived = (_KIND_TO_FILE[prior.kind], prior.obs_dim, prior.action_count)
     if stated != derived:
-        raise CompatibilityError(f"obs_dim, action_count {stated} != "
+        raise CompatibilityError(f"kind, obs_dim, action_count {stated} != "
                                  f"{derived} of the layers")
     return prior
 

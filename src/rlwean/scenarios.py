@@ -100,6 +100,8 @@ class ScenarioConfig:
                                     and s >= 0 for s in seeds):
                 raise ValueError("seeds must be non-empty lists of "
                                  "integers >= 0")
+            if len(set(seeds)) != len(seeds):
+                raise ValueError(f"seeds must be distinct, got {list(seeds)}")
         # Checked here so that nothing fails after training starts.
         for name in ("source_total_timesteps", "target_total_timesteps"):
             check_count(name, getattr(self, name))

@@ -12,8 +12,8 @@ import numpy as np
 
 from .envs import EnvConfig, TabularModel, as_tabular
 from .nets import MlpModel, backward, forward, init_mlp
-from .oracle import (TabularPolicy, exact_policy_gradient, exact_value,
-                     gradient_variance, q_from_v, random_tabular_policy)
+from .oracle import (exact_policy_gradient, exact_value, gradient_variance,
+                     q_from_v, random_tabular_policy)
 from .policies import softmax
 from .priors import WeaningSchedule, weaning_weight
 
@@ -71,8 +71,7 @@ def unbiasedness_checks(n_samples: int, seed: int = 0) -> list[CheckResult]:
     logits = demo_logits()
     exact = exact_policy_gradient(model, logits, 1.0)
 
-    policy = softmax(logits)
-    v_current = exact_value(model, TabularPolicy(policy), 1.0)
+    v_current = exact_value(model, softmax(logits), 1.0)
     rng_prior = np.random.default_rng(7)
     prior_policy = random_tabular_policy(2, 2, rng_prior)
     v_prior = exact_value(model, prior_policy, 1.0)
@@ -101,7 +100,7 @@ def variance_reduction_check(n_samples: int, seed: int = 100) -> CheckResult:
     3 combined jackknife standard errors below the no-baseline trace."""
     model = demo_mdp()
     logits = demo_logits()
-    v_pi = exact_value(model, TabularPolicy(softmax(logits)), 1.0)
+    v_pi = exact_value(model, softmax(logits), 1.0)
     _, trace_none, se_none = gradient_variance(
         model, logits, None, n_samples, np.random.default_rng(seed))
     _, trace_v, se_v = gradient_variance(
@@ -126,8 +125,7 @@ def q_to_value_identity_check(n_policies: int = 20, seed: int = 3) -> CheckResul
                                            model.action_count, rng)
             v = exact_value(model, policy, 0.99)
             q = q_from_v(model, v, 0.99)
-            err = float(np.max(np.abs(
-                np.sum(policy.probabilities * q, axis=1) - v)))
+            err = float(np.max(np.abs(np.sum(policy * q, axis=1) - v)))
             worst = max(worst, err)
     return CheckResult("q-to-value identity max |sum pi*Q - V|",
                        worst < 1e-10, worst, 1e-10)

@@ -205,7 +205,8 @@ def test_criterion_11_artifact_round_trip(work_dir):
     exact = True
     for kind, dims in cases:
         net = init_mlp(dims, rng)
-        prior = PriorArtifact(kind, net)
+        prior = PriorArtifact(net)
+        assert prior.kind == kind
         path = work_dir / f"roundtrip_{kind}.json"
         save_artifact(prior, path)
         loaded = load_artifact(path)

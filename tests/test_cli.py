@@ -60,6 +60,19 @@ def test_run_with_setting_flag(tmp_path, capsys):
     assert all(rec["w_t"] == 0.0 for rec in rows)
 
 
+def test_run_setting_schedule_follows_the_budget(tmp_path):
+    # a stored value prior, so no source is trained
+    prior = tmp_path / "v.json"
+    net = init_mlp([4, 64, 64, 1], np.random.default_rng(0))
+    save_artifact(PriorArtifact(net), prior)
+    out = tmp_path / "rrl"
+    assert main(["run", "--setting", "3", "--prior", str(prior), "--out",
+                 str(out), "--seed", "0", "--total-timesteps", "4096"]) == 0
+    rows = read_curve_csv(out / "rrl_seed0.csv")
+    # w0 0.5 less 0.1 every 409 steps (a tenth of 4096), at t = 0 and 2048
+    assert [rec["w_t"] for rec in rows] == [0.5, 0.0]
+
+
 def test_run_with_config_file_and_overrides(tmp_path):
     config_path = write_config(tmp_path, scenario_doc(mode="rrl"))
     out = tmp_path / "rrl"
@@ -74,7 +87,7 @@ def test_run_w_decrement_override(tmp_path):
     # a stored prior, so no source is trained
     prior = tmp_path / "q.json"
     net = init_mlp([2, 64, 64, 4], np.random.default_rng(0))
-    save_artifact(PriorArtifact("q_function", net), prior)
+    save_artifact(PriorArtifact(net), prior)
     out = tmp_path / "rrl"
     assert main(["run", "--config",
                  write_config(tmp_path, scenario_doc(mode="rrl")),
@@ -228,6 +241,8 @@ def with_envs(doc, setting, source_env, target_env, algorithm="dqn"):
     with_value(scenario_doc(), ["target", "env", "wind_enabled"], "no"),
     with_value(scenario_doc(), ["target", "seeds"], [True]),
     with_value(scenario_doc(mode="rrl"), ["source", "algorithm"], "pg"),
+    with_value(scenario_doc(), ["target", "seeds"], [0, 0]),
+    with_value(scenario_doc(mode="rrl"), ["source", "seeds"], [1, 1]),
 ], ids=["unknown-env-key", "removed-train-option", "wrongly-typed-value",
         "missing-source-block", "infinite-setting", "malformed-yaml",
         "not-a-mapping", "empty-source-seeds", "empty-target-seeds",
@@ -237,7 +252,8 @@ def with_envs(doc, setting, source_env, target_env, algorithm="dqn"):
         "windless-target", "env-seed", "fractional-setting",
         "fractional-budget", "bool-budget", "fractional-interval", "bool-w0",
         "fractional-horizon", "string-wind-enabled", "bool-seed",
-        "contradicting-algorithm"])
+        "contradicting-algorithm", "repeated-seeds",
+        "repeated-source-seeds"])
 def test_bad_scenario_file_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "scenario.yaml"
     path.write_text(text)
@@ -268,8 +284,9 @@ def test_unknown_scenario_key_is_named(tmp_path, capsys, keys):
     # flags that were dropped without a word
     ["--seed", "0", "--seeds", "0,1", "--total-timesteps", "4096"],
     ["--seed", "0", "--w-decrement", "0.2", "--total-timesteps", "4096"],
+    ["--seeds", "0,0", "--total-timesteps", "4096"],
 ], ids=["zero-budget", "negative-budget", "empty-seeds", "seed-and-seeds",
-        "fixed-schedule-decrement"])
+        "fixed-schedule-decrement", "repeated-seeds"])
 def test_run_bad_override_is_config_error(tmp_path, flags):
     out = tmp_path / "x"
     assert main(["run", "--setting", "1", "--mode", "tbr", *flags,
@@ -325,6 +342,17 @@ def test_export_prior_wind_strength_without_wind_is_config_error(tmp_path,
 def test_inspect_prior_directory_is_config_error(tmp_path, capsys):
     assert main(["inspect-prior", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_inspect_prior_refuses_a_q_document_with_one_output(tmp_path,
+                                                           capsys):
+    path = tmp_path / "q.json"
+    net = init_mlp([2, 4, 1], np.random.default_rng(0))
+    save_artifact(PriorArtifact(net), path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "kind": "q", "action_count": 1}))
+    assert main(["inspect-prior", str(path)]) == 2
+    assert "kind" in capsys.readouterr().err
 
 
 def test_run_prior_directory_is_config_error(tmp_path, monkeypatch, capsys):

@@ -73,7 +73,8 @@ def test_export_prior_round_trip(tmp_path):
     cfg = EnvConfig("chain", horizon=16)
     q_net, _ = dqn_train(cfg, DqnConfig(total_timesteps=3000), seed=2)
     path = tmp_path / "q.json"
-    export_prior(q_net, {"source_env_id": "chain", "source_seed": 2}, path)
+    export_prior(q_net, {"source_env_id": "chain", "source_algorithm": "dqn",
+                         "source_seed": 2}, path)
     prior = load_artifact(path)
     assert prior.kind == "q_function"
     assert prior.obs_dim == 1 and prior.action_count == 2

@@ -81,7 +81,7 @@ def test_backward_matches_finite_differences():
     grads = backward(model, x, gout)
     h = 1e-5
     for p, g in zip(model.weights + model.biases,
-                    grads.d_weights + grads.d_biases):
+                    grads.weights + grads.biases):
         flat_p, flat_g = p.reshape(-1), g.reshape(-1)
         for j in range(flat_p.size):
             orig = flat_p[j]
@@ -103,12 +103,12 @@ def test_batched_backward_sums_over_batch():
     summed = zero_grads(model)
     for x, g in zip(xs, gs):
         single = backward(model, x, g)
-        for dw, s in zip(single.d_weights, summed.d_weights):
+        for dw, s in zip(single.weights, summed.weights):
             s += dw
-        for db, s in zip(single.d_biases, summed.d_biases):
+        for db, s in zip(single.biases, summed.biases):
             s += db
-    for a, b in zip(batched.d_weights + batched.d_biases,
-                    summed.d_weights + summed.d_biases):
+    for a, b in zip(batched.weights + batched.biases,
+                    summed.weights + summed.biases):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_backward_reuses_forward_activations():
         fresh = backward(model, x, g)
         assert reused.flat.tobytes() == fresh.flat.tobytes()
     # the per-layer arrays are views of the one flat vector
-    reused.d_weights[0][0, 0] = np.inf
+    reused.weights[0][0, 0] = np.inf
     assert not reused.is_finite()
 
 
@@ -144,7 +144,7 @@ def test_gradient_linearity_in_output_gradient():
     g = rng.standard_normal(2)
     g1 = backward(model, x, g)
     g2 = backward(model, x, 2.0 * g)
-    for a, b in zip(g1.d_weights + g1.d_biases, g2.d_weights + g2.d_biases):
+    for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
         np.testing.assert_allclose(2.0 * a, b, atol=1e-12)
 
 
@@ -200,7 +200,7 @@ def test_adam_rejects_nonfinite_gradients():
     before = model.copy()
     state = init_adam(model, 1e-3)
     grads = zero_grads(model)
-    grads.d_weights[0][0, 0] = np.nan
+    grads.weights[0][0, 0] = np.nan
     with pytest.raises(FloatingPointError):
         adam_update(model, state, grads)
     assert state.step_count == 0
@@ -237,14 +237,14 @@ def reference_backward(model, x, g):
     """Kept reference: per-layer gradients with @, then concatenated."""
     acts = reference_forward_cached(model, x)
     n_layers = len(model.weights)
-    d_weights, d_biases = [None] * n_layers, [None] * n_layers
+    w_grads, b_grads = [None] * n_layers, [None] * n_layers
     delta = g
     for l in range(n_layers - 1, -1, -1):
-        d_weights[l] = delta.T @ acts[l]
-        d_biases[l] = delta.sum(axis=0)
+        w_grads[l] = delta.T @ acts[l]
+        b_grads[l] = delta.sum(axis=0)
         if l > 0:
             delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
-    return np.concatenate([a.ravel() for a in d_weights + d_biases])
+    return np.concatenate([a.ravel() for a in w_grads + b_grads])
 
 
 def reference_global_norm(arrays):
@@ -314,7 +314,7 @@ def test_backward_matches_kept_reference_bytes(dims, rows):
     grads = backward(model, x, g, acts)
     assert grads.flat.tobytes() == expected.tobytes()
     assert grads.global_norm() == reference_global_norm(
-        grads.d_weights + grads.d_biases)
+        grads.weights + grads.biases)
 
 
 def test_adam_matches_kept_reference_bytes():
@@ -361,7 +361,7 @@ def test_parameters_are_views_of_one_flat_vector(tmp_path):
     np.testing.assert_array_equal(model.flat, before)
 
     path = tmp_path / "v.json"
-    save_artifact(PriorArtifact("q_function", model), path)
+    save_artifact(PriorArtifact(model), path)
     loaded = load_artifact(path).network
     assert_params_share_flat(loaded)
     assert loaded.flat.tobytes() == model.flat.tobytes()
@@ -385,7 +385,7 @@ def test_copies_keep_their_parameter_views(clone):
     assert_params_share_flat(copied)
     assert not np.shares_memory(copied.flat, model.flat)
     assert copied.flat.tobytes() == model.flat.tobytes()
-    for a in copied_grads.d_weights + copied_grads.d_biases:
+    for a in copied_grads.weights + copied_grads.biases:
         assert np.shares_memory(a, copied_grads.flat)
     assert copied_grads.flat.tobytes() == grads.flat.tobytes()
     before = copied.weights[0].copy()

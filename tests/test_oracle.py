@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rlwean.envs import EnvConfig, TabularModel, as_tabular
-from rlwean.oracle import (BLOCK, TabularPolicy, exact_policy_gradient,
+from rlwean.oracle import (BLOCK, exact_policy_gradient,
                            exact_value, expected_return, gradient_variance,
                            q_from_v, random_tabular_policy,
                            sample_trajectories, solve_linear, value_iteration)
@@ -13,9 +13,8 @@ from rlwean.verify import demo_logits, demo_mdp
 
 
 def uniform_policy(model):
-    p = np.full((model.state_count, model.action_count),
-                1.0 / model.action_count)
-    return TabularPolicy(p)
+    return np.full((model.state_count, model.action_count),
+                   1.0 / model.action_count)
 
 
 def test_solve_linear_small_systems():
@@ -42,7 +41,7 @@ def test_self_loop_geometric_series():
     # one state, one action, r = 1, gamma = 0.5 -> V = 1 / (1 - 0.5) = 2
     model = TabularModel(np.ones((1, 1, 1)), np.ones((1, 1)), np.ones(1),
                          horizon=10)
-    v = exact_value(model, TabularPolicy(np.ones((1, 1))), 0.5)
+    v = exact_value(model, np.ones((1, 1)), 0.5)
     assert v[0] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -51,10 +50,9 @@ def test_linear_solve_matches_iterative_fixed_point():
     model = as_tabular(EnvConfig("windy-grid", wind_enabled=True,
                                  wind_strength=0.3, horizon=64))
     rng = np.random.default_rng(2)
-    policy = random_tabular_policy(model.state_count, model.action_count, rng)
+    pi = random_tabular_policy(model.state_count, model.action_count, rng)
     gamma = 0.99
-    v_solve = exact_value(model, policy, gamma)
-    pi = policy.probabilities
+    v_solve = exact_value(model, pi, gamma)
     r_pi = np.sum(pi * model.reward, axis=1)
     p_pi = np.einsum("sa,sat->st", pi, model.transition)
     v_iter = np.zeros(model.state_count)
@@ -211,7 +209,7 @@ def test_exact_gradient_matches_finite_differences_on_windy_grid():
 def test_expected_return_is_initial_value_at_gamma_one(model):
     logits = np.random.default_rng(7).standard_normal(
         (model.state_count, model.action_count))
-    v = exact_value(model, TabularPolicy(softmax(logits)), 1.0)
+    v = exact_value(model, softmax(logits), 1.0)
     assert (expected_return(model, logits, 1.0)
             == model.initial_distribution @ v)
 
@@ -230,7 +228,7 @@ def test_sampled_return_matches_enumeration():
 
 def test_sampled_trajectories_respect_termination():
     model = as_tabular(EnvConfig("chain", horizon=8))
-    probs = uniform_policy(model).probabilities
+    probs = uniform_policy(model)
     states, actions, rewards, alive = sample_trajectories(
         model, probs, 2000, np.random.default_rng(1))
     # no steps recorded after an episode dies, and no reward collected either
@@ -270,7 +268,7 @@ def test_monte_carlo_value_matches_exact():
     model = as_tabular(EnvConfig("chain", horizon=8))
     policy = uniform_policy(model)
     v = exact_value(model, policy, 1.0)
-    _, _, rewards, _ = sample_trajectories(model, policy.probabilities,
+    _, _, rewards, _ = sample_trajectories(model, policy,
                                            100_000, np.random.default_rng(2))
     returns = rewards.sum(axis=1)
     se = returns.std() / np.sqrt(len(returns))
@@ -283,7 +281,7 @@ def test_exact_baseline_centers_advantages():
     policy = uniform_policy(model)
     v = exact_value(model, policy, 1.0)
     states, _, rewards, alive = sample_trajectories(
-        model, policy.probabilities, 10_000, np.random.default_rng(3))
+        model, policy, 10_000, np.random.default_rng(3))
     returns = rewards.sum(axis=1)
     # first-step advantage: G(tau) - V(s_0), exactly mean-zero in expectation
     adv0 = returns - v[states[:, 0]]
@@ -295,7 +293,7 @@ def test_gradient_variance_mean_is_baseline_invariant():
     model = demo_mdp()
     logits = demo_logits()
     exact = exact_policy_gradient(model, logits, 1.0)
-    v = exact_value(model, TabularPolicy(softmax(logits)), 1.0)
+    v = exact_value(model, softmax(logits), 1.0)
     for i, baseline in enumerate((None, v, np.array([5.0, -3.0]))):
         mean, trace, se = gradient_variance(model, logits, baseline, 40_000,
                                             np.random.default_rng(10 + i))
@@ -307,7 +305,7 @@ def test_gradient_variance_mean_is_baseline_invariant():
 def test_gradient_variance_reduction_with_exact_v():
     model = demo_mdp()
     logits = demo_logits()
-    v = exact_value(model, TabularPolicy(softmax(logits)), 1.0)
+    v = exact_value(model, softmax(logits), 1.0)
     _, t_none, se_none = gradient_variance(model, logits, None, 40_000,
                                            np.random.default_rng(20))
     _, t_v, se_v = gradient_variance(model, logits, v, 40_000,
@@ -324,13 +322,6 @@ def test_gradient_variance_input_validation():
     with pytest.raises(ValueError):
         gradient_variance(model, demo_logits(), np.zeros(5), 100,
                           np.random.default_rng(0))
-
-
-def test_tabular_policy_validation():
-    with pytest.raises(ValueError):
-        TabularPolicy(np.array([[0.5, 0.6]]))
-    with pytest.raises(ValueError):
-        TabularPolicy(np.array([[-0.1, 1.1]]))
 
 
 def reference_sample_trajectories(model, probs, n, rng):
@@ -410,7 +401,7 @@ def reference_cases():
     ]
     for model, gamma in models:
         logits = rng.standard_normal((model.state_count, model.action_count))
-        v = exact_value(model, TabularPolicy(softmax(logits)), gamma)
+        v = exact_value(model, softmax(logits), gamma)
         yield model, logits, v, gamma
 
 

@@ -113,7 +113,7 @@ def test_categorical_log_prob_gradient_matches_fd():
     grads = backward(net, obs, onehot - probs)  # d logp / d logits
     h = 1e-6
     for p, g in zip(net.weights + net.biases,
-                    grads.d_weights + grads.d_biases):
+                    grads.weights + grads.biases):
         flat_p, flat_g = p.reshape(-1), g.reshape(-1)
         for j in range(0, flat_p.size, 3):  # spot-check a third of the params
             orig = flat_p[j]

@@ -186,7 +186,7 @@ def test_zero_baseline_gives_raw_returns():
 def test_q_prior_baseline_uses_stored_probs():
     batch, policy, value_net = make_batch()
     q_net = MlpModel([np.array([[0.5], [-0.25]])], [np.array([0.1, 0.7])])
-    prior = PriorArtifact("q_function", q_net)
+    prior = PriorArtifact(q_net)
     baselines = batch.returns_to_go - compute_advantages(batch, value_net,
                                                          prior, 1.0)
     q = forward(q_net, batch.observations)
@@ -197,7 +197,7 @@ def test_q_prior_baseline_uses_stored_probs():
 def test_combined_baseline_mixes_current_and_prior():
     batch, policy, value_net = make_batch()
     v_prior_net = MlpModel([np.array([[2.0]])], [np.array([0.5])])
-    prior = PriorArtifact("value_function", v_prior_net)
+    prior = PriorArtifact(v_prior_net)
     baselines = batch.returns_to_go - compute_advantages(batch, value_net,
                                                          prior, 0.3)
     vc = forward(value_net, batch.observations)[:, 0]
@@ -406,7 +406,7 @@ def test_train_config_validation():
     for budget in (0, -1, 2.5):
         with pytest.raises(ValueError, match="total_timesteps"):
             train(EnvConfig("chain"), TrainConfig(), budget, seed=0)
-    prior = PriorArtifact("value_function", constant_value_net(1))
+    prior = PriorArtifact(constant_value_net(1))
     with pytest.raises(ValueError, match="schedule"):
         train(EnvConfig("chain"), TrainConfig(), 2048, 0, prior=prior)
 
@@ -416,7 +416,7 @@ def test_train_checks_the_prior_before_the_first_rollout(monkeypatch):
         raise AssertionError("a rollout ran before the prior was checked")
 
     monkeypatch.setattr("rlwean.ppo.collect_rollout", no_rollout)
-    prior = PriorArtifact("value_function", constant_value_net(2))
+    prior = PriorArtifact(constant_value_net(2))
     with pytest.raises(CompatibilityError, match="obs_dim"):
         train(EnvConfig("chain", horizon=16), TrainConfig(), 2048, 0,
               prior=prior, schedule=WeaningSchedule("fixed", 0.9))
@@ -437,10 +437,10 @@ GOLDEN_BUDGET = 2048
 
 def golden_cases():
     """(env, schedule, prior) per case; priors are fixed-seed random nets."""
-    q_prior = PriorArtifact("q_function",
-                            init_mlp([2, 64, 64, 4], np.random.default_rng(100)))
-    v_prior = PriorArtifact("value_function",
-                            init_mlp([4, 64, 64, 1], np.random.default_rng(101)))
+    q_prior = PriorArtifact(
+        init_mlp([2, 64, 64, 4], np.random.default_rng(100)))
+    v_prior = PriorArtifact(
+        init_mlp([4, 64, 64, 1], np.random.default_rng(101)))
     return {
         "grid-q-fixed": (EnvConfig("windy-grid", horizon=64),
                          WeaningSchedule("fixed", 0.9), q_prior),

@@ -6,7 +6,7 @@ import pytest
 from rlwean.envs import EnvConfig, as_tabular
 from rlwean.errors import CompatibilityError
 from rlwean.nets import MlpModel, forward, init_mlp
-from rlwean.oracle import TabularPolicy, exact_value, q_from_v, random_tabular_policy
+from rlwean.oracle import exact_value, q_from_v, random_tabular_policy
 from rlwean.policies import action_probs
 from rlwean.ppo import combined_baseline
 from rlwean.priors import (PriorArtifact, WeaningSchedule,
@@ -65,14 +65,14 @@ def test_schedule_validation():
 def test_q_to_value_hand_example():
     # pi = (0.5, 0.5), Q = (1, 3) -> V = 2
     policy = const_net([0.0, 0.0])
-    prior = PriorArtifact("q_function", const_net([1.0, 3.0]))
+    prior = PriorArtifact(const_net([1.0, 3.0]))
     obs = np.zeros(1)
     assert q_to_value_from_probs(prior, action_probs(policy, obs),
                                  obs) == pytest.approx(2.0)
 
 
 def test_q_to_value_deterministic_policy():
-    prior = PriorArtifact("q_function", const_net([1.0, 3.0]))
+    prior = PriorArtifact(const_net([1.0, 3.0]))
     v = q_to_value_from_probs(prior, np.array([1.0, 0.0]), np.zeros(1))
     assert v == 1.0
     # batch form
@@ -88,25 +88,22 @@ def test_q_to_value_identity_on_tabular_chain():
         policy = random_tabular_policy(model.state_count, model.action_count, rng)
         v = exact_value(model, policy, 0.99)
         q = q_from_v(model, v, 0.99)
-        np.testing.assert_allclose(np.sum(policy.probabilities * q, axis=1),
-                                   v, atol=1e-10)
+        np.testing.assert_allclose(np.sum(policy * q, axis=1), v, atol=1e-10)
 
 
 def test_kind_guards():
-    q_prior = PriorArtifact("q_function", const_net([1.0, 3.0]))
-    v_prior = PriorArtifact("value_function", const_net([0.7]))
+    q_prior = PriorArtifact(const_net([1.0, 3.0]))
+    v_prior = PriorArtifact(const_net([0.7]))
     with pytest.raises(ValueError):
         prior_value(q_prior, np.zeros(1))
     with pytest.raises(ValueError):
         q_to_value_from_probs(v_prior, np.array([0.5, 0.5]), np.zeros(1))
-    with pytest.raises(ValueError):
-        PriorArtifact("advantage", const_net([0.0]))
 
 
 def test_compatibility_checks():
-    prior = PriorArtifact("q_function", const_net([1.0, 3.0]))
+    prior = PriorArtifact(const_net([1.0, 3.0]))
     with pytest.raises(CompatibilityError):
-        check_compatibility(prior, obs_dim=4)
+        check_compatibility(prior, obs_dim=4, action_count=2)
     with pytest.raises(CompatibilityError):
         check_compatibility(prior, obs_dim=1, action_count=3)
     check_compatibility(prior, obs_dim=1, action_count=2)  # no raise
@@ -114,13 +111,11 @@ def test_compatibility_checks():
         q_to_value_from_probs(prior, np.full(3, 1 / 3), np.zeros(1))
     with pytest.raises(CompatibilityError):
         q_to_value_from_probs(prior, np.full((2, 3), 1 / 3), np.zeros((2, 1)))
-    with pytest.raises(CompatibilityError):
-        PriorArtifact("value_function", const_net([1.0, 3.0]))
 
 
 def test_priors_reject_observations_of_the_wrong_dim():
-    q_prior = PriorArtifact("q_function", const_net([1.0, 3.0]))
-    v_prior = PriorArtifact("value_function", const_net([0.7]))
+    q_prior = PriorArtifact(const_net([1.0, 3.0]))
+    v_prior = PriorArtifact(const_net([0.7]))
     for obs in (np.zeros(2), np.zeros((3, 2))):
         probs = np.full(obs.shape[:-1] + (2,), 0.5)
         with pytest.raises(CompatibilityError, match="observation dim 2"):
@@ -131,7 +126,7 @@ def test_priors_reject_observations_of_the_wrong_dim():
 
 def test_combined_baseline_endpoints_and_interpolation():
     value_net = const_net([2.0])
-    prior = PriorArtifact("value_function", const_net([10.0]))
+    prior = PriorArtifact(const_net([10.0]))
     obs = np.zeros((3, 1))
     probs = np.full((3, 2), 0.5)
 
@@ -150,7 +145,7 @@ def test_combined_baseline_endpoints_and_interpolation():
 def test_combined_baseline_convexity():
     rng = np.random.default_rng(1)
     value_net = init_mlp([3, 8, 1], rng)
-    prior = PriorArtifact("value_function", init_mlp([3, 8, 1], rng))
+    prior = PriorArtifact(init_mlp([3, 8, 1], rng))
     policy = init_mlp([3, 8, 2], rng)
     for _ in range(20):
         obs = rng.standard_normal((5, 3))
@@ -168,8 +163,9 @@ def test_combined_baseline_convexity():
 def test_artifact_round_trip_bit_exact(tmp_path, kind, dims):
     rng = np.random.default_rng(9)
     net = init_mlp(dims, rng)
-    prior = PriorArtifact(kind, net, source_env_id="windy-grid",
+    prior = PriorArtifact(net, source_env_id="windy-grid",
                           source_algorithm="dqn", source_seed=7)
+    assert prior.kind == kind
     path = tmp_path / "prior.json"
     save_artifact(prior, path)
     loaded = load_artifact(path)
@@ -184,7 +180,7 @@ def test_artifact_round_trip_bit_exact(tmp_path, kind, dims):
 
 def test_artifact_file_schema(tmp_path):
     net = init_mlp([2, 4, 3], np.random.default_rng(0))
-    prior = PriorArtifact("q_function", net)
+    prior = PriorArtifact(net)
     path = tmp_path / "p.json"
     save_artifact(prior, path)
     doc = json.loads(path.read_text())
@@ -199,7 +195,7 @@ def test_artifact_file_schema(tmp_path):
 
 def test_artifact_rejects_bad_documents(tmp_path):
     net = init_mlp([2, 3], np.random.default_rng(0))
-    prior = PriorArtifact("q_function", net)
+    prior = PriorArtifact(net)
     path = tmp_path / "p.json"
     save_artifact(prior, path)
     doc = json.loads(path.read_text())
@@ -226,8 +222,9 @@ def two_layer_docs(tmp_path):
     for kind, dims in (("q_function", [2, 4, 3]),
                        ("value_function", [2, 4, 1])):
         path = tmp_path / f"{kind}.json"
-        net = init_mlp(dims, np.random.default_rng(0))
-        save_artifact(PriorArtifact(kind, net), path)
+        prior = PriorArtifact(init_mlp(dims, np.random.default_rng(0)))
+        assert prior.kind == kind
+        save_artifact(prior, path)
         docs.append(json.loads(path.read_text()))
     return docs
 
@@ -247,6 +244,9 @@ def test_load_refuses_documents_that_disagree_with_their_layers(tmp_path):
             (q_doc, {"format_version": True}, "format_version"),
             (v_doc, {"action_count": False}, "action_count"),
             (q_doc, {"obs_dim": 2.0}, "obs_dim"),
+            # a one-output net is a value prior, whatever the file says
+            (q_doc, {"layers": q_doc["layers"][:1] + v_doc["layers"][1:],
+                     "action_count": 1}, "kind"),
             (q_doc, {"layers": [first, first]},
              "inconsistent layer dimensions")):
         path = tmp_path / "bad.json"
@@ -265,7 +265,7 @@ def test_save_after_load_gives_back_the_document(tmp_path):
 
 def test_loaded_prior_is_frozen_copy(tmp_path):
     net = init_mlp([2, 4, 1], np.random.default_rng(3))
-    prior = PriorArtifact("value_function", net)
+    prior = PriorArtifact(net)
     path = tmp_path / "v.json"
     save_artifact(prior, path)
     loaded = load_artifact(path)

@@ -36,8 +36,8 @@ def artifact_doc():
     net = init_mlp([2, 3, 4], np.random.default_rng(0))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prior.json"
-        save_artifact(PriorArtifact("q_function", net,
-                                    created_at="2024-01-01T00:00:00Z"), path)
+        save_artifact(PriorArtifact(net, created_at="2024-01-01T00:00:00Z"),
+                      path)
         return json.loads(path.read_text())
 
 
