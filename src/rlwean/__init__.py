@@ -4,7 +4,6 @@ reduction."""
 
 from .envs import ActionSpace, EnvConfig, StepResult, TabularModel, as_tabular, make_env
 from .nets import AdamState, GradientBuffer, MlpModel, adam_update, backward, forward, init_adam, init_mlp
-from .policies import action_probs
 from .priors import (PriorArtifact, WeaningSchedule, load_artifact,
                      prior_value, q_to_value_from_probs, save_artifact,
                      weaning_weight)

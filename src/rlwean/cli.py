@@ -102,6 +102,15 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
                    schedule=replace(config.schedule, **schedule))
 
 
+def _check_out_file(flag: str, path) -> None:
+    """Refuse, before any training, a path that cannot name a new file: a
+    directory, or a file in a directory that does not exist."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(parent):
+        raise ValueError(f"{flag} {path} must name a file in an existing "
+                         "directory")
+
+
 def cmd_run(args) -> int:
     if args.config:
         config = load_scenario_file(args.config)
@@ -115,6 +124,8 @@ def cmd_run(args) -> int:
     else:
         raise ValueError("run requires --config or --setting")
     config = _apply_overrides(config, args)
+    if config.mode == "rrl" and args.prior is not None:
+        _check_out_file("--prior", args.prior)
     result = run_scenario(config, args.out, prior_path=args.prior)
     for seed, path in result["csv_paths"].items():
         print(f"seed {seed}: {path}")
@@ -149,10 +160,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_prior(args) -> int:
-    parent = os.path.dirname(os.path.abspath(args.out))
-    if os.path.isdir(args.out) or not os.path.isdir(parent):
-        raise ValueError(f"--out {args.out} must name a file in an existing "
-                         "directory")
+    _check_out_file("--out", args.out)
     env_config = EnvConfig(env_id=args.env, wind_enabled=args.wind_enabled,
                            wind_strength=args.wind_strength,
                            reward_variant=args.reward_variant,

@@ -134,22 +134,6 @@ def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
     return q_net, curve
 
 
-def greedy_return(q_net: MlpModel, env_config: EnvConfig, seed: int = 0,
-                  episodes: int = 20) -> float:
-    """Mean undiscounted return of the greedy policy extracted from q_net."""
-    env = make_env(env_config)
-    totals = []
-    for ep in range(episodes):
-        env.reset(seed=seed + ep)
-        done = False
-        while not done:
-            action = int(np.argmax(forward(q_net, env.observations[0])))
-            result = env.step(action)
-            done = result.terminated[0] or result.truncated[0]
-        totals.append(env.episode_return[0])
-    return float(np.mean(totals))
-
-
 def export_prior(network: MlpModel, metadata: dict, path) -> PriorArtifact:
     """Write a trained source network as a prior artifact: a Q-network as
     a q_function prior, a value net as a value_function prior. `metadata`

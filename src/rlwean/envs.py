@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedError, check_count
+from .errors import check_count, check_real
 
 ENV_IDS = ("chain", "windy-grid", "goal-world")
 
@@ -113,6 +113,7 @@ class EnvConfig:
             raise ValueError(f"unknown env_id {self.env_id!r}")
         if not isinstance(self.wind_enabled, bool):
             raise ValueError("wind_enabled must be true or false")
+        check_real("wind_strength", self.wind_strength)
         if not 0.0 <= self.wind_strength <= 1.0:
             raise ValueError("wind_strength must lie in [0, 1]")
         if self.wind_enabled and self.env_id != "windy-grid":
@@ -302,17 +303,10 @@ def make_env(config: EnvConfig, num_envs: int = 1):
     return GoalWorldEnv(config, num_envs)
 
 
-def env_observation(config: EnvConfig, state: int) -> np.ndarray:
-    """Observation vector for a tabular state index of chain or windy-grid."""
-    if config.env_id not in TABLES:
-        raise UnsupportedError(f"{config.env_id} has no tabular states")
-    return TABLES[config.env_id].obs[state].copy()
-
-
 def as_tabular(config: EnvConfig) -> TabularModel:
     """Exact transition/reward tensors of the table `TableEnv` steps by."""
     if config.env_id not in TABLES:
-        raise UnsupportedError("goal-world has a continuous state space")
+        raise ValueError("goal-world has a continuous state space")
     table, wind_p = TABLES[config.env_id], config.wind_prob
     n, a_count = table.next.shape
     p = np.zeros((n, a_count, n))

@@ -1,10 +1,10 @@
-"""Shared exception types and the count check every config uses."""
+"""The prior-compatibility exception and the value checks every config
+uses."""
+
+import math
+import numbers
 
 import numpy as np
-
-
-class UnsupportedError(ValueError):
-    """Operation is not defined for this environment or action space."""
 
 
 class CompatibilityError(ValueError):
@@ -16,3 +16,10 @@ def check_count(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or value < 1:
         raise ValueError(f"{name} must be an integer >= 1")
+
+
+def check_real(name: str, value) -> None:
+    """Raise ValueError unless value is a finite real number (bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number")

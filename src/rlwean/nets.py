@@ -1,9 +1,9 @@
 """Small tanh MLPs with hand-written reverse-mode gradients and Adam.
 
 All networks in this package are feed-forward nets with tanh hidden
-activations and an identity output layer. Forward and backward accept
-either a single input vector or a batch (N, d); batched backward returns
-gradients summed over the batch. `forward` also takes a stacked model of K
+activations and an identity output layer. `forward` accepts a single input
+vector or a batch (N, d); `backward` takes a batch and returns gradients
+summed over it. `forward` also takes a stacked model of K
 nets, weights (K, out, in) and biases (K, 1, out), on inputs (K or 1, N, d):
 3-D matmul gives each net the bits of its own 2-D forward. A list passed to
 `forward` receives the layer activations; `backward` given that list skips
@@ -169,27 +169,21 @@ def forward(model: MlpModel, x: np.ndarray,
 
 def backward(model: MlpModel, x: np.ndarray, output_gradient: np.ndarray,
              activations: list | None = None) -> GradientBuffer:
-    """Exact gradients of sum(output * output_gradient) w.r.t. parameters.
+    """Exact gradients of sum(output * output_gradient) w.r.t. parameters,
+    for a batch x (N, d) and output_gradient (N, out).
 
-    For batched inputs the gradient is summed over the batch, so pre-scaling
-    output_gradient by 1/N yields a batch-mean gradient. `activations` from
+    The gradient is summed over the batch, so pre-scaling output_gradient
+    by 1/N yields a batch-mean gradient. `activations` from
     forward(model, x, activations) on the same x skips the forward pass.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(output_gradient, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-        g = g[None, :]
-    if x.shape[-1] != model.input_dim or g.shape[-1] != model.output_dim:
-        raise ValueError("shape mismatch between input/output_gradient and model")
-    if x.shape[0] != g.shape[0]:
-        raise ValueError("batch size mismatch between input and output_gradient")
+    if x.ndim != 2 or x.shape[1] != model.input_dim \
+            or g.shape != (len(x), model.output_dim):
+        raise ValueError(f"backward takes a batch x (N, {model.input_dim}) "
+                         f"and output_gradient (N, {model.output_dim})")
 
-    if activations is None:
-        acts = _forward_cached(model, x)
-    else:
-        acts = [a[None, :] for a in activations] if single else activations
+    acts = _forward_cached(model, x) if activations is None else activations
     grads = GradientBuffer(model.weights, model.biases, np.empty_like(model.flat))
     delta = g
     for l in range(len(model.weights) - 1, -1, -1):
@@ -203,10 +197,6 @@ def backward(model: MlpModel, x: np.ndarray, output_gradient: np.ndarray,
             delta = np.dot(delta, model.weights[l])
             delta *= slope
     return grads
-
-
-def zero_grads(model: MlpModel) -> GradientBuffer:
-    return GradientBuffer(model.weights, model.biases, np.zeros_like(model.flat))
 
 
 def clip_grad_norm(grads: GradientBuffer, max_norm: float) -> float:

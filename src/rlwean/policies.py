@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nets import MlpModel, forward
+# forward is not called here; bench/spans.py times it under this name.
+from .nets import forward
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -18,11 +19,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - np.max(logits, axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def action_probs(net: MlpModel, observation: np.ndarray) -> np.ndarray:
-    """Action probabilities for one observation or a batch."""
-    return softmax(forward(net, observation))
 
 
 def inverse_cdf(u: np.ndarray, cum: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from time import perf_counter
 import numpy as np
 
 from .envs import EnvConfig, make_env
-from .errors import check_count
+from .errors import check_count, check_real
 from .nets import (MlpModel, adam_update, backward, clip_grad_norm, forward,
                    init_adam, init_mlp, single_blas_thread)
 from .policies import inverse_cdf, log_softmax
@@ -49,10 +49,20 @@ class TrainConfig:
         for name in ("num_envs", "steps_per_rollout", "minibatch_size",
                      "update_epochs"):
             check_count(name, getattr(self, name))
+        for name in ("clip_coefficient", "gamma", "entropy_coefficient",
+                     "value_coefficient", "max_grad_norm", "learning_rate"):
+            check_real(name, getattr(self, name))
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
-        if self.clip_coefficient <= 0.0:
-            raise ValueError("clip_coefficient must be positive")
+        for name in ("clip_coefficient", "learning_rate"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("entropy_coefficient", "value_coefficient",
+                     "max_grad_norm"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative")
+        if not isinstance(self.advantage_normalization, bool):
+            raise ValueError("advantage_normalization must be true or false")
         if self.steps_per_rollout % self.num_envs != 0:
             raise ValueError("steps_per_rollout must be divisible by num_envs")
         if self.steps_per_rollout % self.minibatch_size != 0:

@@ -14,15 +14,13 @@ schedule that decreases over training.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import time
 from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
 
-from .errors import CompatibilityError, check_count
+from .errors import CompatibilityError, check_count, check_real
 from .nets import MlpModel, forward
 
 FORMAT_VERSION = 1
@@ -44,10 +42,7 @@ class WeaningSchedule:
         if self.kind not in ("fixed", "step_decay"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         for name in ("w0", "decrement"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite real number")
+            check_real(name, getattr(self, name))
         if not 0.0 <= self.w0 <= 1.0:
             raise ValueError("w0 must lie in [0, 1]")
         if self.decrement < 0.0:
@@ -147,10 +142,12 @@ def load_artifact(path) -> PriorArtifact:
 
 
 def _artifact_from_doc(doc) -> PriorArtifact:
+    meta = doc.get("metadata", {})
     # ints, not floats, nor bools: True == 1 would pass every check below
-    for name, default in (("format_version", None), ("obs_dim", None),
-                          ("action_count", 0)):
-        value = doc.get(name, default)
+    for name, value in (("format_version", doc.get("format_version")),
+                        ("obs_dim", doc.get("obs_dim")),
+                        ("action_count", doc.get("action_count", 0)),
+                        ("source_seed", meta.get("source_seed", 0))):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if doc["format_version"] != FORMAT_VERSION:
@@ -172,12 +169,11 @@ def _artifact_from_doc(doc) -> PriorArtifact:
             raise ValueError("inconsistent layer dimensions")
         weights.append(w)
         biases.append(b)
-    meta = doc.get("metadata", {})
     prior = PriorArtifact(
         network=MlpModel(weights, biases),
         source_env_id=meta.get("source_env_id", ""),
         source_algorithm=meta.get("source_algorithm", ""),
-        source_seed=int(meta.get("source_seed", 0)),
+        source_seed=meta.get("source_seed", 0),
         created_at=meta.get("created_at", ""),
     )
     # A value prior's action_count is 0, so a save writes this document.

@@ -66,17 +66,6 @@ def _setting(number) -> Setting:
     return SETTINGS[number]
 
 
-def optimal_return(env_config: EnvConfig) -> float:
-    """Hand-computed optimal undiscounted episodic return per environment."""
-    if env_config.env_id == "chain":
-        return 1.0  # four right moves, +1 at the end
-    if env_config.env_id == "windy-grid":
-        return 0.92  # 8 moves at -0.01 each, +1 at the goal
-    if env_config.reward_variant == "reach":
-        return 1.0
-    return 0.96  # ~9 steps of living cost partially offset by shaping
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     setting: int
@@ -250,7 +239,10 @@ def _dir_curves(run_dir, mode: str) -> dict:
     for name in sorted(os.listdir(run_dir)):
         if name.startswith(f"{mode}_seed") and name.endswith(".csv"):
             seed = int(name[len(f"{mode}_seed"):-len(".csv")])
-            curves[seed] = read_curve_csv(os.path.join(run_dir, name))
+            path = os.path.join(run_dir, name)
+            curves[seed] = read_curve_csv(path)
+            if not curves[seed]:
+                raise ValueError(f"{path} has no data rows")
     return curves
 
 

@@ -159,7 +159,7 @@ def mlp_gradient_check(draws: int = GRAD_CHECK_DRAWS,
         model = init_mlp(GRAD_CHECK_DIMS, rng)
         x = rng.standard_normal(GRAD_CHECK_DIMS[0])
         gout = rng.standard_normal(GRAD_CHECK_DIMS[-1])
-        analytic = backward(model, x, gout).flat
+        analytic = backward(model, x[None, :], gout[None, :]).flat
         outputs = forward(perturbed_models(model, FD_STEP), x[None, None, :])
         up, down = np.split((outputs @ gout)[:, 0], 2)
         fd = (up - down) / (2.0 * FD_STEP)

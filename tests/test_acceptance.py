@@ -13,18 +13,20 @@ import time
 import numpy as np
 import pytest
 
-from rlwean.dqn import DqnConfig, dqn_train, greedy_return
-from rlwean.envs import EnvConfig, as_tabular, env_observation
+from rlwean.dqn import DqnConfig, dqn_train
+from rlwean.envs import TABLES, EnvConfig, as_tabular
 from rlwean.nets import forward, init_mlp
 from rlwean.oracle import value_iteration
 from rlwean.priors import (PriorArtifact, WeaningSchedule, load_artifact,
                            save_artifact)
 from rlwean.scenarios import (SETTINGS, compare, default_scenario,
-                              optimal_return, run_scenario,
-                              train_source_prior)
+                              run_scenario, train_source_prior)
 from rlwean.verify import (mlp_gradient_check, q_to_value_identity_check,
                            schedule_checks, unbiasedness_checks,
                            variance_reduction_check)
+
+from test_dqn import greedy_return
+from test_scenarios import optimal_return
 
 FULL_SAMPLES = 200_000
 
@@ -125,7 +127,7 @@ def test_criterion_06_dqn_prior_quality():
     model = as_tabular(cfg)
     q_star = value_iteration(model, 0.99)
     max_err = max(
-        float(np.max(np.abs(forward(q_net, env_observation(cfg, s))
+        float(np.max(np.abs(forward(q_net, TABLES[cfg.env_id].obs[s])
                             - q_star[s])))
         for s in range(model.state_count - 1))
     greedy = greedy_return(q_net, cfg)

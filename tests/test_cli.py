@@ -10,7 +10,7 @@ from rlwean.envs import EnvConfig
 from rlwean.nets import forward, init_mlp
 from rlwean.ppo import TrainConfig, train
 from rlwean.priors import PriorArtifact, load_artifact, save_artifact
-from rlwean.scenarios import SETTINGS, read_curve_csv
+from rlwean.scenarios import CSV_HEADER, SETTINGS, read_curve_csv
 
 RUN_SMALL = ["--total-timesteps", "4096", "--seeds", "0,1"]
 TRAIN_SMALL = {"num_envs": 4, "steps_per_rollout": 1024,
@@ -243,6 +243,15 @@ def with_envs(doc, setting, source_env, target_env, algorithm="dqn"):
     with_value(scenario_doc(mode="rrl"), ["source", "algorithm"], "pg"),
     with_value(scenario_doc(), ["target", "seeds"], [0, 0]),
     with_value(scenario_doc(mode="rrl"), ["source", "seeds"], [1, 1]),
+    # training values that crashed the first update or trained silently
+    with_train(scenario_doc(), learning_rate="x"),
+    with_train(scenario_doc(), max_grad_norm="x"),
+    with_train(scenario_doc(), value_coefficient="x"),
+    with_train(scenario_doc(), entropy_coefficient=float("nan")),
+    with_train(scenario_doc(), learning_rate=-1),
+    with_train(scenario_doc(), advantage_normalization="no"),
+    with_train(scenario_doc(), gamma=True),
+    with_value(scenario_doc(), ["target", "env", "wind_strength"], True),
 ], ids=["unknown-env-key", "removed-train-option", "wrongly-typed-value",
         "missing-source-block", "infinite-setting", "malformed-yaml",
         "not-a-mapping", "empty-source-seeds", "empty-target-seeds",
@@ -253,7 +262,11 @@ def with_envs(doc, setting, source_env, target_env, algorithm="dqn"):
         "fractional-budget", "bool-budget", "fractional-interval", "bool-w0",
         "fractional-horizon", "string-wind-enabled", "bool-seed",
         "contradicting-algorithm", "repeated-seeds",
-        "repeated-source-seeds"])
+        "repeated-source-seeds", "string-learning-rate",
+        "string-max-grad-norm", "string-value-coefficient",
+        "nan-entropy-coefficient", "negative-learning-rate",
+        "string-advantage-normalization", "bool-gamma",
+        "bool-wind-strength"])
 def test_bad_scenario_file_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "scenario.yaml"
     path.write_text(text)
@@ -365,6 +378,17 @@ def test_run_prior_directory_is_config_error(tmp_path, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_prior_in_missing_directory_fails_before_training(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("rlwean.scenarios.dqn_train", fail_if_called)
+    monkeypatch.setattr("rlwean.scenarios.train", fail_if_called)
+    assert main(["run", "--setting", "1", "--mode", "rrl", "--seed", "0",
+                 "--prior", str(tmp_path / "missing" / "p.json"), "--out",
+                 str(tmp_path / "x")]) == 2
+    assert "--prior" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_out_existing_file_is_config_error(tmp_path, monkeypatch,
                                               capsys):
     monkeypatch.setattr("rlwean.scenarios.train", fail_if_called)
@@ -441,6 +465,19 @@ def test_inspect_missing_prior_is_config_error(tmp_path):
     assert main(["inspect-prior", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("seed", [2.9, True, "7"])
+def test_inspect_prior_refuses_a_non_integer_source_seed(tmp_path, capsys,
+                                                         seed):
+    path = tmp_path / "v.json"
+    save_artifact(PriorArtifact(init_mlp([2, 4, 1],
+                                         np.random.default_rng(0))), path)
+    doc = json.loads(path.read_text())
+    doc["metadata"]["source_seed"] = seed
+    path.write_text(json.dumps(doc))
+    assert main(["inspect-prior", str(path)]) == 2
+    assert "source_seed" in capsys.readouterr().err
+
+
 def test_inspect_prior_without_layers_is_config_error(tmp_path, capsys):
     path = tmp_path / "prior.json"
     path.write_text(json.dumps({"format_version": 1, "kind": "q",
@@ -470,3 +507,13 @@ def test_compare_mismatched_dirs_is_config_error(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
     assert main(["compare", str(a), str(b), "--threshold", "0.5"]) == 2
+
+
+def test_compare_curve_without_rows_is_config_error(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    header = ",".join(CSV_HEADER) + "\n"
+    (a / "rrl_seed0.csv").write_text(header)
+    (b / "tbr_seed0.csv").write_text(header + "2048,0.5,0.0,0.0,0.1,0.0,1.3\n")
+    assert main(["compare", str(a), str(b), "--threshold", "0.5"]) == 2
+    assert str(a / "rrl_seed0.csv") in capsys.readouterr().err

@@ -4,11 +4,26 @@ import numpy as np
 import pytest
 
 from rlwean.dqn import (DqnConfig, ReplayBuffer, dqn_train, epsilon_at,
-                        export_prior, greedy_return)
-from rlwean.envs import EnvConfig, as_tabular, env_observation
+                        export_prior)
+from rlwean.envs import TABLES, EnvConfig, as_tabular, make_env
 from rlwean.nets import _openblas_threads, adam_update, forward
 from rlwean.oracle import value_iteration
 from rlwean.priors import load_artifact
+
+
+def greedy_return(q_net, env_config, seed=0, episodes=20) -> float:
+    """Mean undiscounted return of the greedy policy extracted from q_net."""
+    env = make_env(env_config)
+    totals = []
+    for ep in range(episodes):
+        env.reset(seed=seed + ep)
+        done = False
+        while not done:
+            action = int(np.argmax(forward(q_net, env.observations[0])))
+            result = env.step(action)
+            done = result.terminated[0] or result.truncated[0]
+        totals.append(env.episode_return[0])
+    return float(np.mean(totals))
 
 
 def test_epsilon_schedule_endpoints():
@@ -64,7 +79,7 @@ def test_dqn_q_values_approach_optimal():
     q_star = value_iteration(model, 0.99)
     errs = []
     for s in range(model.state_count - 1):  # skip the terminal state
-        obs = env_observation(cfg, s)
+        obs = TABLES[cfg.env_id].obs[s]
         errs.append(np.max(np.abs(forward(q_net, obs) - q_star[s])))
     assert max(errs) < 0.15
 

@@ -6,9 +6,8 @@ import pytest
 from rlwean.envs import (CHAIN_N, GOAL_LIVING_COST, GOAL_POS, GOAL_RADIUS,
                          GOAL_SHAPING_COEF, GOAL_SPEED, GOAL_START,
                          GOAL_START_NOISE, GRID_MOVES, GRID_SIZE,
-                         GRID_STEP_PENALTY, EnvConfig, as_tabular,
-                         env_observation, make_env)
-from rlwean.errors import UnsupportedError
+                         GRID_STEP_PENALTY, TABLES, EnvConfig, as_tabular,
+                         make_env)
 
 
 def rollout_rewards(config, seed, actions):
@@ -194,12 +193,12 @@ def test_tabular_models_match_golden_digests(case):
         h.update(str(a.dtype).encode())
     h.update(repr((m.state_count, m.action_count, m.horizon)).encode())
     for s in range(m.state_count):
-        h.update(env_observation(cfg, s).tobytes())
+        h.update(TABLES[cfg.env_id].obs[s].tobytes())
     assert h.hexdigest() == expected
 
 
 def test_goal_world_not_tabularizable():
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(ValueError, match="continuous state space"):
         as_tabular(EnvConfig("goal-world", horizon=20))
 
 
@@ -218,7 +217,7 @@ def test_empirical_transitions_match_tensor():
         counts[key] = counts.get(key, 0) + 1
     expected = model.transition[0, 0]
     for s2 in np.flatnonzero(expected):
-        obs = tuple(np.round(env_observation(cfg, int(s2)), 6))
+        obs = tuple(np.round(TABLES[cfg.env_id].obs[s2], 6))
         p = expected[s2]
         se = np.sqrt(p * (1 - p) / n)
         assert abs(counts.get(obs, 0) / n - p) < 3 * se

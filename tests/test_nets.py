@@ -7,7 +7,12 @@ import pytest
 from rlwean import nets
 from rlwean.nets import (AdamState, GradientBuffer, MlpModel, adam_update,
                          backward, clip_grad_norm, forward, init_adam,
-                         init_mlp, single_blas_thread, zero_grads)
+                         init_mlp, single_blas_thread)
+
+
+def zero_grads(model: MlpModel) -> GradientBuffer:
+    return GradientBuffer(model.weights, model.biases,
+                          np.zeros_like(model.flat))
 
 
 def test_zero_network_outputs_zero():
@@ -78,7 +83,7 @@ def test_backward_matches_finite_differences():
     model = init_mlp([4, 8, 8, 2], rng)
     x = rng.standard_normal(4)
     gout = rng.standard_normal(2)
-    grads = backward(model, x, gout)
+    grads = backward(model, x[None, :], gout[None, :])
     h = 1e-5
     for p, g in zip(model.weights + model.biases,
                     grads.weights + grads.biases):
@@ -102,7 +107,7 @@ def test_batched_backward_sums_over_batch():
     batched = backward(model, xs, gs)
     summed = zero_grads(model)
     for x, g in zip(xs, gs):
-        single = backward(model, x, g)
+        single = backward(model, x[None, :], g[None, :])
         for dw, s in zip(single.weights, summed.weights):
             s += dw
         for db, s in zip(single.biases, summed.biases):
@@ -118,7 +123,7 @@ def test_backward_reuses_forward_activations():
     rng = np.random.default_rng(7)
     model = init_mlp([4, 16, 16, 3], rng)
     for x, g in ((rng.standard_normal((32, 4)), rng.standard_normal((32, 3))),
-                 (rng.standard_normal(4), rng.standard_normal(3))):
+                 (rng.standard_normal((1, 4)), rng.standard_normal((1, 3)))):
         acts = []
         out = forward(model, x, acts)
         assert len(acts) == 4 and acts[-1] is out
@@ -133,19 +138,27 @@ def test_backward_reuses_forward_activations():
 def test_zero_output_gradient_gives_zero_buffer():
     rng = np.random.default_rng(3)
     model = init_mlp([3, 4, 2], rng)
-    grads = backward(model, rng.standard_normal(3), np.zeros(2))
+    grads = backward(model, rng.standard_normal((1, 3)), np.zeros((1, 2)))
     assert grads.global_norm() == 0.0
 
 
 def test_gradient_linearity_in_output_gradient():
     rng = np.random.default_rng(4)
     model = init_mlp([3, 4, 2], rng)
-    x = rng.standard_normal(3)
-    g = rng.standard_normal(2)
+    x = rng.standard_normal((1, 3))
+    g = rng.standard_normal((1, 2))
     g1 = backward(model, x, g)
     g2 = backward(model, x, 2.0 * g)
     for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
         np.testing.assert_allclose(2.0 * a, b, atol=1e-12)
+
+
+def test_backward_takes_a_batch_only():
+    model = init_mlp([3, 3], np.random.default_rng(11))
+    x, g = np.ones((2, 3)), np.ones((2, 3))
+    for bad_x, bad_g in ((x[0], g[0]), (x, g[:1]), (x[:, :2], g[:, :2])):
+        with pytest.raises(ValueError, match="backward takes a batch"):
+            backward(model, bad_x, bad_g)
 
 
 def test_clip_grad_norm():

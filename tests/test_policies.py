@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rlwean.nets import MlpModel, backward, forward, init_mlp
-from rlwean.policies import action_probs, inverse_cdf, log_softmax, softmax
+from rlwean.policies import inverse_cdf, log_softmax, softmax
 
 
 def fixed_logit_policy(logits):
@@ -15,7 +15,7 @@ def fixed_logit_policy(logits):
 def test_uniform_logits_give_uniform_probs():
     policy = fixed_logit_policy([0.0, 0.0, 0.0, 0.0])
     obs = np.zeros(1)
-    probs = action_probs(policy, obs)
+    probs = softmax(forward(policy, obs))
     np.testing.assert_allclose(probs, 0.25, atol=1e-15)
     logp = log_softmax(forward(policy, obs))
     assert logp[2] == pytest.approx(np.log(0.25))
@@ -25,7 +25,7 @@ def test_uniform_logits_give_uniform_probs():
 def test_extreme_logits_pick_one_action():
     policy = fixed_logit_policy([1000.0, 0.0])
     n = 10_000
-    probs = action_probs(policy, np.zeros((n, 1)))
+    probs = softmax(forward(policy, np.zeros((n, 1))))
     actions = inverse_cdf(np.random.default_rng(0).random(n),
                           np.cumsum(probs, axis=1))
     assert set(actions.tolist()) == {0}
@@ -36,7 +36,7 @@ def test_sample_frequencies_match_softmax():
     policy = fixed_logit_policy(logits)
     probs = softmax(logits)
     n = 100_000
-    rows = action_probs(policy, np.zeros((n, 1)))
+    rows = softmax(forward(policy, np.zeros((n, 1))))
     actions = inverse_cdf(np.random.default_rng(1).random(n),
                           np.cumsum(rows, axis=1))
     counts = np.bincount(actions, minlength=3)
@@ -49,7 +49,7 @@ def test_probabilities_sum_to_one():
     rng = np.random.default_rng(2)
     net = init_mlp([3, 8, 5], rng)
     for _ in range(20):
-        probs = action_probs(net, rng.standard_normal(3))
+        probs = softmax(forward(net, rng.standard_normal(3)))
         assert abs(probs.sum() - 1.0) < 1e-10
         logp = log_softmax(rng.standard_normal(5) * 10)
         assert abs(np.exp(logp).sum() - 1.0) < 1e-10
@@ -107,10 +107,11 @@ def test_categorical_log_prob_gradient_matches_fd():
     net = init_mlp([3, 6, 4], rng)
     obs = rng.standard_normal(3)
     action = 2
-    probs = action_probs(net, obs)
+    probs = softmax(forward(net, obs))
     onehot = np.zeros(4)
     onehot[action] = 1.0
-    grads = backward(net, obs, onehot - probs)  # d logp / d logits
+    # d logp / d logits, for a batch of one
+    grads = backward(net, obs[None, :], (onehot - probs)[None, :])
     h = 1e-6
     for p, g in zip(net.weights + net.biases,
                     grads.weights + grads.biases):

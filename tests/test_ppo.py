@@ -9,7 +9,7 @@ from rlwean.envs import (GRID_STEP_PENALTY, ActionSpace, EnvConfig, _BaseEnv,
 from rlwean.errors import CompatibilityError
 from rlwean.nets import (MlpModel, _openblas_threads, adam_update,
                          clip_grad_norm, forward, init_adam, init_mlp)
-from rlwean.policies import action_probs, log_softmax
+from rlwean.policies import log_softmax, softmax
 from rlwean.ppo import (TrainConfig, collect_rollout, combined_baseline,
                         compute_advantages, compute_returns, init_policy,
                         init_value_net, ppo_gradients, ppo_update, train)
@@ -344,7 +344,7 @@ def test_bandit_policy_converges():
         advantages = compute_advantages(batch, value_net, None, 0.0)
         ppo_update(policy, value_net, batch, advantages, config, p_opt, v_opt,
                    update_rng)
-    assert action_probs(policy, np.zeros(1))[0] > 0.99
+    assert softmax(forward(policy, np.zeros(1)))[0] > 0.99
 
 
 def test_train_is_deterministic():

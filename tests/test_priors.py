@@ -7,7 +7,7 @@ from rlwean.envs import EnvConfig, as_tabular
 from rlwean.errors import CompatibilityError
 from rlwean.nets import MlpModel, forward, init_mlp
 from rlwean.oracle import exact_value, q_from_v, random_tabular_policy
-from rlwean.policies import action_probs
+from rlwean.policies import softmax
 from rlwean.ppo import combined_baseline
 from rlwean.priors import (PriorArtifact, WeaningSchedule,
                            check_compatibility, load_artifact, prior_value,
@@ -67,7 +67,7 @@ def test_q_to_value_hand_example():
     policy = const_net([0.0, 0.0])
     prior = PriorArtifact(const_net([1.0, 3.0]))
     obs = np.zeros(1)
-    assert q_to_value_from_probs(prior, action_probs(policy, obs),
+    assert q_to_value_from_probs(prior, softmax(forward(policy, obs)),
                                  obs) == pytest.approx(2.0)
 
 
@@ -151,7 +151,7 @@ def test_combined_baseline_convexity():
         obs = rng.standard_normal((5, 3))
         w = float(rng.random())
         b = combined_baseline(value_net, prior, w, obs,
-                              action_probs(policy, obs))
+                              softmax(forward(policy, obs)))
         vc = forward(value_net, obs)[:, 0]
         vp = prior_value(prior, obs)
         assert (np.minimum(vc, vp) - 1e-12 <= b).all()
@@ -248,7 +248,10 @@ def test_load_refuses_documents_that_disagree_with_their_layers(tmp_path):
             (q_doc, {"layers": q_doc["layers"][:1] + v_doc["layers"][1:],
                      "action_count": 1}, "kind"),
             (q_doc, {"layers": [first, first]},
-             "inconsistent layer dimensions")):
+             "inconsistent layer dimensions"),
+            # int() made these 2, 1 and 7
+            *((v_doc, {"metadata": {**v_doc["metadata"], "source_seed": seed}},
+               "source_seed") for seed in (2.9, True, "7"))):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**doc, **corrupt}))
         with pytest.raises(ValueError, match=message):
