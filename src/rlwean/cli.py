@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -102,15 +101,6 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
                    schedule=replace(config.schedule, **schedule))
 
 
-def _check_out_file(flag: str, path) -> None:
-    """Refuse, before any training, a path that cannot name a new file: a
-    directory, or a file in a directory that does not exist."""
-    parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.path.isdir(parent):
-        raise ValueError(f"{flag} {path} must name a file in an existing "
-                         "directory")
-
-
 def cmd_run(args) -> int:
     if args.config:
         config = load_scenario_file(args.config)
@@ -124,8 +114,6 @@ def cmd_run(args) -> int:
     else:
         raise ValueError("run requires --config or --setting")
     config = _apply_overrides(config, args)
-    if config.mode == "rrl" and args.prior is not None:
-        _check_out_file("--prior", args.prior)
     result = run_scenario(config, args.out, prior_path=args.prior)
     for seed, path in result["csv_paths"].items():
         print(f"seed {seed}: {path}")
@@ -160,7 +148,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_prior(args) -> int:
-    _check_out_file("--out", args.out)
     env_config = EnvConfig(env_id=args.env, wind_enabled=args.wind_enabled,
                            wind_strength=args.wind_strength,
                            reward_variant=args.reward_variant,

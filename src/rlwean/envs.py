@@ -309,18 +309,14 @@ def as_tabular(config: EnvConfig) -> TabularModel:
         raise ValueError("goal-world has a continuous state space")
     table, wind_p = TABLES[config.env_id], config.wind_prob
     n, a_count = table.next.shape
-    p = np.zeros((n, a_count, n))
-    r = np.zeros((n, a_count))
     terminal = np.arange(n) == table.goal
-    for s in range(n):
-        if terminal[s]:
-            p[s, :, s] = 1.0
-            continue
-        for a in range(a_count):
-            s_nowind = table.next[s, a]
-            p[s, a, s_nowind] += 1.0 - wind_p
-            p[s, a, table.gust[s_nowind]] += wind_p
-            r[s, a] = table.step_reward + p[s, a, table.goal]
+    p = np.zeros((n, a_count, n))
+    s, a = np.ogrid[:n, :a_count]
+    p[s, a, table.next] += 1.0 - wind_p
+    np.add.at(p, (s, a, table.gust[table.next]), wind_p)  # a gust may stay
+    p[terminal] = np.eye(n)[terminal, None]  # absorbing, with no reward
+    r = table.step_reward + p[:, :, table.goal]
+    r[terminal] = 0.0
     init = np.zeros(n)
     init[0] = 1.0
     return TabularModel(p, r, init, config.horizon, terminal)

@@ -185,34 +185,18 @@ def _artifact_from_doc(doc) -> PriorArtifact:
     return prior
 
 
-def _observations(prior: PriorArtifact, observation) -> np.ndarray:
-    obs = np.asarray(observation, dtype=np.float64)
-    if obs.shape[-1] != prior.obs_dim:
-        raise CompatibilityError(
-            f"observation dim {obs.shape[-1]} != prior obs_dim {prior.obs_dim}")
-    return obs
-
-
 def q_to_value_from_probs(prior: PriorArtifact, probs: np.ndarray,
-                          observation: np.ndarray):
-    """V_prior(s) = sum_a pi(a|s) Q(s, a) with the frozen prior Q-network and
-    the given action probabilities; one observation or a batch."""
+                          observations: np.ndarray) -> np.ndarray:
+    """V_prior(s) = sum_a pi(a|s) Q(s, a) with the frozen prior Q-network,
+    for probabilities (N, A) and observations (N, obs_dim); values (N,)."""
     if prior.kind != "q_function":
         raise ValueError("q_to_value_from_probs requires a q_function prior")
-    probs = np.asarray(probs)
-    if probs.shape[-1] != prior.action_count:
-        raise CompatibilityError(
-            f"{probs.shape[-1]} action probabilities != prior action count "
-            f"{prior.action_count}")
-    obs = _observations(prior, observation)
-    out = np.sum(probs * forward(prior.network, obs), axis=-1)
-    return float(out) if obs.ndim == 1 else out
+    return np.sum(probs * forward(prior.network, observations), axis=1)
 
 
-def prior_value(prior: PriorArtifact, observation: np.ndarray):
-    """Frozen value network's scalar output (value-to-value passthrough)."""
+def prior_value(prior: PriorArtifact, observations: np.ndarray) -> np.ndarray:
+    """V_prior(s), the frozen value network's output passed through, for
+    observations (N, obs_dim); values (N,)."""
     if prior.kind != "value_function":
         raise ValueError("prior_value requires a value_function prior")
-    obs = _observations(prior, observation)
-    out = forward(prior.network, obs)[..., 0]
-    return float(out) if obs.ndim == 1 else out
+    return forward(prior.network, observations)[:, 0]

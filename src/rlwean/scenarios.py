@@ -139,9 +139,29 @@ def write_curve_csv(path, rows) -> None:
 
 
 def read_curve_csv(path) -> list[dict]:
+    """The rows of a curve CSV. A header other than CSV_HEADER, no data
+    rows, or a missing or non-numeric cell raise ValueError naming the
+    file."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        return [{k: float(v) for k, v in row.items()} for row in reader]
+        if reader.fieldnames != CSV_HEADER:
+            raise ValueError(f"{path}: header {reader.fieldnames} is not "
+                             f"{CSV_HEADER}")
+        try:
+            rows = [{k: float(v) for k, v in row.items()} for row in reader]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path} has no data rows")
+    return rows
+
+
+def _check_out_file(path) -> None:
+    """Refuse, before any training, a path that cannot name a new file: a
+    directory, or a file in a directory that does not exist."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(parent):
+        raise ValueError(f"{path} must name a file in an existing directory")
 
 
 def _train_source(env: EnvConfig, algorithm: str, seed: int, budget: int,
@@ -162,7 +182,9 @@ def train_source_prior(env: EnvConfig, algorithm: str, seeds, budget: int,
     """Train the source once per seed and export the best-performing seed's
     network (DQN's Q-network or PPO's value net) as the prior artifact.
     Ties go to the earlier seed, also between DQN seeds that never finished
-    an episode (return -inf)."""
+    an episode (return -inf). A path that cannot be written fails before
+    any training."""
+    _check_out_file(path)
     runs = ((seed, *_train_source(env, algorithm, seed, budget, train_config))
             for seed in seeds)
     seed, net, _ = max(runs, key=lambda run: run[2])
@@ -174,13 +196,18 @@ def train_source_prior(env: EnvConfig, algorithm: str, seeds, budget: int,
 def run_scenario(config: ScenarioConfig, out_dir,
                  prior_path=None) -> dict:
     """Train (or load) the prior, then run all target seeds; one CSV per
-    (scenario, seed). Returns paths of everything written."""
+    (scenario, seed). Returns paths of everything written. A new prior_path
+    that cannot be written fails before anything trains or is created, and
+    out_dir is made before any training."""
+    rrl = config.mode == "rrl"
+    if rrl and prior_path is not None and not os.path.isfile(prior_path):
+        _check_out_file(prior_path)
     os.makedirs(out_dir, exist_ok=True)
     prior = None
     artifact_path = None
-    if config.mode == "rrl":
+    if rrl:
         algorithm = SETTINGS[config.setting].algorithm
-        if prior_path is not None and os.path.exists(prior_path):
+        if prior_path is not None and os.path.isfile(prior_path):
             prior = load_artifact(prior_path)
             artifact_path = prior_path
         else:
@@ -239,10 +266,7 @@ def _dir_curves(run_dir, mode: str) -> dict:
     for name in sorted(os.listdir(run_dir)):
         if name.startswith(f"{mode}_seed") and name.endswith(".csv"):
             seed = int(name[len(f"{mode}_seed"):-len(".csv")])
-            path = os.path.join(run_dir, name)
-            curves[seed] = read_curve_csv(path)
-            if not curves[seed]:
-                raise ValueError(f"{path} has no data rows")
+            curves[seed] = read_curve_csv(os.path.join(run_dir, name))
     return curves
 
 

@@ -2,14 +2,25 @@
 
 `bench/spans.py` replaces `vars(owner)[name]` for every entry of its SITES
 table, so renaming or unbinding one of those names breaks traced benchmark
-runs. This test reads the table and checks that every site still resolves;
-it changes nothing under `bench/`.
+runs. These tests read the table and check that every site still resolves
+and that no module imports a site it never calls; they change nothing under
+`bench/`.
 """
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+# Imported sites their module does not call, kept only because bench/spans.py
+# patches them: ROADMAP item 9 deletes them once their sites are dropped.
+IDLE_IMPORTS = {("rlwean.policies", "forward"),
+                ("rlwean.scenarios", "save_artifact"),
+                ("rlwean.cli", "train"), ("rlwean.cli", "dqn_train"),
+                ("rlwean.cli", "export_prior"),
+                ("rlwean.cli", "save_artifact")}
 
 
 def load_spans():
@@ -31,3 +42,24 @@ def test_every_traced_site_resolves():
         if not callable(vars(owner).get(key)):
             missing.append(f"{module_name}.{attr}")
     assert not missing, f"benchmark sites no longer bound: {missing}"
+
+
+def test_every_imported_site_is_called():
+    """A site bound by import times only the calls its own module makes, so
+    one the module imports and never calls always reads zero."""
+    idle = set()
+    for module_name, attr, _, _ in load_spans().SITES:
+        if "." in attr:  # a method, timed wherever it is called
+            continue
+        source = Path(importlib.import_module(module_name).__file__)
+        tree = ast.parse(source.read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        called = {node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)}
+        if attr in imported and attr not in called:
+            idle.add((module_name, attr))
+    assert not idle - IDLE_IMPORTS, \
+        f"imported benchmark sites never called: {sorted(idle - IDLE_IMPORTS)}"

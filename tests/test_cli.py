@@ -385,7 +385,7 @@ def test_run_prior_in_missing_directory_fails_before_training(
     assert main(["run", "--setting", "1", "--mode", "rrl", "--seed", "0",
                  "--prior", str(tmp_path / "missing" / "p.json"), "--out",
                  str(tmp_path / "x")]) == 2
-    assert "--prior" in capsys.readouterr().err
+    assert str(tmp_path / "missing" / "p.json") in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -515,5 +515,20 @@ def test_compare_curve_without_rows_is_config_error(tmp_path, capsys):
     header = ",".join(CSV_HEADER) + "\n"
     (a / "rrl_seed0.csv").write_text(header)
     (b / "tbr_seed0.csv").write_text(header + "2048,0.5,0.0,0.0,0.1,0.0,1.3\n")
+    assert main(["compare", str(a), str(b), "--threshold", "0.5"]) == 2
+    assert str(a / "rrl_seed0.csv") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "timestep,episodic_return_mean\n2048,0.5\n",
+    ",".join(CSV_HEADER) + "\n2048,abc,0.0,0.0,0.1,0.0,1.3\n",
+    ",".join(CSV_HEADER) + "\n2048,0.5\n",
+], ids=["other-header", "non-numeric-cell", "short-row"])
+def test_compare_bad_curve_is_config_error(tmp_path, capsys, text):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    (a / "rrl_seed0.csv").write_text(text)
+    (b / "tbr_seed0.csv").write_text(",".join(CSV_HEADER) +
+                                     "\n2048,0.5,0.0,0.0,0.1,0.0,1.3\n")
     assert main(["compare", str(a), str(b), "--threshold", "0.5"]) == 2
     assert str(a / "rrl_seed0.csv") in capsys.readouterr().err

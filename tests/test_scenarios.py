@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from rlwean.scenarios import (CSV_HEADER, SETTINGS, ComparisonSummary,
                               ScenarioConfig,
                               compare, default_scenario, final_return,
                               read_curve_csv, run_scenario,
-                              steps_to_threshold, write_curve_csv)
+                              steps_to_threshold, train_source_prior,
+                              write_curve_csv)
 
 SMALL_TRAIN = TrainConfig(num_envs=4, steps_per_rollout=1024,
                           minibatch_size=256, update_epochs=2)
@@ -202,6 +204,23 @@ def test_run_scenario_rejects_wrong_prior_kind(tmp_path):
     assert not any(p.name.endswith(".csv")
                    for p in (tmp_path / "s1").glob("*")) \
         or not (tmp_path / "s1").exists()
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("training ran before the output path was checked")
+
+
+def test_unwritable_prior_path_fails_before_training(tmp_path, monkeypatch):
+    monkeypatch.setattr("rlwean.scenarios.dqn_train", fail_if_called)
+    monkeypatch.setattr("rlwean.scenarios.train", fail_if_called)
+    config = small_scenario(setting=1, mode="rrl")
+    for path in (tmp_path / "missing" / "p.json", tmp_path):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            run_scenario(config, tmp_path / "out", prior_path=path)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            train_source_prior(config.source_env, "dqn", (0,), 3000,
+                               SMALL_TRAIN, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_on_synthetic_curves(tmp_path):
