@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .envs import TabularModel
+from .errors import check_count
 from .policies import inverse_cdf, softmax
 
 PIVOT_EPS = 1e-12
@@ -125,20 +126,26 @@ def sample_trajectories(model: TabularModel, probs: np.ndarray, n: int,
     """Vectorized sampling of n trajectories of length <= model.horizon.
 
     Returns (states, actions, rewards, alive) arrays of shape (n, H); `alive`
-    marks steps actually taken (False after termination). Each is the
+    marks steps actually taken (False after termination). States and actions
+    come in their narrowest unsigned types, np.min_scalar_type(S - 1) and
+    np.min_scalar_type(A - 1) (uint8 for every model here), so index
+    arithmetic on them must widen to np.intp first. Each is the
     transposed view of an (H, n) buffer filled one contiguous row per time
     step; per-(s, a) tables are gathered from rows s * A + a. Each step
     draws its n action, then its n transition uniforms (so no draw depends
     on BLOCK), then works in blocks of BLOCK rows: O(H n) memory + 1 block.
     """
+    check_count("n", n)
     horizon, action_count = model.horizon, model.action_count
+    s = rng.choice(model.state_count, size=n, p=model.initial_distribution)
+    s = s.astype(np.min_scalar_type(model.state_count - 1))
+    a_type = np.min_scalar_type(action_count - 1)
     cum_pi = np.cumsum(probs, axis=1)
     cum_p = np.cumsum(model.transition, axis=2).reshape(-1, model.state_count)
-    states = np.empty((horizon, n), dtype=np.int64)
-    actions = np.empty((horizon, n), dtype=np.int64)
+    states = np.empty((horizon, n), dtype=s.dtype)
+    actions = np.empty((horizon, n), dtype=a_type)
     rewards = np.empty((horizon, n))
     alive = np.empty((horizon, n), dtype=bool)
-    s = rng.choice(model.state_count, size=n, p=model.initial_distribution)
     live = ~model.terminal[s]
     for t in range(horizon):
         u_a = rng.random(n)
@@ -149,11 +156,11 @@ def sample_trajectories(model: TabularModel, probs: np.ndarray, n: int,
             blk = slice(b, b + BLOCK)
             s_b, live_b = s[blk], live[blk]
             a = inverse_cdf(u_a[blk], np.take(cum_pi, s_b, axis=0))
-            sa = s_b * action_count + a
+            sa = s_b.astype(np.intp) * action_count + a
             actions[t, blk] = a
             rewards[t, blk] = np.where(live_b, np.take(model.reward, sa), 0.0)
             s2 = inverse_cdf(u_s[blk], np.take(cum_p, sa, axis=0))
-            np.copyto(s_b, s2, where=live_b)
+            np.copyto(s_b, s2, casting="unsafe", where=live_b)  # s2 < S
             live_b &= ~np.take(model.terminal, s_b)
     return states.T, actions.T, rewards.T, alive.T
 
@@ -162,16 +169,18 @@ def gradient_variance(model: TabularModel, logits: np.ndarray,
                       baseline: np.ndarray | None, n_samples: int,
                       rng: np.random.Generator, gamma: float = 1.0):
     """Empirical mean and covariance trace of per-trajectory score-function
-    gradient estimates with a state-dependent baseline b(s_t).
+    gradient estimates with a state-dependent baseline b(s_t), an (S,) array.
 
     Each estimate is sum_t grad log pi(a_t|s_t) * (R(tau) - b(s_t)).
     Returns (mean_gradient (S, A), covariance_trace, jackknife standard error
-    of the trace). Memory is O(H n + n S A) plus one block of BLOCK rows.
+    of the trace). Memory is O(H n + n S A) plus one block of BLOCK rows;
+    the jackknife runs after the (n, S A) estimates are freed.
     """
+    check_count("n_samples", n_samples)
     if n_samples < 3:
         raise ValueError("n_samples must be >= 3 for the jackknife")
-    if baseline is not None and len(baseline) != model.state_count:
-        raise ValueError("baseline length must equal state count")
+    if baseline is not None and np.shape(baseline) != (model.state_count,):
+        raise ValueError("baseline must have shape (state count,)")
     probs = softmax(logits)
     states, actions, rewards, alive = sample_trajectories(
         model, probs, n_samples, rng)
@@ -193,7 +202,7 @@ def gradient_variance(model: TabularModel, logits: np.ndarray,
             idx = np.flatnonzero(alive[blk, t])
             if idx.size == 0:
                 break
-            s_t = np.take(states[blk, t], idx)
+            s_t = np.take(states[blk, t], idx).astype(np.intp)
             coef = np.take(returns, idx)
             if baseline is not None:
                 coef = coef - np.take(baseline, s_t)
@@ -212,11 +221,21 @@ def gradient_variance(model: TabularModel, logits: np.ndarray,
     flat -= mean  # centered and squared in place: no second (n, d) buffer
     flat *= flat
     trace = float(np.sum(flat) / (n - 1))
+    del grads, flat, grad_flat
 
-    # Jackknife over leave-one-out trace estimates, computed in O(n d).
+    # Jackknife over leave-one-out trace estimates, in O(n d) and in place,
+    # one IEEE operation at a time: loo_mean_sq = (s1_sq - 2 s1_dot_g +
+    # sq_norms) / (n - 1), loo_trace = (s2 - sq_norms - loo_mean_sq) / (n - 2).
     s2 = float(sq_norms.sum())
     s1_sq = float(s1 @ s1)
-    loo_mean_sq = (s1_sq - 2.0 * s1_dot_g + sq_norms) / (n - 1)
-    loo_trace = (s2 - sq_norms - loo_mean_sq) / (n - 2)
-    se = float(np.sqrt((n - 1) / n * np.sum((loo_trace - loo_trace.mean()) ** 2)))
+    loo_mean_sq = np.multiply(s1_dot_g, 2.0, out=s1_dot_g)
+    np.subtract(s1_sq, loo_mean_sq, out=loo_mean_sq)
+    loo_mean_sq += sq_norms
+    loo_mean_sq /= n - 1
+    loo_trace = np.subtract(s2, sq_norms, out=sq_norms)
+    loo_trace -= loo_mean_sq
+    loo_trace /= n - 2
+    loo_trace -= loo_trace.mean()
+    np.square(loo_trace, out=loo_trace)
+    se = float(np.sqrt((n - 1) / n * np.sum(loo_trace)))
     return mean.reshape(model.state_count, model.action_count), trace, se

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import EnvConfig, TabularModel, as_tabular
-from .nets import MlpModel, backward, forward, init_mlp
+from .nets import MlpModel, backward, forward, init_mlp, single_blas_thread
 from .oracle import (exact_policy_gradient, exact_value, gradient_variance,
                      q_from_v, random_tabular_policy)
 from .policies import softmax
@@ -190,14 +190,16 @@ def schedule_checks() -> list[CheckResult]:
 
 
 def run_verification(level: str = "quick") -> list[CheckResult]:
-    """Full oracle property suite; returns one result per check."""
+    """Full oracle property suite; returns one result per check. It runs on
+    one OpenBLAS thread: its large products (the (n, S A) estimates times
+    their sum) run no faster on two, and the bits are the same."""
     if level not in ("quick", "full"):
         raise ValueError(f"unknown verification level {level!r}")
     n = 20_000 if level == "quick" else 200_000
-    results = []
-    results += unbiasedness_checks(n)
-    results.append(variance_reduction_check(n))
-    results.append(q_to_value_identity_check())
-    results.append(mlp_gradient_check())
-    results += schedule_checks()
+    with single_blas_thread():
+        results = unbiasedness_checks(n)
+        results.append(variance_reduction_check(n))
+        results.append(q_to_value_identity_check())
+        results.append(mlp_gradient_check())
+        results += schedule_checks()
     return results

@@ -405,6 +405,14 @@ def reference_cases():
         yield model, logits, v, gamma
 
 
+def sample_dtypes(model):
+    """The documented dtypes of sample_trajectories' states, actions,
+    rewards and alive."""
+    return (np.min_scalar_type(model.state_count - 1),
+            np.min_scalar_type(model.action_count - 1),
+            np.dtype(np.float64), np.dtype(bool))
+
+
 def test_sample_trajectories_matches_reference():
     for model, logits, _, _ in reference_cases():
         probs = softmax(logits)
@@ -412,8 +420,8 @@ def test_sample_trajectories_matches_reference():
                                   np.random.default_rng(8))
         want = reference_sample_trajectories(model, probs, 3000,
                                              np.random.default_rng(8))
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.dtype == w.dtype
+        for g, w, dtype in zip(got, want, sample_dtypes(model)):
+            assert g.shape == w.shape and g.dtype == dtype
             np.testing.assert_array_equal(g, w)
 
 
@@ -457,8 +465,8 @@ def test_blocked_sampling_matches_reference_across_block_boundaries(case, n):
     got = sample_trajectories(model, probs, n, np.random.default_rng(11))
     want = reference_sample_trajectories(model, probs, n,
                                          np.random.default_rng(11))
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
+    for g, w, dtype in zip(got, want, sample_dtypes(model)):
+        assert g.shape == w.shape and g.dtype == dtype
         np.testing.assert_array_equal(g, w)
     for baseline in (None, v):
         got = gradient_variance(model, logits, baseline, n,
@@ -480,3 +488,86 @@ def test_gradient_variance_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2 ** 20
+
+
+def random_model(state_count, action_count, seed):
+    """A random dense TabularModel at H = 6 with a few terminal states."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((state_count, action_count, state_count))
+    return TabularModel(p / p.sum(axis=2, keepdims=True),
+                        rng.standard_normal((state_count, action_count)),
+                        np.full(state_count, 1.0 / state_count), 6,
+                        rng.random(state_count) < 0.05)
+
+
+@pytest.mark.parametrize("state_count, action_count, state_dtype", [
+    (70, 4, np.uint8), (300, 3, np.uint16)], ids=["sa-past-uint8", "uint16"])
+def test_wide_models_match_reference(state_count, action_count, state_dtype):
+    # S * A > 256, so s * A + a overflows unless widened to np.intp first;
+    # and S > 256, where states need uint16
+    model = random_model(state_count, action_count, state_count)
+    logits = np.random.default_rng(1).standard_normal(
+        (state_count, action_count))
+    probs = softmax(logits)
+    got = sample_trajectories(model, probs, 2000, np.random.default_rng(2))
+    want = reference_sample_trajectories(model, probs, 2000,
+                                         np.random.default_rng(2))
+    assert got[0].dtype == state_dtype
+    # the check is not vacuous: some s * A is past the uint8 range
+    assert int(got[0].max()) * action_count > 255
+    for g, w, dtype in zip(got, want, sample_dtypes(model)):
+        assert g.shape == w.shape and g.dtype == dtype
+        np.testing.assert_array_equal(g, w)
+    v = exact_value(model, probs, 1.0)
+    for baseline in (None, v):
+        got = gradient_variance(model, logits, baseline, 2000,
+                                np.random.default_rng(3))
+        want = reference_gradient_variance(model, logits, baseline, 2000,
+                                           np.random.default_rng(3))
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1] and got[2] == want[2]
+
+
+def test_oracle_sampling_rejects_malformed_inputs():
+    model, logits = demo_mdp(), demo_logits()
+    # a (2, 3) baseline was read flattened, as [b[0, 0], b[0, 1]]
+    with pytest.raises(ValueError):
+        gradient_variance(model, logits, np.zeros((2, 3)), 100,
+                          np.random.default_rng(0))
+    for n in (100.0, True):
+        with pytest.raises(ValueError):
+            gradient_variance(model, logits, None, n,
+                              np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            sample_trajectories(model, softmax(logits), n,
+                                np.random.default_rng(0))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampling_memory_on_windy_grid():
+    # 200k trajectories at H = 12: the uint8 states and actions take 4.6 MiB,
+    # the float rewards 18.3 MiB; the peak is 30.6 MiB, against 64.0 MiB
+    # with int64 indices
+    model = as_tabular(EnvConfig("windy-grid", wind_enabled=True,
+                                 wind_strength=0.3, horizon=12))
+    peak = traced_peak(sample_trajectories, model, uniform_policy(model),
+                       200_000, np.random.default_rng(0))
+    assert peak <= 36 * 2 ** 20
+
+
+def test_gradient_variance_memory_with_narrow_indices():
+    # uint8 trajectories, and a jackknife run in place after the (n, S A)
+    # estimates are freed: 10.9 MiB, against 16.3 MiB with int64 indices
+    # and whole-array jackknife temporaries
+    peak = traced_peak(gradient_variance, demo_mdp(), demo_logits(), None,
+                       200_000, np.random.default_rng(0))
+    assert peak <= 13 * 2 ** 20

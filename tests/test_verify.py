@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rlwean import verify
-from rlwean.nets import forward, init_mlp
+from rlwean.nets import _openblas_threads, forward, init_mlp
+from rlwean.oracle import gradient_variance
 from rlwean.verify import FD_STEP, mlp_gradient_check, run_verification
 
 # SHA-256 of the joined result lines, recorded before the oracle path was
@@ -64,3 +65,28 @@ def test_gradient_check_catches_a_wrong_backward(monkeypatch, factor):
     result = mlp_gradient_check(draws=3)
     assert not result.passed
     assert np.isnan(result.statistic) or result.statistic > 1e-3
+
+
+def test_verification_runs_on_one_blas_thread(monkeypatch):
+    if _openblas_threads() is None:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    get, _ = _openblas_threads()
+    before, seen = get(), []
+
+    def variance_spy(*args):
+        seen.append(get())
+        return gradient_variance(*args)
+
+    monkeypatch.setattr(verify, "gradient_variance", variance_spy)
+    run_verification("quick")
+    assert seen == [1] * 6  # four unbiasedness checks, two variance traces
+    assert get() == before
+
+    def failing_variance(*args):
+        seen.append(get())
+        raise RuntimeError
+
+    monkeypatch.setattr(verify, "gradient_variance", failing_variance)
+    with pytest.raises(RuntimeError):
+        run_verification("quick")
+    assert seen[-1] == 1 and get() == before
