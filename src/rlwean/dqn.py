@@ -83,7 +83,7 @@ class ReplayBuffer:
 def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
     """Train DQN; returns (q_network, learning curve of
     (timestep, episodic_return_mean) rows). Deterministic given seed."""
-    env = make_env(env_config)  # a bank of one
+    env = make_env(env_config, [seed])
     action_count = env.action_space.count
     rng = np.random.default_rng(seed)
 
@@ -92,7 +92,6 @@ def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
     opt = init_adam(q_net, DQN_LEARNING_RATE)
     buffer = ReplayBuffer(BUFFER_CAPACITY, env.obs_dim)
 
-    env.reset(seed=seed)
     recent_returns: list[float] = []
     curve = []
     report_interval = max(config.total_timesteps // 50, 1)

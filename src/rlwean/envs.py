@@ -11,12 +11,13 @@ forms.
 Chain and windy-grid are entries of `TABLES`, which holds each of their rules
 once: `TableEnv` steps by it and `as_tabular` reads it.
 
-Every env is a bank of `num_envs` members held as arrays: row i of each
-state array is member i, which draws from its own generator exactly as a
-lone env seeded the same way would. One `step(actions)` advances every
-member and returns (num_envs, ...) arrays; `reset(members=mask)` starts new
+Every env is a bank of one member per seed, held as arrays: row i of each
+state array is member i, which draws from `default_rng(seeds[i])` exactly
+as a lone env made from that seed would. Each member's first episode
+starts when the bank is made; one `step(actions)` advances every member
+and returns (num_envs, ...) arrays, and `reset(members=mask)` starts new
 episodes for the finished ones. The bank keeps the current observations
-and each member's running episode return. A single env is a bank of one.
+and each member's running episode return.
 
 Observations are normalized coordinates in [0, 1] so priors transfer across
 variants without rescaling.
@@ -166,29 +167,27 @@ class _BaseEnv:
     """Bank bookkeeping: per-member generators, horizon truncation,
     terminal-step guarding, current observations and episode returns."""
 
-    def __init__(self, config: EnvConfig, num_envs: int = 1):
-        check_count("num_envs", num_envs)
+    def __init__(self, config: EnvConfig, seeds=(0,)):
+        if not isinstance(seeds, (list, tuple, range)) or not seeds:
+            raise ValueError("seeds must be a non-empty list, tuple or range "
+                             f"of seeds, got {seeds!r}")
         self.config = config
-        self.num_envs = num_envs
-        self.rngs = [np.random.default_rng(i) for i in range(num_envs)]
+        self.num_envs = len(seeds)
+        self.rngs = [np.random.default_rng(s) for s in seeds]
         self._clock = 0  # bank steps taken
         # the clock reading at which each member's episode is truncated
-        self._deadline = np.zeros(num_envs, dtype=np.int64)
-        self._done = np.ones(num_envs, dtype=bool)
+        self._deadline = np.zeros(self.num_envs, dtype=np.int64)
+        self._done = np.zeros(self.num_envs, dtype=bool)
+        self.episode_return = np.zeros(self.num_envs)
         self._init_state()
         self.observations = self._obs()
-        self.episode_return = np.zeros(num_envs)
+        self.reset()
 
-    def reset(self, seed: int | None = None,
-              members: np.ndarray | None = None) -> np.ndarray:
+    def reset(self, members: np.ndarray | None = None) -> None:
         """Start new episodes for the members in the boolean mask `members`
-        (all when None), reseeding member i with seed + i when a seed is
-        given. Returns the current observations (num_envs, obs_dim)."""
+        (all when None)."""
         rows = np.arange(self.num_envs) if members is None \
             else np.asarray(members, dtype=bool).nonzero()[0]
-        if seed is not None:
-            for i in rows:
-                self.rngs[i] = np.random.default_rng(seed + i)
         self._deadline[rows] = self._clock + self.config.horizon
         self._done[rows] = False
         self.episode_return[rows] = 0.0
@@ -197,7 +196,6 @@ class _BaseEnv:
         # earlier, as StepResult.observation, keep the rows they had.
         self.observations = self.observations.copy()
         self.observations[rows] = self._obs(rows)
-        return self.observations
 
     def step(self, actions) -> StepResult:
         """Advance every member by its action ((num_envs,) ints; a scalar
@@ -222,11 +220,11 @@ class TableEnv(_BaseEnv):
     """Chain or windy-grid: each member's state is a state of the env's
     table, starting at 0, and a gust may follow each move."""
 
-    def __init__(self, config: EnvConfig, num_envs: int = 1):
+    def __init__(self, config: EnvConfig, seeds=(0,)):
         self.table = TABLES[config.env_id]
         self.obs_dim = self.table.obs.shape[1]
         self.action_space = ActionSpace(count=self.table.next.shape[1])
-        super().__init__(config, num_envs)
+        super().__init__(config, seeds)
 
     def _init_state(self):
         self._state = np.zeros(self.num_envs, dtype=np.int64)
@@ -296,11 +294,12 @@ class GoalWorldEnv(_BaseEnv):
         return reward, at_goal
 
 
-def make_env(config: EnvConfig, num_envs: int = 1):
-    """A bank of `num_envs` members of the configured env."""
+def make_env(config: EnvConfig, seeds=(0,)):
+    """A bank of the configured env with one member per seed, every
+    member's first episode started."""
     if config.env_id in TABLES:
-        return TableEnv(config, num_envs)
-    return GoalWorldEnv(config, num_envs)
+        return TableEnv(config, seeds)
+    return GoalWorldEnv(config, seeds)
 
 
 def as_tabular(config: EnvConfig) -> TabularModel:

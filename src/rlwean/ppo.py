@@ -105,8 +105,8 @@ def compute_returns(rewards, next_values, ends, gamma: float) -> np.ndarray:
 
 def collect_rollout(envs, policy: MlpModel, value_net: MlpModel,
                     steps: int, rngs: list, gamma: float) -> RolloutBatch:
-    """Collect exactly `steps` transitions from the env bank `envs` (already
-    reset), resetting finished members as they end, and fill returns_to_go
+    """Collect exactly `steps` transitions from the env bank `envs`,
+    resetting finished members as they end, and fill returns_to_go
     (truncation, and the cut-off at the end of the rollout, bootstrap with
     the current value network). Member i draws its actions with rngs[i]."""
     num_envs = envs.num_envs
@@ -319,10 +319,10 @@ def train(env_config: EnvConfig, config: TrainConfig, total_timesteps: int,
     worker_rngs = [np.random.default_rng(seed + i)
                    for i in range(config.num_envs)]
 
-    envs = make_env(env_config, config.num_envs)
+    envs = make_env(env_config, [ENV_SEED_OFFSET + seed + i
+                                 for i in range(config.num_envs)])
     if prior is not None:
         check_compatibility(prior, envs.obs_dim, envs.action_space.count)
-    envs.reset(seed=ENV_SEED_OFFSET + seed)
 
     policy = init_policy(envs, init_rng)
     value_net = init_value_net(envs.obs_dim, init_rng)

@@ -150,6 +150,11 @@ def _artifact_from_doc(doc) -> PriorArtifact:
                         ("source_seed", meta.get("source_seed", 0))):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    if meta.get("source_seed", 0) < 0:
+        raise ValueError(f"source_seed must be >= 0, got {meta['source_seed']}")
+    for name in ("source_env_id", "source_algorithm", "created_at"):
+        if not isinstance(meta.get(name, ""), str):
+            raise ValueError(f"{name} must be a string, got {meta[name]!r}")
     if doc["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc['format_version']}")
     if doc.get("activation") != "tanh":
@@ -159,6 +164,10 @@ def _artifact_from_doc(doc) -> PriorArtifact:
     weights, biases = [], []
     for layer in doc["layers"]:
         rows, cols = layer["rows"], layer["cols"]
+        # JSON numbers only: float() reads true as 1.0 and "0.5" as 0.5
+        if not {*map(type, layer["weights"]),
+                *map(type, layer["biases"])} <= {int, float}:
+            raise ValueError("weights and biases must be JSON numbers")
         w = np.array(layer["weights"], dtype=np.float64).reshape(rows, cols)
         b = np.array(layer["biases"], dtype=np.float64)
         if b.shape != (rows,):

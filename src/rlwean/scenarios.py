@@ -18,7 +18,7 @@ import numpy as np
 
 from .dqn import DqnConfig, dqn_train, export_prior
 from .envs import EnvConfig
-from .errors import check_count
+from .errors import check_count, check_real
 # save_artifact is not called here; bench/spans.py times it under this name.
 from .priors import (PRIOR_KIND, PriorArtifact, WeaningSchedule,
                      load_artifact, save_artifact)
@@ -158,10 +158,13 @@ def read_curve_csv(path) -> list[dict]:
 
 def _check_out_file(path) -> None:
     """Refuse, before any training, a path that cannot name a new file: a
-    directory, or a file in a directory that does not exist."""
+    directory, a path ending in a separator (or empty), or a file in a
+    directory that does not exist."""
     parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.path.isdir(parent):
-        raise ValueError(f"{path} must name a file in an existing directory")
+    if os.path.isdir(path) or not os.path.basename(path) \
+            or not os.path.isdir(parent):
+        raise ValueError(f"{os.fspath(path)!r} must name a file in an "
+                         "existing directory")
 
 
 def _train_source(env: EnvConfig, algorithm: str, seed: int, budget: int,
@@ -262,16 +265,24 @@ class ComparisonSummary:
 
 
 def _dir_curves(run_dir, mode: str) -> dict:
-    curves = {}
+    """Each seed's curve in run_dir. A `<mode>_seed*.csv` name other than
+    the `<mode>_seed<seed>.csv` that `run` writes raises ValueError, so no
+    two files give one seed's curve."""
+    curves, prefix = {}, f"{mode}_seed"
     for name in sorted(os.listdir(run_dir)):
-        if name.startswith(f"{mode}_seed") and name.endswith(".csv"):
-            seed = int(name[len(f"{mode}_seed"):-len(".csv")])
-            curves[seed] = read_curve_csv(os.path.join(run_dir, name))
+        if name.startswith(prefix) and name.endswith(".csv"):
+            path = os.path.join(run_dir, name)
+            digits = name[len(prefix):-len(".csv")]
+            if not digits.isdecimal() or name != f"{prefix}{int(digits)}.csv":
+                raise ValueError(f"{path}: a curve must be named "
+                                 f"{prefix}<seed>.csv for a seed >= 0")
+            curves[int(digits)] = read_curve_csv(path)
     return curves
 
 
 def compare(rrl_dir, tbr_dir, threshold: float) -> ComparisonSummary:
     """Median steps-to-threshold per arm plus per-seed win counts."""
+    check_real("threshold", threshold)
     rrl = _dir_curves(rrl_dir, "rrl")
     tbr = _dir_curves(tbr_dir, "tbr")
     if set(rrl) != set(tbr) or not rrl:

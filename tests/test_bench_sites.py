@@ -1,10 +1,11 @@
-"""The benchmark's span wrappers patch rlwean functions by name.
+"""The benchmark's calls into rlwean.
 
 `bench/spans.py` replaces `vars(owner)[name]` for every entry of its SITES
 table, so renaming or unbinding one of those names breaks traced benchmark
 runs. These tests read the table and check that every site still resolves
-and that no module imports a site it never calls; they change nothing under
-`bench/`.
+and that no module imports a site it never calls. A third runs each
+workload's set-up in `bench/workloads.py` and parses the command line it
+gives `rlwean`. They change nothing under `bench/`.
 """
 
 import ast
@@ -12,7 +13,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+from rlwean.cli import build_parser
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 # Imported sites their module does not call, kept only because bench/spans.py
 # patches them: ROADMAP item 9 deletes them once their sites are dropped.
@@ -23,11 +27,15 @@ IDLE_IMPORTS = {("rlwean.policies", "forward"),
                 ("rlwean.cli", "save_artifact")}
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_bench_module("bench_spans", SPANS)
 
 
 def test_every_traced_site_resolves():
@@ -63,3 +71,14 @@ def test_every_imported_site_is_called():
             idle.add((module_name, attr))
     assert not idle - IDLE_IMPORTS, \
         f"imported benchmark sites never called: {sorted(idle - IDLE_IMPORTS)}"
+
+
+def test_every_workload_prepares_and_parses(tmp_path):
+    """What each benchmark workload calls in rlwean before its first op: its
+    set-up, and the command line it hands to `rlwean.cli.main`."""
+    workloads = load_bench_module("bench_workloads", BENCH / "workloads.py")
+    goldens = workloads.load_goldens()
+    for workload in workloads.WORKLOADS.values():
+        workload.prepare(goldens)
+        args = build_parser().parse_args(workload.argv(1, tmp_path))
+        assert callable(args.func), workload.name

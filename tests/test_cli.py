@@ -10,7 +10,8 @@ from rlwean.envs import EnvConfig
 from rlwean.nets import forward, init_mlp
 from rlwean.ppo import TrainConfig, train
 from rlwean.priors import PriorArtifact, load_artifact, save_artifact
-from rlwean.scenarios import CSV_HEADER, SETTINGS, read_curve_csv
+from rlwean.scenarios import (CSV_HEADER, SETTINGS, read_curve_csv,
+                              write_curve_csv)
 
 RUN_SMALL = ["--total-timesteps", "4096", "--seeds", "0,1"]
 TRAIN_SMALL = {"num_envs": 4, "steps_per_rollout": 1024,
@@ -322,17 +323,20 @@ def fail_if_called(*args, **kwargs):
 
 
 @pytest.mark.parametrize("algorithm", ["dqn", "pg"])
-@pytest.mark.parametrize("target", ["existing-dir", "missing-parent"])
+@pytest.mark.parametrize("target", ["existing-dir", "missing-parent", "empty",
+                                    "trailing-separator"])
 def test_export_prior_bad_out_path_is_config_error_before_training(
         tmp_path, monkeypatch, capsys, algorithm, target):
     monkeypatch.setattr("rlwean.scenarios.dqn_train", fail_if_called)
     monkeypatch.setattr("rlwean.scenarios.train", fail_if_called)
-    out = tmp_path if target == "existing-dir" \
-        else tmp_path / "missing" / "q.json"
+    monkeypatch.chdir(tmp_path)
+    out = {"existing-dir": str(tmp_path),
+           "missing-parent": str(tmp_path / "missing" / "q.json"),
+           "empty": "", "trailing-separator": "nosuchdir/"}[target]
     assert main(["export-prior", "--env", "chain", "--algorithm", algorithm,
-                 "--total-timesteps", "3000", "--out", str(out)]) == 2
+                 "--total-timesteps", "3000", "--out", out]) == 2
     assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "missing").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_export_prior_wind_on_goal_world_is_config_error(tmp_path, capsys):
@@ -382,10 +386,11 @@ def test_run_prior_in_missing_directory_fails_before_training(
         tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("rlwean.scenarios.dqn_train", fail_if_called)
     monkeypatch.setattr("rlwean.scenarios.train", fail_if_called)
-    assert main(["run", "--setting", "1", "--mode", "rrl", "--seed", "0",
-                 "--prior", str(tmp_path / "missing" / "p.json"), "--out",
-                 str(tmp_path / "x")]) == 2
-    assert str(tmp_path / "missing" / "p.json") in capsys.readouterr().err
+    monkeypatch.chdir(tmp_path)
+    for prior in (str(tmp_path / "missing" / "p.json"), "", "nosuchdir/"):
+        assert main(["run", "--setting", "1", "--mode", "rrl", "--seed", "0",
+                     "--prior", prior, "--out", str(tmp_path / "x")]) == 2
+        assert repr(prior) in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -532,3 +537,24 @@ def test_compare_bad_curve_is_config_error(tmp_path, capsys, text):
                                      "\n2048,0.5,0.0,0.0,0.1,0.0,1.3\n")
     assert main(["compare", str(a), str(b), "--threshold", "0.5"]) == 2
     assert str(a / "rrl_seed0.csv") in capsys.readouterr().err
+
+
+def write_seed_curves(run_dir, names):
+    run_dir.mkdir()
+    for name in names:
+        write_curve_csv(run_dir / name, [(2048, 0.5, 0.0, 0.0, 0.1, 0.0, 1.3)])
+    return str(run_dir)
+
+
+@pytest.mark.parametrize("rrl_names, threshold, named", [
+    (["rrl_seed1.csv", "rrl_seed01.csv"], "0.5", "rrl_seed01.csv"),
+    (["rrl_seed1.csv", "rrl_seedx.csv"], "0.5", "rrl_seedx.csv"),
+    (["rrl_seed1.csv"], "nan", "threshold"),
+    (["rrl_seed1.csv"], "inf", "threshold"),
+], ids=["duplicate-seed", "bad-name", "nan-threshold", "inf-threshold"])
+def test_compare_ambiguous_curves_or_threshold_is_config_error(
+        tmp_path, capsys, rrl_names, threshold, named):
+    rrl = write_seed_curves(tmp_path / "a", rrl_names)
+    tbr = write_seed_curves(tmp_path / "b", ["tbr_seed1.csv"])
+    assert main(["compare", rrl, tbr, "--threshold", threshold]) == 2
+    assert named in capsys.readouterr().err

@@ -13,10 +13,9 @@ from rlwean.priors import load_artifact
 
 def greedy_return(q_net, env_config, seed=0, episodes=20) -> float:
     """Mean undiscounted return of the greedy policy extracted from q_net."""
-    env = make_env(env_config)
     totals = []
     for ep in range(episodes):
-        env.reset(seed=seed + ep)
+        env = make_env(env_config, [seed + ep])
         done = False
         while not done:
             action = int(np.argmax(forward(q_net, env.observations[0])))

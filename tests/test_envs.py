@@ -11,8 +11,7 @@ from rlwean.envs import (CHAIN_N, GOAL_LIVING_COST, GOAL_POS, GOAL_RADIUS,
 
 
 def rollout_rewards(config, seed, actions):
-    env = make_env(config)
-    env.reset(seed=seed)
+    env = make_env(config, [seed])
     rewards = []
     for a in actions:
         result = env.step(a)
@@ -33,7 +32,6 @@ def test_chain_determinism():
 def test_chain_step_semantics():
     cfg = EnvConfig("chain", horizon=20)
     env = make_env(cfg)
-    env.reset(seed=0)
     result = env.step(1)  # state 0 -> 1
     assert result.reward[0] == 0.0
     assert not result.terminated[0]
@@ -54,7 +52,7 @@ def test_zero_wind_equals_no_wind():
 def test_forced_wind_pushes_x():
     cfg = EnvConfig("windy-grid", wind_enabled=True, wind_strength=1.0, horizon=20)
     env = make_env(cfg)
-    x0 = env.reset(seed=0)[0, 0]
+    x0 = env.observations[0, 0]
     result = env.step(2)  # move +y; wind adds +1 to x
     assert result.observation[0, 0] == pytest.approx(x0 + 0.25)
     result = env.step(3)  # move -y; wind again
@@ -63,8 +61,8 @@ def test_forced_wind_pushes_x():
 
 def test_goal_world_reach_single_reward():
     cfg = EnvConfig("goal-world", reward_variant="reach", horizon=50)
-    env = make_env(cfg)
-    obs = env.reset(seed=5)[0]
+    env = make_env(cfg, [5])
+    obs = env.observations[0]
     rewards = []
     done = False
     while not done:
@@ -84,8 +82,7 @@ def test_goal_world_reach_single_reward():
 
 def test_goal_world_reach_fast_living_cost():
     cfg = EnvConfig("goal-world", reward_variant="reach-fast", horizon=50)
-    env = make_env(cfg)
-    env.reset(seed=5)
+    env = make_env(cfg, [5])
     # moving straight away from the goal: no shaping bonus, pure living cost
     result = env.step(1)
     assert result.reward[0] == pytest.approx(-0.01)
@@ -94,7 +91,6 @@ def test_goal_world_reach_fast_living_cost():
 def test_horizon_truncation():
     cfg = EnvConfig("chain", horizon=3)
     env = make_env(cfg)
-    env.reset(seed=0)
     for _ in range(2):
         result = env.step(0)
         assert not (result.terminated[0] or result.truncated[0])
@@ -107,7 +103,6 @@ def test_horizon_truncation():
 def test_termination_beats_truncation_at_horizon():
     cfg = EnvConfig("chain", horizon=4)
     env = make_env(cfg)
-    env.reset(seed=0)
     for _ in range(3):
         env.step(1)
     result = env.step(1)
@@ -116,7 +111,6 @@ def test_termination_beats_truncation_at_horizon():
 
 def test_bad_action_and_bad_config():
     env = make_env(EnvConfig("chain", horizon=5))
-    env.reset(seed=0)
     with pytest.raises(ValueError):
         env.step(2)
     with pytest.raises(ValueError):
@@ -145,11 +139,13 @@ def test_config_rejects_fields_its_env_ignores(fields):
         make_env(EnvConfig(**fields))
 
 
-@pytest.mark.parametrize("num_envs", [True, 0, 2.5])
-def test_bank_size_must_be_a_count(num_envs):
+@pytest.mark.parametrize("seeds", [16, [], "0"],
+                         ids=["count", "empty", "string"])
+def test_bank_seeds_must_be_a_sequence(seeds):
     for env_id in ("chain", "goal-world"):
-        with pytest.raises(ValueError, match="num_envs"):
-            make_env(EnvConfig(env_id), num_envs)
+        with pytest.raises(ValueError,
+                           match="non-empty list, tuple or range of seeds"):
+            make_env(EnvConfig(env_id), seeds)
 
 
 def test_chain_tabular_deterministic():
@@ -207,12 +203,10 @@ def test_empirical_transitions_match_tensor():
     cfg = EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.3,
                     horizon=20)
     model = as_tabular(cfg)
-    env = make_env(cfg)
     n = 100_000
     counts = {}
     for ep in range(n):
-        env.reset(seed=ep)
-        result = env.step(0)
+        result = make_env(cfg, [ep]).step(0)
         key = tuple(np.round(result.observation[0], 6))
         counts[key] = counts.get(key, 0) + 1
     expected = model.transition[0, 0]
@@ -232,9 +226,8 @@ def test_wind_state_distribution_longer_horizon():
     n = 20_000
     actions = [0, 2, 0, 2]
     final_counts = np.zeros(model.state_count)
-    env = make_env(cfg)
     for ep in range(n):
-        env.reset(seed=int(rng.integers(1 << 30)))
+        env = make_env(cfg, [int(rng.integers(1 << 30))])
         for a in actions:
             result = env.step(a)
         x = round(result.observation[0, 0] * 4)
@@ -312,17 +305,29 @@ class ScalarReference:
         return self.obs(), reward, terminated, truncated
 
 
-@pytest.mark.parametrize("config", [
-    EnvConfig("chain", horizon=12),
-    EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.3, horizon=20),
-    EnvConfig("goal-world", reward_variant="reach", horizon=30),
-    EnvConfig("goal-world", reward_variant="reach-fast", horizon=30),
-], ids=["chain", "windy-grid-wind", "goal-reach", "goal-reach-fast"])
-def test_bank_matches_scalar_reference(config):
-    n, seed, steps = 16, 40, 2000
-    bank = make_env(config, n)
-    refs = [ScalarReference(config, seed + i) for i in range(n)]
-    np.testing.assert_array_equal(bank.reset(seed=seed),
+BANK_CONFIGS = {
+    "chain": EnvConfig("chain", horizon=12),
+    "windy-grid-wind": EnvConfig("windy-grid", wind_enabled=True,
+                                 wind_strength=0.3, horizon=20),
+    "goal-reach": EnvConfig("goal-world", reward_variant="reach", horizon=30),
+    "goal-reach-fast": EnvConfig("goal-world", reward_variant="reach-fast",
+                                 horizon=30),
+}
+
+
+# id suffix -> member seeds: consecutive ones, and an unordered list with gaps
+BANK_SEEDS = {"": range(40, 56), "-unordered-seeds": [7, 3, 1_000_003, 11]}
+
+
+@pytest.mark.parametrize("config, seeds", [
+    pytest.param(config, seeds, id=name + suffix)
+    for suffix, seeds in BANK_SEEDS.items()
+    for name, config in BANK_CONFIGS.items()])
+def test_bank_matches_scalar_reference(config, seeds):
+    n, steps = len(seeds), 2000
+    bank = make_env(config, seeds)
+    refs = [ScalarReference(config, seed) for seed in seeds]
+    np.testing.assert_array_equal(bank.observations,
                                   [ref.reset() for ref in refs])
     actions = np.random.default_rng(0).integers(
         bank.action_space.count, size=(steps, n))
@@ -339,10 +344,10 @@ def test_bank_matches_scalar_reference(config):
         terminations += terminated.sum()
         if done.any():
             resets += done.sum()
-            reset_obs = bank.reset(members=done)
+            bank.reset(members=done)
             for i in np.flatnonzero(done):
                 obs[i] = refs[i].reset()
-            np.testing.assert_array_equal(reset_obs, obs)
+            np.testing.assert_array_equal(bank.observations, obs)
             # rows handed out by the step are not overwritten by the reset
             np.testing.assert_array_equal(
                 result.observation, [e[0] for e in expected])
@@ -353,10 +358,7 @@ def test_bank_matches_scalar_reference(config):
 
 
 def test_bank_guards_actions_and_finished_members():
-    bank = make_env(EnvConfig("chain", horizon=4), 3)
-    with pytest.raises(RuntimeError):
-        bank.step([0, 0, 0])  # never reset
-    bank.reset(seed=0)
+    bank = make_env(EnvConfig("chain", horizon=4), range(3))
     with pytest.raises(ValueError):
         bank.step([0, 2, 1])
     with pytest.raises(ValueError):

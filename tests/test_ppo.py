@@ -82,7 +82,6 @@ def test_compute_returns_matches_per_row_reference():
 def test_collect_rollout_chain_forced_right():
     cfg = EnvConfig("chain", horizon=64)
     envs = make_env(cfg)
-    envs.reset(seed=0)
     policy = forced_action_policy(1, 2, action=1)
     rngs = [np.random.default_rng(0)]
     # both episodes terminate, so the value net's 5.0 must not be bootstrapped
@@ -99,7 +98,6 @@ def test_collect_rollout_truncation_bootstraps_value():
     # and every step pays the step penalty
     cfg = EnvConfig("windy-grid", horizon=6)
     envs = make_env(cfg)
-    envs.reset(seed=0)
     rng = np.random.default_rng(1)
     policy = init_mlp([2, 8, 4], rng, output_scale=0.01)
     c, gamma = 3.0, 0.9
@@ -118,8 +116,7 @@ def test_collect_rollout_draws_one_uniform_per_step():
     # and the action is the searchsorted pick of that draw
     cfg = EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.3,
                     horizon=16)
-    envs = make_env(cfg, 3)
-    envs.reset(seed=0)
+    envs = make_env(cfg, range(3))
     policy = init_mlp([2, 16, 4], np.random.default_rng(2))
     rngs = [np.random.default_rng(30 + i) for i in range(3)]
     twins = [np.random.default_rng(30 + i) for i in range(3)]
@@ -137,8 +134,7 @@ def test_collect_rollout_draws_one_uniform_per_step():
 def test_stored_log_probs_match_reevaluation():
     cfg = EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.3,
                     horizon=16)
-    envs = make_env(cfg, 2)
-    envs.reset(seed=0)
+    envs = make_env(cfg, range(2))
     rng = np.random.default_rng(2)
     policy = init_mlp([2, 16, 4], rng)
     rngs = [np.random.default_rng(10 + i) for i in range(2)]
@@ -153,8 +149,7 @@ def test_stored_log_probs_match_reevaluation():
 
 def make_batch(seed=3, steps=64):
     cfg = EnvConfig("chain", horizon=16)
-    envs = make_env(cfg, 2)
-    envs.reset(seed=0)
+    envs = make_env(cfg, range(2))
     rng = np.random.default_rng(seed)
     policy = init_mlp([1, 16, 2], rng, output_scale=0.01)
     value_net = init_mlp([1, 16, 1], rng)
@@ -328,8 +323,7 @@ class BanditEnv(_BaseEnv):
 
 def test_bandit_policy_converges():
     rng = np.random.default_rng(0)
-    envs = BanditEnv(EnvConfig("chain"), 4)
-    envs.reset()
+    envs = BanditEnv(EnvConfig("chain"), range(4))
     policy = init_policy(envs, rng)
     value_net = init_value_net(1, rng)
     config = TrainConfig(steps_per_rollout=64, num_envs=4, minibatch_size=32,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rlwean.cli import main
 from rlwean.envs import EnvConfig, as_tabular
 from rlwean.errors import CompatibilityError
 from rlwean.nets import MlpModel, forward, init_mlp
@@ -250,6 +251,29 @@ def test_load_refuses_documents_that_disagree_with_their_layers(tmp_path):
         path.write_text(json.dumps({**doc, **corrupt}))
         with pytest.raises(ValueError, match=message):
             load_artifact(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("source_env_id", 5), ("source_algorithm", None), ("created_at", [1]),
+    ("source_seed", -5), ("weights", True), ("biases", "0.5")],
+    ids=["int-env-id", "null-algorithm", "list-created-at", "negative-seed",
+         "bool-weight", "string-bias"])
+def test_load_refuses_fields_of_the_wrong_type(tmp_path, capsys, field,
+                                               value):
+    doc = two_layer_docs(tmp_path)[0]
+    if field in ("weights", "biases"):
+        layer = doc["layers"][0]
+        doc["layers"][0] = {**layer, field: [value] + layer[field][1:]}
+        message = "JSON numbers"
+    else:
+        doc["metadata"][field] = value
+        message = field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_artifact(path)
+    assert main(["inspect-prior", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_save_after_load_gives_back_the_document(tmp_path):

@@ -214,10 +214,12 @@ def test_unwritable_prior_path_fails_before_training(tmp_path, monkeypatch):
     monkeypatch.setattr("rlwean.scenarios.dqn_train", fail_if_called)
     monkeypatch.setattr("rlwean.scenarios.train", fail_if_called)
     config = small_scenario(setting=1, mode="rrl")
-    for path in (tmp_path / "missing" / "p.json", tmp_path):
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+    monkeypatch.chdir(tmp_path)
+    for path in (tmp_path / "missing" / "p.json", tmp_path, "", "nosuchdir/"):
+        named = re.escape(repr(os.fspath(path)))
+        with pytest.raises(ValueError, match=named):
             run_scenario(config, tmp_path / "out", prior_path=path)
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        with pytest.raises(ValueError, match=named):
             train_source_prior(config.source_env, "dqn", (0,), 3000,
                                SMALL_TRAIN, path)
     assert list(tmp_path.iterdir()) == []
