@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import EnvConfig, make_env
-from .errors import check_count
+from .errors import check_count, check_seed
 from .nets import (MlpModel, adam_update, backward, forward, init_adam,
                    init_mlp, single_blas_thread)
 from .priors import PriorArtifact, save_artifact
@@ -83,6 +83,7 @@ class ReplayBuffer:
 def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
     """Train DQN; returns (q_network, learning curve of
     (timestep, episodic_return_mean) rows). Deterministic given seed."""
+    check_seed("seed", seed)
     env = make_env(env_config, [seed])
     action_count = env.action_space.count
     rng = np.random.default_rng(seed)
@@ -107,8 +108,7 @@ def dqn_train(env_config: EnvConfig, config: DqnConfig, seed: int):
             buffer.add(obs, action, result.reward[0], result.observation[0],
                        result.terminated[0])
             if result.terminated[0] or result.truncated[0]:
-                recent_returns.append(float(env.episode_return[0]))
-                env.reset()
+                recent_returns.append(float(result.episode_return[0]))
 
             if t >= LEARNING_STARTS and t % TRAIN_FREQUENCY == 0:
                 b_obs, b_act, b_rew, b_next, b_term = buffer.sample(

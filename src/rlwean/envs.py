@@ -14,10 +14,9 @@ once: `TableEnv` steps by it and `as_tabular` reads it.
 Every env is a bank of one member per seed, held as arrays: row i of each
 state array is member i, which draws from `default_rng(seeds[i])` exactly
 as a lone env made from that seed would. Each member's first episode
-starts when the bank is made; one `step(actions)` advances every member
-and returns (num_envs, ...) arrays, and `reset(members=mask)` starts new
-episodes for the finished ones. The bank keeps the current observations
-and each member's running episode return.
+starts when the bank is made. One `step(actions)` advances every member,
+returns (num_envs, ...) arrays, and restarts each member whose episode
+ended, so `observations` always holds live episodes' observations.
 
 Observations are normalized coordinates in [0, 1] so priors transfer across
 variants without rescaling.
@@ -30,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check_count, check_real
+from .errors import check_count, check_real, check_seed
 
 ENV_IDS = ("chain", "windy-grid", "goal-world")
 
@@ -95,10 +94,11 @@ class ActionSpace:
 class StepResult:
     """One bank step; row i is member i's transition."""
 
-    observation: np.ndarray  # (num_envs, obs_dim), before any reset
+    observation: np.ndarray  # (num_envs, obs_dim), before any restart
     reward: np.ndarray  # (num_envs,)
     terminated: np.ndarray  # (num_envs,) bool
     truncated: np.ndarray  # (num_envs,) bool
+    episode_return: np.ndarray  # (num_envs,) each episode's return so far
 
 
 @dataclass(frozen=True)
@@ -165,55 +165,49 @@ class TabularModel:
 
 class _BaseEnv:
     """Bank bookkeeping: per-member generators, horizon truncation,
-    terminal-step guarding, current observations and episode returns."""
+    restarts of finished episodes, current observations and returns."""
 
     def __init__(self, config: EnvConfig, seeds=(0,)):
         if not isinstance(seeds, (list, tuple, range)) or not seeds:
             raise ValueError("seeds must be a non-empty list, tuple or range "
                              f"of seeds, got {seeds!r}")
+        for seed in seeds:
+            check_seed("seed", seed)
         self.config = config
         self.num_envs = len(seeds)
         self.rngs = [np.random.default_rng(s) for s in seeds]
-        self._clock = 0  # bank steps taken
-        # the clock reading at which each member's episode is truncated
-        self._deadline = np.zeros(self.num_envs, dtype=np.int64)
-        self._done = np.zeros(self.num_envs, dtype=bool)
-        self.episode_return = np.zeros(self.num_envs)
+        self._elapsed = np.zeros(self.num_envs, dtype=np.int64)
+        self._return = np.zeros(self.num_envs)
         self._init_state()
-        self.observations = self._obs()
-        self.reset()
+        self.reset(np.ones(self.num_envs, dtype=bool))
 
-    def reset(self, members: np.ndarray | None = None) -> None:
-        """Start new episodes for the members in the boolean mask `members`
-        (all when None)."""
-        rows = np.arange(self.num_envs) if members is None \
-            else np.asarray(members, dtype=bool).nonzero()[0]
-        self._deadline[rows] = self._clock + self.config.horizon
-        self._done[rows] = False
-        self.episode_return[rows] = 0.0
+    def reset(self, members: np.ndarray) -> None:
+        """Start new episodes for the members in the boolean mask."""
+        rows = members.nonzero()[0]
+        self._elapsed[rows] = 0
+        self._return[rows] = 0.0
         self._reset_state(rows)
-        # Only the reset rows change, in a copy: observations handed out
-        # earlier, as StepResult.observation, keep the rows they had.
-        self.observations = self.observations.copy()
-        self.observations[rows] = self._obs(rows)
+        self.observations = self._obs()
 
     def step(self, actions) -> StepResult:
         """Advance every member by its action ((num_envs,) ints; a scalar
-        for a bank of one). Finished members must be reset first."""
-        # np.count_nonzero is the cheapest any() on the small arrays here.
-        if np.count_nonzero(self._done):
-            raise RuntimeError("step() called on a finished episode; reset first")
+        for a bank of one), then restart the members whose episode ended."""
         a = np.asarray(actions, dtype=np.int64).reshape(self.num_envs)
         listed, count = a.tolist(), self.action_space.count
         if min(listed) < 0 or max(listed) >= count:
             raise ValueError(f"actions {listed} outside [0, {count})")
         reward, terminated = self._step_state(a)
-        self._clock += 1
-        truncated = ~terminated & (self._deadline <= self._clock)
-        self._done = terminated | truncated
-        self.episode_return += reward
+        self._elapsed += 1
+        self._return += reward
+        truncated = ~terminated & (self._elapsed >= self.config.horizon)
         self.observations = self._obs()
-        return StepResult(self.observations, reward, terminated, truncated)
+        result = StepResult(self.observations, reward, terminated, truncated,
+                            self._return.copy())
+        done = terminated | truncated
+        # np.count_nonzero is the cheapest any() on the small arrays here.
+        if np.count_nonzero(done):
+            self.reset(done)
+        return result
 
 
 class TableEnv(_BaseEnv):
@@ -232,8 +226,8 @@ class TableEnv(_BaseEnv):
     def _reset_state(self, rows):
         self._state[rows] = 0
 
-    def _obs(self, rows=slice(None)):
-        return self.table.obs[self._state[rows]]
+    def _obs(self):
+        return self.table.obs[self._state]
 
     def _step_state(self, a):
         table, p = self.table, self.config.wind_prob
@@ -272,9 +266,9 @@ class GoalWorldEnv(_BaseEnv):
             self._pos[i] = GOAL_START + noise
         self._vel[rows] = 0.0
 
-    def _obs(self, rows=slice(None)):
-        v = (self._vel[rows] / GOAL_SPEED + 1.0) / 2.0
-        return np.concatenate([self._pos[rows], v], axis=1)
+    def _obs(self):
+        v = (self._vel / GOAL_SPEED + 1.0) / 2.0
+        return np.concatenate([self._pos, v], axis=1)
 
     def _step_state(self, a):
         vel = GOAL_SPEED * self._DIRECTIONS[a]

@@ -19,7 +19,7 @@ from time import perf_counter
 import numpy as np
 
 from .envs import EnvConfig, make_env
-from .errors import check_count, check_real
+from .errors import check_count, check_real, check_seed
 from .nets import (MlpModel, adam_update, backward, clip_grad_norm, forward,
                    init_adam, init_mlp, single_blas_thread)
 from .policies import inverse_cdf, log_softmax
@@ -105,8 +105,8 @@ def compute_returns(rewards, next_values, ends, gamma: float) -> np.ndarray:
 
 def collect_rollout(envs, policy: MlpModel, value_net: MlpModel,
                     steps: int, rngs: list, gamma: float) -> RolloutBatch:
-    """Collect exactly `steps` transitions from the env bank `envs`,
-    resetting finished members as they end, and fill returns_to_go
+    """Collect exactly `steps` transitions from the env bank `envs`, which
+    restarts finished members as they end, and fill returns_to_go
     (truncation, and the cut-off at the end of the rollout, bootstrap with
     the current value network). Member i draws its actions with rngs[i]."""
     num_envs = envs.num_envs
@@ -143,9 +143,7 @@ def collect_rollout(envs, policy: MlpModel, value_net: MlpModel,
         term_buf[:, t] = result.terminated
         done = result.terminated | result.truncated
         done_buf[:, t] = done
-        if done.any():
-            episode_returns.extend(envs.episode_return[done].tolist())
-            envs.reset(members=done)
+        episode_returns.extend(result.episode_return[done].tolist())
 
     # The rollout's last step cuts every env's open segment off.
     ends = done_buf.copy()
@@ -310,6 +308,7 @@ def train(env_config: EnvConfig, config: TrainConfig, total_timesteps: int,
     seed.
     """
     check_count("total_timesteps", total_timesteps)
+    check_seed("seed", seed)
     if prior is not None and schedule is None:
         raise ValueError("a prior needs a weaning schedule")
     ss = np.random.SeedSequence(seed)

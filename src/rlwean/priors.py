@@ -20,7 +20,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .errors import CompatibilityError, check_count, check_real
+from .errors import CompatibilityError, check_count, check_real, check_seed
 from .nets import MlpModel, forward
 
 FORMAT_VERSION = 1
@@ -146,12 +146,10 @@ def _artifact_from_doc(doc) -> PriorArtifact:
     # ints, not floats, nor bools: True == 1 would pass every check below
     for name, value in (("format_version", doc.get("format_version")),
                         ("obs_dim", doc.get("obs_dim")),
-                        ("action_count", doc.get("action_count", 0)),
-                        ("source_seed", meta.get("source_seed", 0))):
+                        ("action_count", doc.get("action_count", 0))):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    if meta.get("source_seed", 0) < 0:
-        raise ValueError(f"source_seed must be >= 0, got {meta['source_seed']}")
+    check_seed("source_seed", meta.get("source_seed", 0))
     for name in ("source_env_id", "source_algorithm", "created_at"):
         if not isinstance(meta.get(name, ""), str):
             raise ValueError(f"{name} must be a string, got {meta[name]!r}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dqn import DqnConfig, dqn_train, export_prior
 from .envs import EnvConfig
-from .errors import check_count, check_real
+from .errors import check_count, check_real, check_seed
 # save_artifact is not called here; bench/spans.py times it under this name.
 from .priors import (PRIOR_KIND, PriorArtifact, WeaningSchedule,
                      load_artifact, save_artifact)
@@ -84,11 +84,10 @@ class ScenarioConfig:
         if self.mode not in ("rrl", "tbr"):
             raise ValueError(f"mode must be rrl or tbr, got {self.mode!r}")
         for seeds in (self.source_seeds, self.target_seeds):
-            if not seeds or not all(isinstance(s, (int, np.integer))
-                                    and not isinstance(s, bool)
-                                    and s >= 0 for s in seeds):
-                raise ValueError("seeds must be non-empty lists of "
-                                 "integers >= 0")
+            if not seeds:
+                raise ValueError("seeds must be non-empty lists")
+            for seed in seeds:
+                check_seed("seed", seed)
             if len(set(seeds)) != len(seeds):
                 raise ValueError(f"seeds must be distinct, got {list(seeds)}")
         # Checked here so that nothing fails after training starts.

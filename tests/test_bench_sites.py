@@ -5,7 +5,8 @@ table, so renaming or unbinding one of those names breaks traced benchmark
 runs. These tests read the table and check that every site still resolves
 and that no module imports a site it never calls. A third runs each
 workload's set-up in `bench/workloads.py` and parses the command line it
-gives `rlwean`. They change nothing under `bench/`.
+gives `rlwean`, and a fourth traces a small `train` to check what the env
+spans count. They change nothing under `bench/`.
 """
 
 import ast
@@ -13,7 +14,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from rlwean.cli import build_parser
+from rlwean.envs import EnvConfig, _BaseEnv
+from rlwean.ppo import TrainConfig, train
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
@@ -82,3 +87,31 @@ def test_every_workload_prepares_and_parses(tmp_path):
         workload.prepare(goldens)
         args = build_parser().parse_args(workload.argv(1, tmp_path))
         assert callable(args.func), workload.name
+
+
+def test_env_reset_spans_count_bank_starts_and_restarts(monkeypatch):
+    """`envs.reset.calls` counts one span per bank made plus one per step
+    in which some member finished, each restart inside its step's span;
+    a step that restarted members without `reset` would read fewer."""
+    finishing_steps = 0
+    step = _BaseEnv.step
+
+    def counted_step(self, actions):
+        nonlocal finishing_steps
+        result = step(self, actions)
+        finishing_steps += bool((result.terminated | result.truncated).any())
+        return result
+
+    monkeypatch.setattr(_BaseEnv, "step", counted_step)
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        train(EnvConfig("chain", horizon=8),
+              TrainConfig(num_envs=4, steps_per_rollout=64, minibatch_size=32,
+                          update_epochs=1), 256, seed=0)
+    spans = tracer.span_arrays()
+    names = list(spans["names"])
+    ids, parent = spans["name_id"], spans["parent"]
+    resets = np.flatnonzero(ids == names.index("envs.reset"))
+    assert finishing_steps > 0
+    assert len(resets) == 1 + finishing_steps
+    assert (ids[parent[resets[1:]]] == names.index("envs.step")).all()

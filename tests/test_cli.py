@@ -189,7 +189,7 @@ def with_train(doc, **fields):
 
 
 def with_env_seed(doc, seed):
-    # not a field: runs seed their envs through reset
+    # not a field: runs seed their envs from the run's seed
     for block in ("source", "target"):
         doc[block]["env"]["seed"] = seed
     return yaml.safe_dump(doc)

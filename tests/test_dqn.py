@@ -21,7 +21,7 @@ def greedy_return(q_net, env_config, seed=0, episodes=20) -> float:
             action = int(np.argmax(forward(q_net, env.observations[0])))
             result = env.step(action)
             done = result.terminated[0] or result.truncated[0]
-        totals.append(env.episode_return[0])
+        totals.append(result.episode_return[0])
     return float(np.mean(totals))
 
 
@@ -36,6 +36,10 @@ def test_epsilon_schedule_endpoints():
 def test_dqn_config_validation():
     with pytest.raises(ValueError, match="total_timesteps"):
         DqnConfig(total_timesteps=0)
+    # True == 1, but a bool is not a seed
+    for seed in (True, 2.5, -1):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            dqn_train(EnvConfig("chain"), DqnConfig(total_timesteps=10), seed)
 
 
 def test_replay_buffer_ring_eviction():

@@ -96,8 +96,6 @@ def test_horizon_truncation():
         assert not (result.terminated[0] or result.truncated[0])
     result = env.step(0)
     assert result.truncated[0] and not result.terminated[0]
-    with pytest.raises(RuntimeError):
-        env.step(0)
 
 
 def test_termination_beats_truncation_at_horizon():
@@ -146,6 +144,13 @@ def test_bank_seeds_must_be_a_sequence(seeds):
         with pytest.raises(ValueError,
                            match="non-empty list, tuple or range of seeds"):
             make_env(EnvConfig(env_id), seeds)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, -1, "3"])
+def test_bank_rejects_a_seed_that_is_not_an_integer_at_least_0(seed):
+    for env_id in ("chain", "goal-world"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            make_env(EnvConfig(env_id), [0, seed])
 
 
 def test_chain_tabular_deterministic():
@@ -331,46 +336,51 @@ def test_bank_matches_scalar_reference(config, seeds):
                                   [ref.reset() for ref in refs])
     actions = np.random.default_rng(0).integers(
         bank.action_space.count, size=(steps, n))
+    returns = np.zeros(n)
     resets = terminations = 0
     for t in range(steps):
         result = bank.step(actions[t])
         expected = [ref.step(int(a)) for ref, a in zip(refs, actions[t])]
         obs, rewards, terminated, truncated = map(np.array, zip(*expected))
+        returns += rewards
         np.testing.assert_array_equal(result.observation, obs)
         np.testing.assert_array_equal(result.reward, rewards)
         np.testing.assert_array_equal(result.terminated, terminated)
         np.testing.assert_array_equal(result.truncated, truncated)
+        np.testing.assert_array_equal(result.episode_return, returns)
         done = terminated | truncated
         terminations += terminated.sum()
-        if done.any():
-            resets += done.sum()
-            bank.reset(members=done)
-            for i in np.flatnonzero(done):
-                obs[i] = refs[i].reset()
-            np.testing.assert_array_equal(bank.observations, obs)
-            # rows handed out by the step are not overwritten by the reset
-            np.testing.assert_array_equal(
-                result.observation, [e[0] for e in expected])
+        resets += done.sum()
+        for i in np.flatnonzero(done):
+            obs[i] = refs[i].reset()
+            returns[i] = 0.0
+        np.testing.assert_array_equal(bank.observations, obs)
     assert resets > n and terminations > 0
     # every member's generator has advanced exactly as its scalar twin's
     for rng, ref in zip(bank.rngs, refs):
         assert rng.bit_generator.state == ref.rng.bit_generator.state
 
 
-def test_bank_guards_actions_and_finished_members():
+def test_bank_guards_actions():
     bank = make_env(EnvConfig("chain", horizon=4), range(3))
     with pytest.raises(ValueError):
         bank.step([0, 2, 1])
     with pytest.raises(ValueError):
         bank.step([-1, 0, 1])
-    for _ in range(4):
-        result = bank.step([0, 0, 1])
-    np.testing.assert_array_equal(result.truncated, [True, True, False])
-    np.testing.assert_array_equal(result.terminated, [False, False, True])
-    bank.reset(members=np.array([True, True, False]))
-    np.testing.assert_array_equal(bank.episode_return, [0.0, 0.0, 1.0])
-    with pytest.raises(RuntimeError):
-        bank.step([0, 0, 0])  # member 2 is still finished
-    bank.reset(members=np.array([False, False, True]))
-    np.testing.assert_array_equal(bank.episode_return, [0.0, 0.0, 0.0])
-    bank.step([1, 1, 1])
+
+
+def test_step_restarts_finished_members():
+    bank = make_env(EnvConfig("chain", horizon=4), range(3))
+    for actions in ([1, 1, 0], [1, 1, 0], [1, 0, 0]):
+        bank.step(actions)
+    result = bank.step([1, 1, 0])
+    np.testing.assert_array_equal(result.terminated, [True, False, False])
+    np.testing.assert_array_equal(result.truncated, [False, True, True])
+    # the step's rows are the ended episodes' last ones, not the restarts
+    np.testing.assert_array_equal(result.observation, [[1.0], [0.5], [0.0]])
+    np.testing.assert_array_equal(result.episode_return, [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(bank.observations, [[0.0]] * 3)
+    result = bank.step([1, 1, 1])
+    np.testing.assert_array_equal(result.observation, [[0.25]] * 3)
+    np.testing.assert_array_equal(result.episode_return, [0.0, 0.0, 0.0])
+    assert not (result.terminated | result.truncated).any()

@@ -314,8 +314,8 @@ class BanditEnv(_BaseEnv):
     def _reset_state(self, rows):
         pass
 
-    def _obs(self, rows=slice(None)):
-        return np.zeros((self.num_envs, 1))[rows]
+    def _obs(self):
+        return np.zeros((self.num_envs, 1))
 
     def _step_state(self, a):
         return (a == 0).astype(np.float64), np.ones(self.num_envs, dtype=bool)
@@ -400,6 +400,10 @@ def test_train_config_validation():
     for budget in (0, -1, 2.5):
         with pytest.raises(ValueError, match="total_timesteps"):
             train(EnvConfig("chain"), TrainConfig(), budget, seed=0)
+    # True == 1, but a bool is not a seed
+    for seed in (True, 2.5, -1):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            train(EnvConfig("chain"), TrainConfig(), 2048, seed=seed)
     prior = PriorArtifact(constant_value_net(1))
     with pytest.raises(ValueError, match="schedule"):
         train(EnvConfig("chain"), TrainConfig(), 2048, 0, prior=prior)

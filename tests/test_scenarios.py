@@ -77,6 +77,9 @@ def test_scenario_validation_rejects_mismatches():
         (base, dict(setting=1.5)),
         (base, dict(target_seeds=(True,))),
         (base, dict(source_seeds=(0, False))),
+        (base, dict(target_seeds=(0, 2.5))),
+        (base, dict(source_seeds=(-1,))),
+        (base, dict(target_seeds=())),
         # a repeated seed would run twice and write one CSV over another
         (base, dict(target_seeds=(0, 0))),
         (base, dict(source_seeds=(1, 2, 1))),
