@@ -1,7 +1,8 @@
 """Command-line experiment harness.
 
 Subcommands: run, compare, verify, export-prior, inspect-prior.
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure, 2 configuration error or a
+run whose training went non-finite.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

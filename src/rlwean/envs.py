@@ -167,7 +167,7 @@ class _BaseEnv:
     """Bank bookkeeping: per-member generators, horizon truncation,
     restarts of finished episodes, current observations and returns."""
 
-    def __init__(self, config: EnvConfig, seeds=(0,)):
+    def __init__(self, config: EnvConfig, seeds):
         if not isinstance(seeds, (list, tuple, range)) or not seeds:
             raise ValueError("seeds must be a non-empty list, tuple or range "
                              f"of seeds, got {seeds!r}")
@@ -192,7 +192,9 @@ class _BaseEnv:
     def step(self, actions) -> StepResult:
         """Advance every member by its action ((num_envs,) ints; a scalar
         for a bank of one), then restart the members whose episode ended."""
-        a = np.asarray(actions, dtype=np.int64).reshape(self.num_envs)
+        a = np.asarray(actions).reshape(self.num_envs)
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"actions must be integers, got {a.dtype}")
         listed, count = a.tolist(), self.action_space.count
         if min(listed) < 0 or max(listed) >= count:
             raise ValueError(f"actions {listed} outside [0, {count})")
@@ -214,7 +216,7 @@ class TableEnv(_BaseEnv):
     """Chain or windy-grid: each member's state is a state of the env's
     table, starting at 0, and a gust may follow each move."""
 
-    def __init__(self, config: EnvConfig, seeds=(0,)):
+    def __init__(self, config: EnvConfig, seeds):
         self.table = TABLES[config.env_id]
         self.obs_dim = self.table.obs.shape[1]
         self.action_space = ActionSpace(count=self.table.next.shape[1])

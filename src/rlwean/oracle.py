@@ -82,15 +82,14 @@ def exact_value(model: TabularModel, pi: np.ndarray,
     return _backward_pass(model, pi, 1.0)[1]
 
 
-def value_iteration(model: TabularModel, gamma: float, tol: float = 1e-12,
-                    max_iters: int = 100_000) -> np.ndarray:
-    """Optimal Q* by value iteration."""
+def value_iteration(model: TabularModel, gamma: float) -> np.ndarray:
+    """Optimal Q* by value iteration (to a 1e-12 step or 100,000 sweeps)."""
     q = np.zeros((model.state_count, model.action_count))
-    for _ in range(max_iters):
+    for _ in range(100_000):
         v = q.max(axis=1)
         v[model.terminal] = 0.0
         q_new = q_from_v(model, v, gamma)
-        if np.max(np.abs(q_new - q)) < tol:
+        if np.max(np.abs(q_new - q)) < 1e-12:
             return q_new
         q = q_new
     return q
@@ -167,14 +166,15 @@ def sample_trajectories(model: TabularModel, probs: np.ndarray, n: int,
 
 def gradient_variance(model: TabularModel, logits: np.ndarray,
                       baseline: np.ndarray | None, n_samples: int,
-                      rng: np.random.Generator, gamma: float = 1.0):
+                      rng: np.random.Generator):
     """Empirical mean and covariance trace of per-trajectory score-function
     gradient estimates with a state-dependent baseline b(s_t), an (S,) array.
 
-    Each estimate is sum_t grad log pi(a_t|s_t) * (R(tau) - b(s_t)).
-    Returns (mean_gradient (S, A), covariance_trace, jackknife standard error
-    of the trace). Memory is O(H n + n S A) plus one block of BLOCK rows;
-    the jackknife runs after the (n, S A) estimates are freed.
+    Each estimate is sum_t grad log pi(a_t|s_t) * (R(tau) - b(s_t)), with
+    R(tau) the full undiscounted return. Returns (mean_gradient (S, A),
+    covariance_trace, jackknife standard error of the trace). Memory is
+    O(H n + n S A) plus one block of BLOCK rows; the jackknife runs after
+    the (n, S A) estimates are freed.
     """
     check_count("n_samples", n_samples)
     if n_samples < 3:
@@ -186,7 +186,6 @@ def gradient_variance(model: TabularModel, logits: np.ndarray,
         model, probs, n_samples, rng)
     horizon = model.horizon
     state_count, action_count = model.state_count, model.action_count
-    disc = gamma ** np.arange(horizon)
     # score[k, s * A + a]: logit k of s in the score onehot(a) - pi(s)
     score = np.ascontiguousarray(
         (np.eye(action_count) - probs[:, None, :]).reshape(-1, action_count).T)
@@ -194,7 +193,7 @@ def gradient_variance(model: TabularModel, logits: np.ndarray,
     for b in range(0, n_samples, BLOCK):
         blk = slice(b, b + BLOCK)
         # Summed over contiguous rows, as the (n, H) sampling buffers had.
-        returns = np.ascontiguousarray(rewards[blk] * disc).sum(axis=1)
+        returns = np.ascontiguousarray(rewards[blk]).sum(axis=1)
         # Entry (i * S + s) * A + k: logit k of s in the block's trajectory
         # i. One step's entries are distinct, so a plain indexed add is exact.
         grad_flat = grads[blk].reshape(-1)

@@ -13,7 +13,7 @@ learning while the prior is weaned off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -279,11 +279,11 @@ def ppo_update(policy: MlpModel, value_net: MlpModel, batch: RolloutBatch,
 class TrainResult:
     curve: list  # rows of (timestep, ep_ret_mean, ep_ret_std, w_t,
     #              value_loss, policy_loss, entropy)
-    policy: MlpModel | None = None  # logits network
-    value_net: MlpModel | None = None
+    policy: MlpModel  # logits network
+    value_net: MlpModel
     # per iteration: ppo_update's stats plus the rollout_s, advantage_s and
     # update_s wall times of its three phases
-    diagnostics: list = field(default_factory=list)
+    diagnostics: list
 
 
 def init_policy(env, rng: np.random.Generator) -> MlpModel:

@@ -105,26 +105,22 @@ class ScenarioConfig:
             raise ValueError(f"{name} requires {what}")
 
 
-def default_scenario(setting: int, mode: str = "rrl",
-                     target_total_timesteps: int = DEFAULT_BUDGET,
-                     source_total_timesteps: int = DEFAULT_BUDGET,
-                     target_seeds=DEFAULT_TARGET_SEEDS,
-                     source_seeds=DEFAULT_SOURCE_SEEDS,
-                     schedule: WeaningSchedule | None = None) -> ScenarioConfig:
-    """Desk-scale defaults for each setting: its SETTINGS envs, w = 0.9
-    fixed where the setting fixes w, else w0 = 0.5 less 0.1 every tenth of
-    the target budget."""
+def default_scenario(setting: int, target_total_timesteps: int = DEFAULT_BUDGET
+                     ) -> ScenarioConfig:
+    """Desk-scale rrl defaults for each setting (vary them with `replace`):
+    its SETTINGS envs, and w = 0.9 fixed where the setting fixes w, else
+    w0 = 0.5 less 0.1 every tenth of the target budget."""
     spec = _setting(setting)
-    if schedule is None and spec.schedule_kind == "fixed":
+    if spec.schedule_kind == "fixed":
         schedule = WeaningSchedule("fixed", 0.9)
-    elif schedule is None:
+    else:
         schedule = WeaningSchedule("step_decay", 0.5, 0.1,
                                    max(target_total_timesteps // 10, 1))
     return ScenarioConfig(
-        setting=setting, mode=mode, source_env=spec.source_env,
-        source_seeds=tuple(source_seeds),
-        source_total_timesteps=source_total_timesteps,
-        target_env=spec.target_env, target_seeds=tuple(target_seeds),
+        setting=setting, mode="rrl", source_env=spec.source_env,
+        source_seeds=DEFAULT_SOURCE_SEEDS,
+        source_total_timesteps=DEFAULT_BUDGET,
+        target_env=spec.target_env, target_seeds=DEFAULT_TARGET_SEEDS,
         target_total_timesteps=target_total_timesteps, schedule=schedule)
 
 
@@ -139,8 +135,8 @@ def write_curve_csv(path, rows) -> None:
 
 def read_curve_csv(path) -> list[dict]:
     """The rows of a curve CSV. A header other than CSV_HEADER, no data
-    rows, or a missing or non-numeric cell raise ValueError naming the
-    file."""
+    rows, or a missing, non-numeric or non-finite cell raise ValueError
+    naming the file."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != CSV_HEADER:
@@ -152,6 +148,8 @@ def read_curve_csv(path) -> list[dict]:
             raise ValueError(f"{path}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path} has no data rows")
+    if not np.isfinite([list(row.values()) for row in rows]).all():
+        raise ValueError(f"{path} has a non-finite cell")
     return rows
 
 

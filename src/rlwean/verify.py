@@ -37,8 +37,8 @@ class CheckResult:
                 f"threshold={self.threshold:.6g} {self.detail}".rstrip())
 
 
-def demo_mdp(horizon: int = 2) -> TabularModel:
-    """2-state/2-action MDP, small enough to check exact results by hand."""
+def demo_mdp() -> TabularModel:
+    """2-step, 2-state/2-action MDP, small enough to check by hand."""
     p = np.zeros((2, 2, 2))
     p[0, 0, 0] = 1.0  # action 0: stay
     p[1, 0, 1] = 1.0
@@ -47,7 +47,7 @@ def demo_mdp(horizon: int = 2) -> TabularModel:
     r = np.array([[0.0, 1.0],
                   [2.0, 0.0]])
     init = np.array([1.0, 0.0])
-    return TabularModel(p, r, init, horizon)
+    return TabularModel(p, r, init, 2)
 
 
 def demo_logits() -> np.ndarray:
@@ -64,7 +64,7 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
                  / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def unbiasedness_checks(n_samples: int, seed: int = 0) -> list[CheckResult]:
+def unbiasedness_checks(n_samples: int) -> list[CheckResult]:
     """Sample mean of baseline-subtracted estimates vs the exact gradient
     by dynamic programming, for each baseline configuration."""
     model = demo_mdp()
@@ -83,7 +83,7 @@ def unbiasedness_checks(n_samples: int, seed: int = 0) -> list[CheckResult]:
     }
     results = []
     for i, (name, b) in enumerate(baselines.items()):
-        rng = np.random.default_rng(seed + i)
+        rng = np.random.default_rng(i)
         mean, _, _ = gradient_variance(model, logits, b, n_samples, rng)
         rel = _rel_l2(mean, exact)
         cos = _cosine(mean, exact)
@@ -95,16 +95,16 @@ def unbiasedness_checks(n_samples: int, seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def variance_reduction_check(n_samples: int, seed: int = 100) -> CheckResult:
+def variance_reduction_check(n_samples: int) -> CheckResult:
     """Covariance trace with the exact V^pi baseline must sit more than
     3 combined jackknife standard errors below the no-baseline trace."""
     model = demo_mdp()
     logits = demo_logits()
     v_pi = exact_value(model, softmax(logits), 1.0)
     _, trace_none, se_none = gradient_variance(
-        model, logits, None, n_samples, np.random.default_rng(seed))
+        model, logits, None, n_samples, np.random.default_rng(100))
     _, trace_v, se_v = gradient_variance(
-        model, logits, v_pi, n_samples, np.random.default_rng(seed + 1))
+        model, logits, v_pi, n_samples, np.random.default_rng(101))
     margin = 3.0 * float(np.hypot(se_none, se_v))
     reduction = trace_none - trace_v
     return CheckResult("variance-reduction (trace gap vs 3 SE)",
@@ -112,15 +112,15 @@ def variance_reduction_check(n_samples: int, seed: int = 100) -> CheckResult:
                        f"(none={trace_none:.4g}, V={trace_v:.4g})")
 
 
-def q_to_value_identity_check(n_policies: int = 20, seed: int = 3) -> CheckResult:
+def q_to_value_identity_check() -> CheckResult:
     """sum_a pi(a|s) Q^pi(s,a) == V^pi per state, within 1e-10."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     worst = 0.0
     for cfg in (EnvConfig("chain", horizon=64),
                 EnvConfig("windy-grid", wind_enabled=True, wind_strength=0.3,
                           horizon=64)):
         model = as_tabular(cfg)
-        for _ in range(n_policies):
+        for _ in range(20):
             policy = random_tabular_policy(model.state_count,
                                            model.action_count, rng)
             v = exact_value(model, policy, 0.99)
@@ -149,13 +149,12 @@ def perturbed_models(model: MlpModel, step: float) -> MlpModel:
     return MlpModel(stacked[:n], stacked[n:])
 
 
-def mlp_gradient_check(draws: int = GRAD_CHECK_DRAWS,
-                       seed: int = 11) -> CheckResult:
+def mlp_gradient_check() -> CheckResult:
     """backward() vs central finite differences on random nets; each draw
     evaluates all its perturbed nets in one stacked forward."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     errors = []
-    for _ in range(draws):
+    for _ in range(GRAD_CHECK_DRAWS):
         model = init_mlp(GRAD_CHECK_DIMS, rng)
         x = rng.standard_normal(GRAD_CHECK_DIMS[0])
         gout = rng.standard_normal(GRAD_CHECK_DIMS[-1])
@@ -166,9 +165,9 @@ def mlp_gradient_check(draws: int = GRAD_CHECK_DRAWS,
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)),
                            REL_ERR_FLOOR)
         errors.append(np.max(np.abs(fd - analytic) / denom))
-    worst = float(np.max(errors, initial=0.0))  # NaN stays NaN and fails
+    worst = float(np.max(errors))  # NaN stays NaN and fails
     return CheckResult("mlp gradient check max rel err", worst < 1e-4,
-                       worst, 1e-4, f"({draws} draws)")
+                       worst, 1e-4, f"({GRAD_CHECK_DRAWS} draws)")
 
 
 def schedule_checks() -> list[CheckResult]:
@@ -189,7 +188,7 @@ def schedule_checks() -> list[CheckResult]:
     ]
 
 
-def run_verification(level: str = "quick") -> list[CheckResult]:
+def run_verification(level: str) -> list[CheckResult]:
     """Full oracle property suite; returns one result per check. It runs on
     one OpenBLAS thread: its large products (the (n, S A) estimates times
     their sum) run no faster on two, and the bits are the same."""

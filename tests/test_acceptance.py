@@ -9,6 +9,7 @@ checks exact artifact round-trips.
 
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,10 +69,9 @@ def pg_prior_path(work_dir):
     return str(path)
 
 
-def run_arms(setting: int, out_dir, prior_path: str, threshold: float,
-             schedule: WeaningSchedule | None = None):
-    rrl = default_scenario(setting, mode="rrl", schedule=schedule)
-    tbr = default_scenario(setting, mode="tbr", schedule=schedule)
+def run_arms(setting: int, out_dir, prior_path: str, threshold: float):
+    rrl = default_scenario(setting)
+    tbr = replace(rrl, mode="tbr")
     run_scenario(rrl, out_dir / "rrl", prior_path=prior_path)
     run_scenario(tbr, out_dir / "tbr")
     return compare(out_dir / "rrl", out_dir / "tbr", threshold)
@@ -100,7 +100,7 @@ def test_criterion_02_variance_reduction():
 
 
 def test_criterion_03_q_to_value_identity():
-    result = q_to_value_identity_check(20)
+    result = q_to_value_identity_check()
     report(3, "q-to-value identity", result.passed,
            f"max |sum pi*Q - V|={result.statistic:.3g} (<1e-10), "
            f"20 random policies on chain and windy-grid")
@@ -114,7 +114,7 @@ def test_criterion_04_weaning_schedule_exactness():
 
 
 def test_criterion_05_mlp_gradient_check():
-    result = mlp_gradient_check(50)
+    result = mlp_gradient_check()
     report(5, "mlp gradient check", result.passed,
            f"max rel err={result.statistic:.3g} (<1e-4), "
            f"50 random 4-8-8-2 networks vs central differences")
@@ -185,10 +185,9 @@ def test_criterion_09_setting3_and_4(work_dir, pg_prior_path):
 def test_criterion_10_tbr_equivalence(work_dir, dqn_prior_path):
     zero = WeaningSchedule("fixed", 0.0)
     seeds = (0, 1)
-    rrl = default_scenario(1, mode="rrl", target_total_timesteps=10_240,
-                           target_seeds=seeds, schedule=zero)
-    tbr = default_scenario(1, mode="tbr", target_total_timesteps=10_240,
-                           target_seeds=seeds, schedule=zero)
+    rrl = replace(default_scenario(1, target_total_timesteps=10_240),
+                  target_seeds=seeds, schedule=zero)
+    tbr = replace(rrl, mode="tbr")
     out = work_dir / "equiv"
     run_scenario(rrl, out, prior_path=dqn_prior_path)
     run_scenario(tbr, out)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,39 @@ def test_run_invalid_override_is_config_error(tmp_path):
     config_path = write_config(tmp_path, scenario_doc())
     assert main(["run", "--config", config_path, "--w0", "1.5",
                  "--out", str(tmp_path / "x")]) == 2
+
+
+def test_process_exit_codes(tmp_path):
+    """The exit code of `python -m rlwean.cli`, through sys.exit(main()).
+    A diverging run exits 2: exit 1 is kept for a failed verification."""
+    repo = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "rlwean.cli", *args],
+                              env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+
+    done = run("inspect-prior", str(repo / "bench/data/q_windy_grid.json"))
+    assert done.returncode == 0 and "kind: q_function" in done.stdout
+    (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+    assert run("compare", "a", "b", "--threshold", "0.5").returncode == 2
+    # a setting-1 tbr run whose first update overflows: ppo_update raises
+    # FloatingPointError within a second
+    diverging = {
+        "setting": 1, "mode": "tbr",
+        "source": {"env": {"env_id": "windy-grid", "horizon": 64}},
+        "target": {"env": {"env_id": "windy-grid", "horizon": 64},
+                   "seeds": [0], "total_timesteps": 128},
+        "schedule": {"kind": "fixed", "w0": 0.9},
+        "train": {"learning_rate": 1.0e300, "max_grad_norm": 0.0,
+                  "num_envs": 2, "steps_per_rollout": 64,
+                  "minibatch_size": 32, "update_epochs": 1},
+    }
+    done = run("run", "--config", write_config(tmp_path, diverging),
+               "--out", "out")
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert "error: non-finite loss in ppo_update" in done.stderr
 
 
 def test_missing_config_file_is_config_error(tmp_path):
@@ -528,7 +565,10 @@ def test_compare_curve_without_rows_is_config_error(tmp_path, capsys):
     "timestep,episodic_return_mean\n2048,0.5\n",
     ",".join(CSV_HEADER) + "\n2048,abc,0.0,0.0,0.1,0.0,1.3\n",
     ",".join(CSV_HEADER) + "\n2048,0.5\n",
-], ids=["other-header", "non-numeric-cell", "short-row"])
+    ",".join(CSV_HEADER) + "\n2048,nan,0.0,0.0,0.1,0.0,1.3\n",
+    ",".join(CSV_HEADER) + "\n2048,0.5,0.0,0.0,inf,0.0,1.3\n",
+], ids=["other-header", "non-numeric-cell", "short-row", "nan-cell",
+        "inf-cell"])
 def test_compare_bad_curve_is_config_error(tmp_path, capsys, text):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()

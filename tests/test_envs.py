@@ -363,10 +363,16 @@ def test_bank_matches_scalar_reference(config, seeds):
 
 def test_bank_guards_actions():
     bank = make_env(EnvConfig("chain", horizon=4), range(3))
-    with pytest.raises(ValueError):
-        bank.step([0, 2, 1])
-    with pytest.raises(ValueError):
-        bank.step([-1, 0, 1])
+    # out of range, or not integers: a float, a string or a bool
+    for actions in ([0, 2, 1], [-1, 0, 1], [1.7, 0.2, 1.0], ["1", "0", "1"],
+                    [True, False, True], np.array([1.0, 0.0, 1.0])):
+        with pytest.raises(ValueError):
+            bank.step(actions)
+    np.testing.assert_array_equal(bank.observations, [[0.0]] * 3)
+    for actions in ([1, 0, 1], np.array([1, 0, 1], dtype=np.intp),
+                    np.array([1, 0, 1], dtype=np.uint8)):
+        bank.step(actions)
+    np.testing.assert_array_equal(bank.observations, [[0.75], [0.0], [0.75]])
 
 
 def test_step_restarts_finished_members():

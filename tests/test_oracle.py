@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def test_value_iteration_chain_optimal():
 
 
 def test_expected_return_hand_enumeration():
-    model = demo_mdp(horizon=2)
+    model = demo_mdp()
     logits = np.zeros((2, 2))  # uniform policy
     # from s0: a0 (r=0, stay) or a1 (r=1, go to s1); then another action.
     # E[R] = 0.25*(0+0) + 0.25*(0+1) + 0.25*(1+2) + 0.25*(1+0) = 1.25
@@ -88,7 +89,7 @@ def test_expected_return_hand_enumeration():
 
 
 def test_constant_reward_gradient_is_zero():
-    model = demo_mdp(horizon=3)
+    model = replace(demo_mdp(), horizon=3)
     const = TabularModel(model.transition, np.full((2, 2), 0.7),
                          model.initial_distribution, model.horizon)
     grad = exact_policy_gradient(const, demo_logits(), 1.0)
@@ -96,7 +97,7 @@ def test_constant_reward_gradient_is_zero():
 
 
 def test_exact_gradient_matches_finite_differences():
-    model = demo_mdp(horizon=3)
+    model = replace(demo_mdp(), horizon=3)
     logits = demo_logits()
     grad = exact_policy_gradient(model, logits, 1.0)
     h = 1e-6
@@ -157,7 +158,7 @@ def assert_matches_enumeration(model, logits, gamma):
 @pytest.mark.parametrize("horizon", [1, 2, 5, 8])
 @pytest.mark.parametrize("gamma", [1.0, 0.9])
 def test_dynamic_program_matches_enumeration_on_demo_mdp(horizon, gamma):
-    model = demo_mdp(horizon=horizon)
+    model = replace(demo_mdp(), horizon=horizon)
     logits = np.random.default_rng(horizon).standard_normal((2, 2))
     assert_matches_enumeration(model, logits, gamma)
 
@@ -175,7 +176,7 @@ def test_dynamic_program_matches_enumeration_on_chain(gamma):
 def test_dynamic_program_ignores_terminal_rows(gamma):
     # state 1 is terminal, yet its row pays 2 and leads back to state 0:
     # an episode that reaches it must end there, as the enumerator has it
-    demo = demo_mdp(horizon=5)
+    demo = demo_mdp()
     model = TabularModel(demo.transition, demo.reward,
                          np.array([0.5, 0.5]), 5, np.array([False, True]))
     logits = np.random.default_rng(5).standard_normal((2, 2))
@@ -204,8 +205,8 @@ def test_exact_gradient_matches_finite_differences_on_windy_grid():
 
 
 @pytest.mark.parametrize("model", [
-    as_tabular(EnvConfig("chain", horizon=20)), demo_mdp(horizon=5)],
-    ids=["chain", "demo"])
+    as_tabular(EnvConfig("chain", horizon=20)),
+    replace(demo_mdp(), horizon=5)], ids=["chain", "demo"])
 def test_expected_return_is_initial_value_at_gamma_one(model):
     logits = np.random.default_rng(7).standard_normal(
         (model.state_count, model.action_count))
@@ -215,7 +216,7 @@ def test_expected_return_is_initial_value_at_gamma_one(model):
 
 
 def test_sampled_return_matches_enumeration():
-    model = demo_mdp(horizon=2)
+    model = demo_mdp()
     logits = demo_logits()
     exact = expected_return(model, logits, 1.0)
     probs = softmax(logits)
@@ -348,15 +349,13 @@ def reference_sample_trajectories(model, probs, n, rng):
     return states, actions, rewards, alive
 
 
-def reference_gradient_variance(model, logits, baseline, n_samples, rng,
-                                gamma=1.0):
+def reference_gradient_variance(model, logits, baseline, n_samples, rng):
     """The np.add.at gradient_variance that the row scatter replaced."""
     probs = softmax(logits)
     states, actions, rewards, alive = reference_sample_trajectories(
         model, probs, n_samples, rng)
     horizon = model.horizon
-    disc = gamma ** np.arange(horizon)
-    returns = (rewards * disc).sum(axis=1)
+    returns = rewards.sum(axis=1)
     grads = np.zeros((n_samples, model.state_count, model.action_count))
     onehot = np.eye(model.action_count)
     for t in range(horizon):
@@ -387,22 +386,22 @@ def reference_gradient_variance(model, logits, baseline, n_samples, rng,
 
 
 def reference_cases():
-    """Models with logits, gamma and the exact V^pi baseline: the demo MDP;
-    the chain, with terminal states; and, at horizons past the 8 terms from
-    which numpy sums a contiguous row pairwise, the demo MDP and the windy
-    grid, whose rewards are dense."""
+    """Models with logits and the exact undiscounted V^pi baseline: the demo
+    MDP; the chain, with terminal states; and, at horizons past the 8 terms
+    from which numpy sums a contiguous row pairwise, the demo MDP and the
+    windy grid, whose rewards are dense."""
     rng = np.random.default_rng(5)
     models = [
-        (demo_mdp(), 1.0),
-        (as_tabular(EnvConfig("chain", horizon=6)), 0.9),
-        (demo_mdp(horizon=12), 0.9),
-        (as_tabular(EnvConfig("windy-grid", wind_enabled=True,
-                              wind_strength=0.3, horizon=12)), 0.9),
+        demo_mdp(),
+        as_tabular(EnvConfig("chain", horizon=6)),
+        replace(demo_mdp(), horizon=12),
+        as_tabular(EnvConfig("windy-grid", wind_enabled=True,
+                             wind_strength=0.3, horizon=12)),
     ]
-    for model, gamma in models:
+    for model in models:
         logits = rng.standard_normal((model.state_count, model.action_count))
-        v = exact_value(model, softmax(logits), gamma)
-        yield model, logits, v, gamma
+        v = exact_value(model, softmax(logits), 1.0)
+        yield model, logits, v
 
 
 def sample_dtypes(model):
@@ -414,7 +413,7 @@ def sample_dtypes(model):
 
 
 def test_sample_trajectories_matches_reference():
-    for model, logits, _, _ in reference_cases():
+    for model, logits, _ in reference_cases():
         probs = softmax(logits)
         got = sample_trajectories(model, probs, 3000,
                                   np.random.default_rng(8))
@@ -445,12 +444,12 @@ def test_gradient_variance_when_every_trajectory_ends_early():
 
 
 def test_gradient_variance_matches_reference():
-    for model, logits, v, gamma in reference_cases():
+    for model, logits, v in reference_cases():
         for baseline in (None, v):
             got = gradient_variance(model, logits, baseline, 5000,
-                                    np.random.default_rng(9), gamma)
+                                    np.random.default_rng(9))
             want = reference_gradient_variance(
-                model, logits, baseline, 5000, np.random.default_rng(9), gamma)
+                model, logits, baseline, 5000, np.random.default_rng(9))
             np.testing.assert_array_equal(got[0], want[0])
             assert got[1] == want[1] and got[2] == want[2]
 
@@ -460,7 +459,7 @@ def test_gradient_variance_matches_reference():
                          ids=["demo", "chain", "windy-grid"])
 def test_blocked_sampling_matches_reference_across_block_boundaries(case, n):
     # n past one or two blocks, with a short last block
-    model, logits, v, gamma = list(reference_cases())[case]
+    model, logits, v = list(reference_cases())[case]
     probs = softmax(logits)
     got = sample_trajectories(model, probs, n, np.random.default_rng(11))
     want = reference_sample_trajectories(model, probs, n,
@@ -470,9 +469,9 @@ def test_blocked_sampling_matches_reference_across_block_boundaries(case, n):
         np.testing.assert_array_equal(g, w)
     for baseline in (None, v):
         got = gradient_variance(model, logits, baseline, n,
-                                np.random.default_rng(12), gamma)
+                                np.random.default_rng(12))
         want = reference_gradient_variance(model, logits, baseline, n,
-                                           np.random.default_rng(12), gamma)
+                                           np.random.default_rng(12))
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1] and got[2] == want[2]
 

@@ -20,13 +20,11 @@ SMALL_TRAIN = TrainConfig(num_envs=4, steps_per_rollout=1024,
                           minibatch_size=256, update_epochs=2)
 
 
-def small_scenario(setting=1, mode="tbr", **kwargs):
-    config = default_scenario(setting, mode=mode,
-                              target_total_timesteps=4096,
-                              source_total_timesteps=3000,
-                              target_seeds=(0, 1), source_seeds=(0,),
-                              **kwargs)
-    return replace(config, train_config=SMALL_TRAIN)
+def small_scenario(setting=1, mode="tbr"):
+    return replace(default_scenario(setting, target_total_timesteps=4096),
+                   mode=mode, source_total_timesteps=3000,
+                   target_seeds=(0, 1), source_seeds=(0,),
+                   train_config=SMALL_TRAIN)
 
 
 def test_default_scenarios_are_valid():
@@ -53,8 +51,8 @@ def test_default_scenarios_are_the_paper_settings(mode):
                 3: (reach, "pg", fast, decay),
                 4: (reach, "pg", reach, decay)}
     for setting, (source, algorithm, target, schedule) in expected.items():
-        config = default_scenario(setting, mode, target_total_timesteps=4096,
-                                  source_total_timesteps=3000)
+        config = replace(default_scenario(setting, 4096), mode=mode,
+                         source_total_timesteps=3000)
         assert (config.setting, config.mode) == (setting, mode)
         assert (config.source_env, SETTINGS[setting].algorithm,
                 config.target_env, config.schedule) == \

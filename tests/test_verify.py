@@ -60,9 +60,9 @@ def test_gradient_check_catches_a_wrong_backward(monkeypatch, factor):
         return grads
 
     verify_backward = verify.backward
-    assert mlp_gradient_check(draws=3).passed
+    assert mlp_gradient_check().passed
     monkeypatch.setattr(verify, "backward", scaled_backward)
-    result = mlp_gradient_check(draws=3)
+    result = mlp_gradient_check()
     assert not result.passed
     assert np.isnan(result.statistic) or result.statistic > 1e-3
 
