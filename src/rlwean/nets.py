@@ -135,6 +135,15 @@ def init_mlp(layer_dims: list[int], rng: np.random.Generator,
     return MlpModel(weights, biases)
 
 
+def share_parameters(*models: MlpModel) -> list[MlpModel]:
+    """A one-array model, of the first model's type, over a new vector, then
+    copies of `models`, of their own types, end to end in it as views."""
+    flat = np.concatenate([m.flat for m in models])
+    parts = np.split(flat, np.cumsum([m.flat.size for m in models])[:-1])
+    return [type(models[0])([flat], [], flat)] + [
+        type(m)(m.weights, m.biases, p) for m, p in zip(models, parts)]
+
+
 def _forward_cached(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     """Return post-activation values per layer, activations[0] = input."""
     acts = [x]
@@ -168,13 +177,14 @@ def forward(model: MlpModel, x: np.ndarray,
 
 
 def backward(model: MlpModel, x: np.ndarray, output_gradient: np.ndarray,
-             activations: list | None = None) -> GradientBuffer:
+             activations: list | None = None, out=None) -> GradientBuffer:
     """Exact gradients of sum(output * output_gradient) w.r.t. parameters,
     for a batch x (N, d) and output_gradient (N, out).
 
     The gradient is summed over the batch, so pre-scaling output_gradient
     by 1/N yields a batch-mean gradient. `activations` from
     forward(model, x, activations) on the same x skips the forward pass.
+    A GradientBuffer `out` laid out like the model receives the gradients.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(output_gradient, dtype=np.float64)
@@ -184,7 +194,8 @@ def backward(model: MlpModel, x: np.ndarray, output_gradient: np.ndarray,
                          f"and output_gradient (N, {model.output_dim})")
 
     acts = _forward_cached(model, x) if activations is None else activations
-    grads = GradientBuffer(model.weights, model.biases, np.empty_like(model.flat))
+    grads = GradientBuffer(model.weights, model.biases,
+                           np.empty_like(model.flat)) if out is None else out
     delta = g
     for l in range(len(model.weights) - 1, -1, -1):
         np.matmul(delta.T, acts[l], out=grads.weights[l])

@@ -17,7 +17,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)  # np.max's bits
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 

@@ -5,10 +5,11 @@ members, each with its own env RNG stream) into (num_envs, T) arrays.
 Actions come from one inverse-CDF over uniforms drawn up front, T per
 worker from that worker's action RNG (base_seed + worker_index).
 Returns-to-go come from one backward sweep over the arrays, which are then
-flattened in worker-index order. The policy is its logits network.
-Advantages are plain Monte Carlo returns minus the combined baseline; the
-current value network always regresses to Monte Carlo returns so it keeps
-learning while the prior is weaned off.
+flattened in worker-index order. Advantages are plain Monte Carlo returns
+minus the combined baseline; the current value network always regresses to
+Monte Carlo returns so it keeps learning while the prior is weaned off. The
+policy (its logits network) and the value net are views of one parameter
+vector, which one Adam state steps once per minibatch.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import numpy as np
 
 from .envs import EnvConfig, make_env
 from .errors import check_count, check_real, check_seed
-from .nets import (MlpModel, adam_update, backward, clip_grad_norm, forward,
-                   init_adam, init_mlp, single_blas_thread)
+from .nets import (GradientBuffer, MlpModel, adam_update, backward,
+                   clip_grad_norm, forward, init_adam, init_mlp,
+                   share_parameters, single_blas_thread)
 from .policies import inverse_cdf, log_softmax
 from .priors import (PriorArtifact, WeaningSchedule, check_compatibility,
                      prior_value, q_to_value_from_probs, weaning_weight)
@@ -80,10 +82,6 @@ class RolloutBatch:
     returns_to_go: np.ndarray
     episode_returns: list
 
-    @property
-    def total_steps(self) -> int:
-        return len(self.actions)
-
 
 def compute_returns(rewards, next_values, ends, gamma: float) -> np.ndarray:
     """Discounted returns-to-go G_t over (E, T) arrays, in one backward
@@ -121,12 +119,11 @@ def collect_rollout(envs, policy: MlpModel, value_net: MlpModel,
     next_obs_buf = np.zeros((num_envs, t_env, obs_dim))
     act_buf = np.zeros((num_envs, t_env), dtype=np.int64)
     probs_buf = np.zeros((num_envs, t_env, policy.output_dim))
-    logp_buf = np.zeros((num_envs, t_env))
+    logp_buf = np.zeros((num_envs, t_env, policy.output_dim))
     rew_buf = np.zeros((num_envs, t_env))
     term_buf = np.zeros((num_envs, t_env), dtype=bool)
     done_buf = np.zeros((num_envs, t_env), dtype=bool)
     episode_returns = []
-    rows = np.arange(num_envs)
 
     for t in range(t_env):
         obs = envs.observations
@@ -135,7 +132,7 @@ def collect_rollout(envs, policy: MlpModel, value_net: MlpModel,
         actions = inverse_cdf(uniforms[t], np.cumsum(probs, axis=1))
         obs_buf[:, t] = obs
         act_buf[:, t] = actions
-        logp_buf[:, t] = logp_all[rows, actions]
+        logp_buf[:, t] = logp_all
         probs_buf[:, t] = probs
         result = envs.step(actions)
         next_obs_buf[:, t] = result.observation
@@ -156,7 +153,7 @@ def collect_rollout(envs, policy: MlpModel, value_net: MlpModel,
     return RolloutBatch(
         observations=obs_buf.reshape(steps, obs_dim),
         actions=act_buf.reshape(steps),
-        log_probs=logp_buf.reshape(steps),
+        log_probs=logp_buf.reshape(steps, -1)[np.arange(steps), act_buf.ravel()],
         action_probs=probs_buf.reshape(steps, -1),
         returns_to_go=returns.reshape(steps),
         episode_returns=episode_returns,
@@ -189,11 +186,12 @@ def compute_advantages(batch: RolloutBatch, value_net: MlpModel,
         value_net, prior, w, batch.observations, batch.action_probs)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks below report it
 def ppo_gradients(policy: MlpModel, value_net: MlpModel, batch: RolloutBatch,
-                  idx: np.ndarray, adv: np.ndarray, config: TrainConfig):
+                  idx, adv, config: TrainConfig, out=(None, None)):
     """Loss stats and both nets' pre-clip gradients on minibatch batch[idx],
-    given the advantages `adv` ppo_update uses. Changes neither network;
-    raises FloatingPointError if a loss goes non-finite."""
+    given ppo_update's advantages `adv`; GradientBuffers `out` receive them.
+    Changes neither network; raises FloatingPointError on a non-finite loss."""
     b_size = len(idx)
     rows = np.arange(b_size)
     obs = batch.observations[idx]
@@ -206,19 +204,19 @@ def ppo_gradients(policy: MlpModel, value_net: MlpModel, batch: RolloutBatch,
     p = np.exp(logp_all)
     acts = batch.actions[idx]
     new_logp = logp_all[rows, acts]
-    entropy = -np.sum(p * logp_all, axis=1)
+    entropy = -(p * logp_all).sum(axis=1)
 
     log_ratio = new_logp - old_logp
     ratio = np.exp(log_ratio)
     surr1 = ratio * b_adv
-    surr2 = np.clip(ratio, 1.0 - eps, 1.0 + eps) * b_adv
-    pg_loss = -float(np.mean(np.minimum(surr1, surr2)))
-    ent_mean = float(np.mean(entropy))
+    surr2 = np.minimum(np.maximum(ratio, 1.0 - eps), 1.0 + eps) * b_adv
+    pg_loss = -float(np.minimum(surr1, surr2).sum() / b_size)  # np.mean's bits
+    ent_mean = float(entropy.sum() / b_size)
     loss = pg_loss - config.entropy_coefficient * ent_mean
 
     v = forward(value_net, obs, value_activations)[:, 0]
     v_err = v - batch.returns_to_go[idx]
-    value_loss = 0.5 * float(np.mean(v_err * v_err))
+    value_loss = 0.5 * float((v_err * v_err).sum() / b_size)
 
     if not (np.isfinite(loss) and np.isfinite(value_loss)):
         raise FloatingPointError("non-finite loss in ppo_update")
@@ -233,26 +231,35 @@ def ppo_gradients(policy: MlpModel, value_net: MlpModel, batch: RolloutBatch,
     # entropy bonus: dH/dlogits_j = -p_j (logp_j + H)
     dlogits += config.entropy_coefficient * p \
         * (logp_all + entropy[:, None]) / b_size
-    grads = backward(policy, obs, dlogits, policy_activations)
+    grads = backward(policy, obs, dlogits, policy_activations, out[0])
     v_grads = backward(value_net, obs,
                        (config.value_coefficient * v_err / b_size)[:, None],
-                       value_activations)
+                       value_activations, out[1])
     return ({"policy_loss": pg_loss, "value_loss": value_loss,
              "entropy": ent_mean,
-             "approx_kl": float(np.mean(ratio - 1.0 - log_ratio)),
-             "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > eps))},
+             "approx_kl": float((ratio - 1.0 - log_ratio).sum() / b_size),
+             "clip_fraction": float((np.abs(ratio - 1.0) > eps).sum()
+                                    / b_size)},
             grads, v_grads)
 
 
 def ppo_update(policy: MlpModel, value_net: MlpModel, batch: RolloutBatch,
-               advantages: np.ndarray, config: TrainConfig, policy_opt,
-               value_opt, rng: np.random.Generator) -> dict:
+               advantages: np.ndarray, config: TrainConfig, opt,
+               rng: np.random.Generator) -> dict:
     """Clipped-surrogate policy update plus Monte Carlo value regression.
 
+    `opt` is one Adam state over the vector init_nets lays both nets in.
+    Each minibatch clips each net's gradients by their own norm, then takes
+    one Adam step, elementwise and so the bits of a step on each net.
     Raises FloatingPointError, with both networks left as they were before
     the offending minibatch, if a loss or a gradient goes non-finite.
     """
-    n = batch.total_steps
+    if (flat := policy.flat.base) is None or value_net.flat.base is not flat:
+        raise ValueError("policy and value_net must share one vector")
+    params = MlpModel([flat], [], flat)
+    grads, *out = share_parameters(
+        *(GradientBuffer(m.weights, m.biases) for m in (policy, value_net)))
+    n = len(batch.actions)
     adv = advantages
     if config.advantage_normalization:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
@@ -261,16 +268,11 @@ def ppo_update(policy: MlpModel, value_net: MlpModel, batch: RolloutBatch,
         perm = rng.permutation(n)
         for mb_start in range(0, n, config.minibatch_size):
             idx = perm[mb_start:mb_start + config.minibatch_size]
-            stats, grads, v_grads = ppo_gradients(policy, value_net, batch,
-                                                  idx, adv, config)
-            clip_grad_norm(grads, config.max_grad_norm)
-            clip_grad_norm(v_grads, config.max_grad_norm)
-            # Both checks before either step, so a rejected minibatch
-            # changes neither network.
-            if not (grads.is_finite() and v_grads.is_finite()):
-                raise FloatingPointError("non-finite gradient in ppo_update")
-            adam_update(policy, policy_opt, grads)
-            adam_update(value_net, value_opt, v_grads)
+            stats, _, _ = ppo_gradients(policy, value_net, batch, idx, adv,
+                                        config, out)
+            for net_grads in out:
+                clip_grad_norm(net_grads, config.max_grad_norm)
+            adam_update(params, opt, grads)  # checks before it steps
             mb_stats.append(stats)
     return {k: float(np.mean([s[k] for s in mb_stats])) for k in stats}
 
@@ -286,14 +288,12 @@ class TrainResult:
     diagnostics: list
 
 
-def init_policy(env, rng: np.random.Generator) -> MlpModel:
-    """Logits network matching the env's action count (2x64 tanh hidden)."""
-    return init_mlp([env.obs_dim] + HIDDEN_DIMS + [env.action_space.count],
-                    rng, output_scale=POLICY_OUTPUT_SCALE)
-
-
-def init_value_net(obs_dim: int, rng: np.random.Generator) -> MlpModel:
-    return init_mlp([obs_dim] + HIDDEN_DIMS + [1], rng, output_scale=1.0)
+def init_nets(env, rng: np.random.Generator) -> list[MlpModel]:
+    """share_parameters(logits net, value net), both 2x64 tanh hidden."""
+    dims = [env.obs_dim] + HIDDEN_DIMS
+    return share_parameters(init_mlp(dims + [env.action_space.count], rng,
+                                     output_scale=POLICY_OUTPUT_SCALE),
+                            init_mlp(dims + [1], rng))
 
 
 def train(env_config: EnvConfig, config: TrainConfig, total_timesteps: int,
@@ -311,10 +311,8 @@ def train(env_config: EnvConfig, config: TrainConfig, total_timesteps: int,
     check_seed("seed", seed)
     if prior is not None and schedule is None:
         raise ValueError("a prior needs a weaning schedule")
-    ss = np.random.SeedSequence(seed)
-    init_seed, update_seed = ss.spawn(2)
-    init_rng = np.random.default_rng(init_seed)
-    update_rng = np.random.default_rng(update_seed)
+    init_rng, update_rng = map(np.random.default_rng,
+                               np.random.SeedSequence(seed).spawn(2))
     worker_rngs = [np.random.default_rng(seed + i)
                    for i in range(config.num_envs)]
 
@@ -323,11 +321,8 @@ def train(env_config: EnvConfig, config: TrainConfig, total_timesteps: int,
     if prior is not None:
         check_compatibility(prior, envs.obs_dim, envs.action_space.count)
 
-    policy = init_policy(envs, init_rng)
-    value_net = init_value_net(envs.obs_dim, init_rng)
-
-    policy_opt = init_adam(policy, config.learning_rate)
-    value_opt = init_adam(value_net, config.learning_rate)
+    params, policy, value_net = init_nets(envs, init_rng)
+    opt = init_adam(params, config.learning_rate)
 
     curve, diagnostics = [], []
     t = 0
@@ -343,7 +338,7 @@ def train(env_config: EnvConfig, config: TrainConfig, total_timesteps: int,
             advantages = compute_advantages(batch, value_net, prior, w_t)
             t2 = perf_counter()
             diag = ppo_update(policy, value_net, batch, advantages, config,
-                              policy_opt, value_opt, update_rng)
+                              opt, update_rng)
             diag.update(rollout_s=t1 - t0, advantage_s=t2 - t1,
                         update_s=perf_counter() - t2)
             if batch.episode_returns:

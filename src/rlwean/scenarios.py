@@ -198,39 +198,43 @@ def run_scenario(config: ScenarioConfig, out_dir,
     """Train (or load) the prior, then run all target seeds; one CSV per
     (scenario, seed). Returns paths of everything written. A new prior_path
     that cannot be written fails before anything trains or is created, and
-    out_dir is made before any training."""
+    out_dir is made before training; a failed run removes a new, empty one."""
     rrl = config.mode == "rrl"
     if rrl and prior_path is not None and not os.path.isfile(prior_path):
         _check_out_file(prior_path)
+    made = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    prior = None
-    artifact_path = None
-    if rrl:
-        algorithm = SETTINGS[config.setting].algorithm
-        if prior_path is not None and os.path.isfile(prior_path):
-            prior = load_artifact(prior_path)
-            artifact_path = prior_path
-        else:
-            artifact_path = prior_path or os.path.join(out_dir, "prior.json")
-            prior = train_source_prior(
-                config.source_env, algorithm, config.source_seeds,
-                config.source_total_timesteps, config.train_config,
-                artifact_path)
-        # Fail fast, before any target training starts.
-        expected_kind = PRIOR_KIND[algorithm]
-        if prior.kind != expected_kind:
-            raise ValueError(f"scenario expects a {expected_kind} prior, "
-                             f"got {prior.kind}")
+    try:
+        prior = artifact_path = None
+        if rrl:
+            algorithm = SETTINGS[config.setting].algorithm
+            if prior_path is not None and os.path.isfile(prior_path):
+                prior = load_artifact(prior_path)
+                artifact_path = prior_path
+            else:
+                artifact_path = prior_path or os.path.join(out_dir, "prior.json")
+                prior = train_source_prior(
+                    config.source_env, algorithm, config.source_seeds,
+                    config.source_total_timesteps, config.train_config,
+                    artifact_path)
+            # Fail fast, before any target training starts.
+            expected_kind = PRIOR_KIND[algorithm]
+            if prior.kind != expected_kind:
+                raise ValueError(f"scenario expects a {expected_kind} prior, "
+                                 f"got {prior.kind}")
 
-    csv_paths = {}
-    for seed in config.target_seeds:
-        result = train(config.target_env, config.train_config,
-                       config.target_total_timesteps, seed, prior,
-                       config.schedule)
-        path = os.path.join(out_dir, f"{config.mode}_seed{seed}.csv")
-        write_curve_csv(path, result.curve)
-        csv_paths[seed] = path
-    return {"csv_paths": csv_paths, "prior_path": artifact_path}
+        csv_paths = {}
+        for seed in config.target_seeds:
+            result = train(config.target_env, config.train_config,
+                           config.target_total_timesteps, seed, prior,
+                           config.schedule)
+            path = os.path.join(out_dir, f"{config.mode}_seed{seed}.csv")
+            write_curve_csv(path, result.curve)
+            csv_paths[seed] = path
+        return {"csv_paths": csv_paths, "prior_path": artifact_path}
+    finally:
+        if made and not os.listdir(out_dir):
+            os.rmdir(out_dir)
 
 
 def steps_to_threshold(rows: list[dict], threshold: float) -> float:

@@ -174,6 +174,9 @@ def test_process_exit_codes(tmp_path):
                "--out", "out")
     assert done.returncode == 2 and "Traceback" not in done.stderr
     assert "error: non-finite loss in ppo_update" in done.stderr
+    # the error line alone, and no empty out directory left behind
+    assert "RuntimeWarning" not in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file_is_config_error(tmp_path):

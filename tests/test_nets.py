@@ -7,7 +7,7 @@ import pytest
 from rlwean import nets
 from rlwean.nets import (AdamState, GradientBuffer, MlpModel, adam_update,
                          backward, clip_grad_norm, forward, init_adam,
-                         init_mlp, single_blas_thread)
+                         init_mlp, share_parameters, single_blas_thread)
 
 
 def zero_grads(model: MlpModel) -> GradientBuffer:
@@ -420,6 +420,41 @@ def test_backward_results_never_alias():
     assert not np.shares_memory(first.flat, model.flat)
     clip_grad_norm(first, 1e-6 * first.global_norm())
     np.testing.assert_array_equal(second.flat, kept)
+
+
+def test_shared_parameters_are_copies_in_one_vector():
+    rng = np.random.default_rng(11)
+    first, second = init_mlp([3, 5, 2], rng), init_mlp([3, 4, 1], rng)
+    grads = GradientBuffer(second.weights, second.biases)
+    joint, *copies = share_parameters(first, second, grads)
+    assert [type(m) for m in [joint] + copies] == \
+        [MlpModel, MlpModel, MlpModel, GradientBuffer]
+    assert joint.flat.tobytes() == np.concatenate(
+        [first.flat, second.flat, grads.flat]).tobytes()
+    for copied, original in zip(copies, (first, second, grads)):
+        assert copied.flat.base is joint.flat
+        assert copied.layer_dims == original.layer_dims
+        assert copied.flat.tobytes() == original.flat.tobytes()
+        assert not np.shares_memory(copied.flat, original.flat)
+        assert_params_share_flat(copied)
+    # a step on the whole vector is a step on every copy
+    joint.flat -= 1.0
+    for copied, original in zip(copies, (first, second, grads)):
+        for a, b in zip(copied.weights + copied.biases,
+                        original.weights + original.biases):
+            np.testing.assert_array_equal(a, b - 1.0)
+
+
+def test_backward_into_a_given_buffer_keeps_the_bits():
+    rng = np.random.default_rng(12)
+    model = init_mlp([3, 6, 2], rng)
+    x, g = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+    # a buffer that starts part-way into its vector
+    _, _, out = share_parameters(init_mlp([2, 2], rng),
+                                 GradientBuffer(model.weights, model.biases))
+    got = backward(model, x, g, out=out)
+    assert got is out
+    assert out.flat.tobytes() == backward(model, x, g).flat.tobytes()
 
 
 def test_single_blas_thread_keeps_bits_and_restores_the_count():

@@ -1,5 +1,5 @@
-import copy
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +7,14 @@ import pytest
 from rlwean.envs import (GRID_STEP_PENALTY, ActionSpace, EnvConfig, _BaseEnv,
                          make_env)
 from rlwean.errors import CompatibilityError
-from rlwean.nets import (MlpModel, _openblas_threads, adam_update,
-                         clip_grad_norm, forward, init_adam, init_mlp)
+from rlwean.nets import (AdamState, GradientBuffer, MlpModel,
+                         _openblas_threads, adam_update, backward,
+                         clip_grad_norm, forward, init_adam, init_mlp,
+                         share_parameters)
 from rlwean.policies import log_softmax, softmax
 from rlwean.ppo import (TrainConfig, collect_rollout, combined_baseline,
-                        compute_advantages, compute_returns, init_policy,
-                        init_value_net, ppo_gradients, ppo_update, train)
+                        compute_advantages, compute_returns, init_nets,
+                        ppo_gradients, ppo_update, train)
 from rlwean.priors import PriorArtifact, WeaningSchedule
 
 
@@ -175,7 +177,7 @@ def test_zero_baseline_gives_raw_returns():
     advantages = compute_advantages(batch, constant_value_net(1), None, 0.0)
     np.testing.assert_array_equal(advantages, batch.returns_to_go)
     np.testing.assert_array_equal(batch.returns_to_go - advantages,
-                                  np.zeros(batch.total_steps))
+                                  np.zeros(len(batch.actions)))
 
 
 def test_q_prior_baseline_uses_stored_probs():
@@ -205,11 +207,10 @@ def test_ppo_update_reduces_value_loss():
     advantages = compute_advantages(batch, value_net, None, 0.0)
     config = TrainConfig(steps_per_rollout=256, num_envs=2, minibatch_size=64,
                          update_epochs=1, learning_rate=1e-2)
-    p_opt = init_adam(policy, config.learning_rate)
-    v_opt = init_adam(value_net, config.learning_rate)
+    policy, value_net, opt = shared(policy, value_net, config.learning_rate)
     rng = np.random.default_rng(0)
-    losses = [ppo_update(policy, value_net, batch, advantages, config, p_opt,
-                         v_opt, rng)["value_loss"] for _ in range(100)]
+    losses = [ppo_update(policy, value_net, batch, advantages, config, opt,
+                         rng)["value_loss"] for _ in range(100)]
     # irreducible floor: returns for identical observations still differ,
     # so the best any value function can do is predict per-obs means
     obs_keys = [tuple(o) for o in batch.observations]
@@ -218,14 +219,92 @@ def test_ppo_update_reduces_value_loss():
         idx = [i for i, k in enumerate(obs_keys) if k == key]
         g = batch.returns_to_go[idx]
         floor += np.sum((g - g.mean()) ** 2)
-    floor = 0.5 * floor / batch.total_steps
+    floor = 0.5 * floor / len(batch.actions)
     assert losses[-1] < losses[0]
     assert losses[-1] < floor * 1.1 + 1e-3
+
+
+def shared(policy, value_net, learning_rate):
+    """Copies of both nets in one vector, and one Adam state over it, as
+    train makes them."""
+    params, policy, value_net = share_parameters(policy, value_net)
+    return policy, value_net, init_adam(params, learning_rate)
+
+
+def split_adam(opt, size):
+    """Per-net copies of a joint Adam state: the first `size` entries, then
+    the rest."""
+    return [AdamState(opt.learning_rate, opt.first_moment[part].copy(),
+                      opt.second_moment[part].copy(), opt.step_count)
+            for part in (slice(None, size), slice(size, None))]
 
 
 def adam_snapshot(state):
     return (state.first_moment.tobytes(), state.second_moment.tobytes(),
             state.step_count)
+
+
+def two_step_update(policy, value_net, batch, advantages, config, p_opt,
+                    v_opt, rng):
+    """The update as two per-net optimizers take it: each minibatch clips
+    each net's gradients, checks both, then steps the policy with p_opt and
+    the value net with v_opt. Returns the minibatch stats and, per
+    minibatch, which of the two gradients the clip scaled down."""
+    n = len(batch.actions)
+    adv = advantages
+    if config.advantage_normalization:
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    mb_stats, clipped = [], []
+    for _ in range(config.update_epochs):
+        perm = rng.permutation(n)
+        for mb_start in range(0, n, config.minibatch_size):
+            idx = perm[mb_start:mb_start + config.minibatch_size]
+            stats, grads, v_grads = ppo_gradients(policy, value_net, batch,
+                                                  idx, adv, config)
+            clipped.append(tuple(
+                clip_grad_norm(g, config.max_grad_norm) > config.max_grad_norm
+                for g in (grads, v_grads)))
+            if not (grads.is_finite() and v_grads.is_finite()):
+                raise FloatingPointError("non-finite gradient in ppo_update")
+            adam_update(policy, p_opt, grads)
+            adam_update(value_net, v_opt, v_grads)
+            mb_stats.append(stats)
+    return mb_stats, clipped
+
+
+def test_one_joint_adam_step_equals_two_per_net_steps():
+    batch, policy, value_net = make_batch(steps=256)
+    advantages = compute_advantages(batch, value_net, None, 0.0)
+    config = TrainConfig(steps_per_rollout=256, num_envs=2, minibatch_size=64,
+                         update_epochs=3, clip_coefficient=0.02,
+                         learning_rate=1e-2)
+    idx = np.arange(64)
+    _, grads, v_grads = ppo_gradients(policy, value_net, batch, idx,
+                                      advantages, config)
+    # between the two nets' norms, so that one is clipped and one is not
+    norms = sorted([grads.global_norm(), v_grads.global_norm()])
+    config = replace(config, max_grad_norm=float(np.sqrt(np.prod(norms))))
+    joint_policy, joint_value, opt = shared(policy, value_net,
+                                            config.learning_rate)
+    p_opt, v_opt = split_adam(opt, policy.flat.size)
+    for seed in range(3):
+        diag = ppo_update(joint_policy, joint_value, batch, advantages, config,
+                          opt, np.random.default_rng(seed))
+        mb_stats, clipped = two_step_update(
+            policy, value_net, batch, advantages, config, p_opt, v_opt,
+            np.random.default_rng(seed))
+        assert diag == {k: float(np.mean([s[k] for s in mb_stats]))
+                        for k in diag}
+        assert joint_policy.flat.tobytes() == policy.flat.tobytes()
+        assert joint_value.flat.tobytes() == value_net.flat.tobytes()
+        for name in ("first_moment", "second_moment"):
+            parts = [getattr(state, name) for state in (p_opt, v_opt)]
+            assert getattr(opt, name).tobytes() == \
+                np.concatenate(parts).tobytes()
+        assert opt.step_count == p_opt.step_count == v_opt.step_count
+    # the case held: ratios clipped, and exactly one net's gradient was
+    assert any(s["clip_fraction"] > 0.0 for s in mb_stats)
+    assert (True, False) in clipped or (False, True) in clipped
 
 
 def test_ppo_gradients_are_pre_clip_and_change_nothing():
@@ -234,32 +313,108 @@ def test_ppo_gradients_are_pre_clip_and_change_nothing():
     config = TrainConfig(steps_per_rollout=256, num_envs=2,
                          minibatch_size=256, update_epochs=1,
                          max_grad_norm=1e-6, advantage_normalization=False)
-    p_opt = init_adam(policy, config.learning_rate)
-    v_opt = init_adam(value_net, config.learning_rate)
-    ppo_update(policy, value_net, batch, advantages, config, p_opt, v_opt,
+    policy, value_net, opt = shared(policy, value_net, config.learning_rate)
+    ppo_update(policy, value_net, batch, advantages, config, opt,
                np.random.default_rng(4))  # ratios leave 1, moments nonzero
     nets_before = [policy.flat.tobytes(), value_net.flat.tobytes()]
-    opts_before = [adam_snapshot(p_opt), adam_snapshot(v_opt)]
+    opt_before = adam_snapshot(opt)
 
     idx = np.random.default_rng(5).permutation(256)
     stats, grads, v_grads = ppo_gradients(policy, value_net, batch, idx,
                                           advantages, config)
     assert [policy.flat.tobytes(), value_net.flat.tobytes()] == nets_before
-    assert [adam_snapshot(p_opt), adam_snapshot(v_opt)] == opts_before
+    assert adam_snapshot(opt) == opt_before
     assert grads.global_norm() > config.max_grad_norm
     assert v_grads.global_norm() > config.max_grad_norm
 
     # ppo_update's one minibatch is these gradients, clipped, then stepped
-    expected = [(policy.copy(), copy.deepcopy(p_opt), grads),
-                (value_net.copy(), copy.deepcopy(v_opt), v_grads)]
-    for net, opt, g in expected:
+    p_opt, v_opt = split_adam(opt, policy.flat.size)
+    expected = [(policy.copy(), p_opt, grads),
+                (value_net.copy(), v_opt, v_grads)]
+    for net, net_opt, g in expected:
         clip_grad_norm(g, config.max_grad_norm)
-        adam_update(net, opt, g)
-    diag = ppo_update(policy, value_net, batch, advantages, config, p_opt,
-                      v_opt, np.random.default_rng(5))
+        adam_update(net, net_opt, g)
+    diag = ppo_update(policy, value_net, batch, advantages, config, opt,
+                      np.random.default_rng(5))
     assert diag == stats
     assert policy.flat.tobytes() == expected[0][0].flat.tobytes()
     assert value_net.flat.tobytes() == expected[1][0].flat.tobytes()
+
+
+def reference_log_softmax(logits):
+    """log_softmax as written with np.max, before the array method."""
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def reference_ppo_gradients(policy, value_net, batch, idx, adv, config):
+    """ppo_gradients as written with np.mean, np.clip, np.sum and np.max."""
+    b_size = len(idx)
+    rows = np.arange(b_size)
+    obs = batch.observations[idx]
+    b_adv = adv[idx]
+    eps = config.clip_coefficient
+    policy_activations, value_activations = [], []
+    logp_all = reference_log_softmax(forward(policy, obs, policy_activations))
+    p = np.exp(logp_all)
+    acts = batch.actions[idx]
+    entropy = -np.sum(p * logp_all, axis=1)
+    log_ratio = logp_all[rows, acts] - batch.log_probs[idx]
+    ratio = np.exp(log_ratio)
+    surr1 = ratio * b_adv
+    surr2 = np.clip(ratio, 1.0 - eps, 1.0 + eps) * b_adv
+    pg_loss = -float(np.mean(np.minimum(surr1, surr2)))
+    ent_mean = float(np.mean(entropy))
+    v = forward(value_net, obs, value_activations)[:, 0]
+    v_err = v - batch.returns_to_go[idx]
+    value_loss = 0.5 * float(np.mean(v_err * v_err))
+    dlogp = np.where(surr1 <= surr2, -b_adv * ratio, 0.0) / b_size
+    score = np.negative(p)
+    score[rows, acts] += 1.0
+    dlogits = dlogp[:, None] * score
+    dlogits += config.entropy_coefficient * p \
+        * (logp_all + entropy[:, None]) / b_size
+    grads = backward(policy, obs, dlogits, policy_activations)
+    v_grads = backward(value_net, obs,
+                       (config.value_coefficient * v_err / b_size)[:, None],
+                       value_activations)
+    return ({"policy_loss": pg_loss, "value_loss": value_loss,
+             "entropy": ent_mean,
+             "approx_kl": float(np.mean(ratio - 1.0 - log_ratio)),
+             "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > eps))},
+            grads, v_grads)
+
+
+def test_ppo_gradients_keep_the_bits_of_numpy_wrappers():
+    batch, policy, value_net = make_batch(steps=256)
+    advantages = compute_advantages(batch, value_net, None, 0.0)
+    config = TrainConfig(steps_per_rollout=256, num_envs=2, minibatch_size=64,
+                         update_epochs=4, clip_coefficient=0.02,
+                         learning_rate=1e-2)
+    policy, value_net, opt = shared(policy, value_net, config.learning_rate)
+    ppo_update(policy, value_net, batch, advantages, config, opt,
+               np.random.default_rng(0))  # ratios leave 1, and some clip
+    rng = np.random.default_rng(1)
+    logits = forward(policy, batch.observations)
+    assert log_softmax(logits).tobytes() == \
+        reference_log_softmax(logits).tobytes()
+    clip_fractions = []
+    for _ in range(8):
+        idx = rng.permutation(256)[:64]
+        adv = rng.standard_normal(256)
+        expected, *expected_grads = reference_ppo_gradients(
+            policy, value_net, batch, idx, adv, config)
+        out = share_parameters(GradientBuffer(policy.weights, policy.biases),
+                               GradientBuffer(value_net.weights,
+                                              value_net.biases))[1:]
+        for buffers in ((None, None), out):
+            stats, *grads = ppo_gradients(policy, value_net, batch, idx, adv,
+                                          config, buffers)
+            assert stats == expected
+            for got, want in zip(grads, expected_grads):
+                assert got.flat.tobytes() == want.flat.tobytes()
+        clip_fractions.append(stats["clip_fraction"])
+    assert 0.0 < max(clip_fractions) and min(clip_fractions) < 1.0
 
 
 def test_first_epoch_kl_is_small():
@@ -267,9 +422,8 @@ def test_first_epoch_kl_is_small():
     advantages = compute_advantages(batch, value_net, None, 0.0)
     config = TrainConfig(steps_per_rollout=256, num_envs=2,
                          minibatch_size=256, update_epochs=1)
-    diag = ppo_update(policy, value_net, batch, advantages, config,
-                      init_adam(policy, config.learning_rate),
-                      init_adam(value_net, config.learning_rate),
+    policy, value_net, opt = shared(policy, value_net, config.learning_rate)
+    diag = ppo_update(policy, value_net, batch, advantages, config, opt,
                       np.random.default_rng(0))
     # the first full-batch minibatch evaluates at unchanged parameters,
     # so ratios are exactly 1 and nothing is clipped
@@ -288,18 +442,17 @@ def test_nonfinite_value_gradient_leaves_both_nets_unchanged():
     advantages = compute_advantages(batch, constant_value_net(1), None, 0.0)
     config = TrainConfig(steps_per_rollout=64, num_envs=2, minibatch_size=32,
                          update_epochs=1)
+    policy, value_net, opt = shared(policy, value_net, 1e-3)
     nets_before = [policy.copy(), value_net.copy()]
-    p_opt = init_adam(policy, 1e-3)
-    v_opt = init_adam(value_net, 1e-3)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FloatingPointError):
-        ppo_update(policy, value_net, batch, advantages, config, p_opt, v_opt,
+        ppo_update(policy, value_net, batch, advantages, config, opt,
                    np.random.default_rng(0))
     for net, before in zip((policy, value_net), nets_before):
         for a, b in zip(net.weights + net.biases,
                         before.weights + before.biases):
             assert a.tobytes() == b.tobytes()
-    assert p_opt.step_count == v_opt.step_count == 0
+    assert opt.step_count == 0
 
 
 class BanditEnv(_BaseEnv):
@@ -324,19 +477,17 @@ class BanditEnv(_BaseEnv):
 def test_bandit_policy_converges():
     rng = np.random.default_rng(0)
     envs = BanditEnv(EnvConfig("chain"), range(4))
-    policy = init_policy(envs, rng)
-    value_net = init_value_net(1, rng)
+    params, policy, value_net = init_nets(envs, rng)
     config = TrainConfig(steps_per_rollout=64, num_envs=4, minibatch_size=32,
                          update_epochs=4, gamma=1.0, learning_rate=5e-3,
                          entropy_coefficient=0.0)
-    p_opt = init_adam(policy, config.learning_rate)
-    v_opt = init_adam(value_net, config.learning_rate)
+    opt = init_adam(params, config.learning_rate)
     update_rng = np.random.default_rng(1)
     rngs = [np.random.default_rng(10 + i) for i in range(4)]
     for _ in range(200):
         batch = collect_rollout(envs, policy, value_net, 64, rngs, 1.0)
         advantages = compute_advantages(batch, value_net, None, 0.0)
-        ppo_update(policy, value_net, batch, advantages, config, p_opt, v_opt,
+        ppo_update(policy, value_net, batch, advantages, config, opt,
                    update_rng)
     assert softmax(forward(policy, np.zeros(1)))[0] > 0.99
 
@@ -370,6 +521,33 @@ def test_train_runs_on_one_blas_thread(monkeypatch):
     train(EnvConfig("chain", horizon=16), config, 1024, seed=0)
     assert seen == [1, 1]
     assert get() == before
+
+
+def test_train_takes_one_adam_step_per_minibatch(monkeypatch):
+    steps = []
+
+    def adam_spy(*args):
+        steps.append(args[0].flat.size)
+        adam_update(*args)
+
+    monkeypatch.setattr("rlwean.ppo.adam_update", adam_spy)
+    config = TrainConfig(num_envs=4, steps_per_rollout=512,
+                         minibatch_size=128, update_epochs=3)
+    result = train(EnvConfig("chain", horizon=16), config, 1024, seed=0)
+    policy, value_net = result.policy, result.value_net
+    assert len(steps) == 2 * 3 * 512 // 128
+    assert set(steps) == {policy.flat.size + value_net.flat.size}
+    assert policy.flat.base is not None
+    assert value_net.flat.base is policy.flat.base
+
+
+def test_ppo_update_rejects_nets_in_separate_vectors():
+    batch, policy, value_net = make_batch()
+    config = TrainConfig(steps_per_rollout=64, num_envs=2, minibatch_size=32)
+    _, _, opt = shared(policy, value_net, 1e-3)
+    with pytest.raises(ValueError, match="share one vector"):
+        ppo_update(policy, value_net, batch, batch.returns_to_go, config, opt,
+                   np.random.default_rng(0))
 
 
 def test_train_records_phase_times():

@@ -226,6 +226,29 @@ def test_unwritable_prior_path_fails_before_training(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_run_removes_only_an_out_dir_it_made_empty(tmp_path,
+                                                         monkeypatch):
+    def diverge(*args, **kwargs):
+        raise FloatingPointError("non-finite loss in ppo_update")
+
+    monkeypatch.setattr("rlwean.scenarios.train", diverge)
+    config = small_scenario()
+    made = tmp_path / "new" / "out"
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out_dir in (made, kept):
+        with pytest.raises(FloatingPointError):
+            run_scenario(config, out_dir)
+    assert not made.exists() and (tmp_path / "new").is_dir()
+    assert kept.is_dir()
+    # a source prior written before the failure keeps the new out_dir
+    rrl = tmp_path / "rrl"
+    with pytest.raises(FloatingPointError):
+        run_scenario(replace(small_scenario(mode="rrl"),
+                             source_total_timesteps=1000), rrl)
+    assert [p.name for p in rrl.iterdir()] == ["prior.json"]
+
+
 def test_compare_on_synthetic_curves(tmp_path):
     rrl_dir, tbr_dir = tmp_path / "rrl", tmp_path / "tbr"
     rrl_dir.mkdir(), tbr_dir.mkdir()
